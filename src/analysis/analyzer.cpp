@@ -50,10 +50,12 @@ void check_directive(const std::string& stage, const std::string& value,
              suggestion.empty() ? std::string() : "did you mean '" + suggestion + "'?");
 }
 
-/// Parse every source, lint it, and return the top module when found.
+/// Lex and parse every source once, lint it, and return the top module
+/// when found.
 std::optional<hdl::Module> lint_sources(const core::ProjectConfig& project,
                                         LintReport& report) {
   std::optional<hdl::Module> top;
+  std::vector<std::string> module_names;
   for (const auto& source : project.sources) {
     const auto text = read_file(source.path);
     if (!text) {
@@ -63,16 +65,13 @@ std::optional<hdl::Module> lint_sources(const core::ProjectConfig& project,
     }
     hdl::HdlLanguage lang = source.language;
     if (const auto detected = hdl::language_from_path(source.path)) lang = *detected;
-    const hdl::ParseResult parsed = hdl::parse_source(*text, lang, source.path);
-    lint_hdl_file(parsed, source.path, *text, project.top_module, report);
+    const hdl::LexedSource lexed = hdl::lex_source(*text, lang);
+    const hdl::ParseResult parsed = hdl::parse_source(lexed, lang, source.path);
+    lint_hdl_file(parsed, source.path, lexed.tokens, project.top_module, report);
+    for (const auto& module : parsed.file.modules) module_names.push_back(module.name);
     if (const hdl::Module* m = parsed.file.find_module(project.top_module)) top = *m;
   }
   if (!top && !project.top_module.empty()) {
-    std::vector<std::string> module_names;
-    for (const auto& source : project.sources) {
-      const hdl::ParseResult parsed = hdl::parse_file(source.path);
-      for (const auto& module : parsed.file.modules) module_names.push_back(module.name);
-    }
     const std::string suggestion = util::closest_match(project.top_module, module_names);
     report.add(Severity::kError, "hdl-top-not-found", "<project>", {},
                "top module '" + project.top_module + "' not found in the given sources",
@@ -127,8 +126,9 @@ void lint_flow(const core::ProjectConfig& project, const hdl::Module& top,
 
 }  // namespace
 
-void lint_project(const core::ProjectConfig& project, LintReport& report) {
-  const std::optional<hdl::Module> top = lint_sources(project, report);
+std::optional<hdl::Module> lint_project(const core::ProjectConfig& project,
+                                        LintReport& report) {
+  std::optional<hdl::Module> top = lint_sources(project, report);
 
   check_directive("synthesis", project.synth_directive, report);
   if (project.run_implementation) {
@@ -139,9 +139,11 @@ void lint_project(const core::ProjectConfig& project, LintReport& report) {
   // Flow lint needs a top module and a target part; without either there is
   // no flow to generate (and the missing top was already reported).
   if (top && !project.part.empty()) lint_flow(project, *top, report);
+  return top;
 }
 
-void lint_dse_config(const core::ProjectConfig& project, const core::DseConfig& config,
+void lint_dse_config(const core::ProjectConfig& project, const hdl::Module* top,
+                     const core::DseConfig& config,
                      const std::vector<std::string>& raw_param_specs,
                      LintReport& report) {
   SpaceLintOptions options;
@@ -153,12 +155,9 @@ void lint_dse_config(const core::ProjectConfig& project, const core::DseConfig& 
     options.backends.push_back(config.screen_backend);
   }
 
-  for (const auto& source : project.sources) {
-    const hdl::ParseResult parsed = hdl::parse_file(source.path);
-    if (const hdl::Module* m = parsed.file.find_module(project.top_module)) {
-      for (const auto& param : m->parameters) {
-        if (!param.is_local) options.module_params.push_back(param.name);
-      }
+  if (top != nullptr) {
+    for (const auto& param : top->parameters) {
+      if (!param.is_local) options.module_params.push_back(param.name);
     }
   }
 
@@ -169,8 +168,8 @@ void lint_dse_config(const core::ProjectConfig& project, const core::DseConfig& 
 LintReport preflight(const core::ProjectConfig& project, const core::DseConfig& config,
                      const RuleSet& rules) {
   LintReport report;
-  lint_project(project, report);
-  lint_dse_config(project, config, {}, report);
+  const std::optional<hdl::Module> top = lint_project(project, report);
+  lint_dse_config(project, top ? &*top : nullptr, config, {}, report);
   rules.filter(report);
   return report;
 }

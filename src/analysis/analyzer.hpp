@@ -7,6 +7,7 @@
 // gate at the top of DseEngine::run().
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -21,14 +22,19 @@ namespace dovado::analysis {
 /// Lint a project: parse + interface + net rules over every source, a
 /// top-module existence check, and — when a part is configured — the whole
 /// generated flow (box, frame validation, flow script, XDC constraints)
-/// plus directive names. Appends to `report`.
-void lint_project(const core::ProjectConfig& project, LintReport& report);
+/// plus directive names. Appends to `report`. Every source is lexed and
+/// parsed once; returns the top module when one was found.
+std::optional<hdl::Module> lint_project(const core::ProjectConfig& project,
+                                        LintReport& report);
 
 /// Lint the design space / objectives / derived metrics of a DSE config in
-/// the context of `project` (its backend and top-module parameters).
-/// `raw_param_specs` are the user's original `name=spec` strings when known
-/// (descending ranges are only visible there); pass {} otherwise.
-void lint_dse_config(const core::ProjectConfig& project, const core::DseConfig& config,
+/// the context of `project` (its backend) and of `top`, the top module
+/// lint_project returned (nullptr: none, so free parameters are not checked
+/// against it). `raw_param_specs` are the user's original `name=spec`
+/// strings when known (descending ranges are only visible there); pass {}
+/// otherwise.
+void lint_dse_config(const core::ProjectConfig& project, const hdl::Module* top,
+                     const core::DseConfig& config,
                      const std::vector<std::string>& raw_param_specs,
                      LintReport& report);
 

@@ -143,8 +143,7 @@ void lint_interface(const hdl::Module& module, const std::string& path, bool is_
   if (vhdl) {
     for (const auto& port : module.ports) {
       if (!port.is_vector) continue;
-      const hdl::ExprResult l = hdl::eval_expr(port.left_expr, module.language, env);
-      const hdl::ExprResult r = hdl::eval_expr(port.right_expr, module.language, env);
+      const auto [l, r] = hdl::eval_port_bounds(port, module.language, env);
       if (!l.ok() || !r.ok()) continue;
       if ((port.downto && *l.value < *r.value) || (!port.downto && *l.value > *r.value)) {
         report.add(Severity::kWarning, "hdl-port-range-reversed", path, port.loc,
@@ -175,9 +174,9 @@ void lint_interface(const hdl::Module& module, const std::string& path, bool is_
 }  // namespace
 
 void lint_module_structure(const hdl::Module& module, const std::string& path,
-                           const std::string& source_text, LintReport& report) {
+                           std::span<const hdl::Token> tokens, LintReport& report) {
   const hdl::ModuleStructure structure =
-      hdl::scan_structure(source_text, module.language, module.name);
+      hdl::scan_structure(tokens, module.language, module.name);
   if (!structure.found) return;
 
   const hdl::ExprEnv env = hdl::build_param_env(module, {});
@@ -283,7 +282,7 @@ void lint_module_structure(const hdl::Module& module, const std::string& path,
 }
 
 void lint_hdl_file(const hdl::ParseResult& parsed, const std::string& path,
-                   const std::string& source_text, const std::string& top_module,
+                   std::span<const hdl::Token> tokens, const std::string& top_module,
                    LintReport& report) {
   for (const auto& diag : parsed.diagnostics) {
     report.add(Severity::kError, "hdl-parse", path, diag.loc, diag.message);
@@ -296,7 +295,7 @@ void lint_hdl_file(const hdl::ParseResult& parsed, const std::string& path,
              : module.name == top_module);
     lint_interface(module, path, is_top, report);
     if (module.language != hdl::HdlLanguage::kVhdl) {
-      lint_module_structure(module, path, source_text, report);
+      lint_module_structure(module, path, tokens, report);
     }
   }
 }

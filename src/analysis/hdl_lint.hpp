@@ -6,6 +6,7 @@
 // conservative body scanner in src/hdl/structure — Verilog/SV only.
 #pragma once
 
+#include <span>
 #include <string>
 
 #include "src/analysis/diagnostic.hpp"
@@ -15,13 +16,13 @@ namespace dovado::analysis {
 
 /// Lint one parsed source file. `top_module` enables top-specific rules
 /// (clock detection) for the matching module; pass "" to lint every module
-/// uniformly. `source_text` feeds the body scanner (pass the file content).
+/// uniformly. `tokens` (the file's tokens, as parsed) feed the body scanner.
 void lint_hdl_file(const hdl::ParseResult& parsed, const std::string& path,
-                   const std::string& source_text, const std::string& top_module,
+                   std::span<const hdl::Token> tokens, const std::string& top_module,
                    LintReport& report);
 
 /// Net-level rules over one module body (exposed for targeted tests).
 void lint_module_structure(const hdl::Module& module, const std::string& path,
-                           const std::string& source_text, LintReport& report);
+                           std::span<const hdl::Token> tokens, LintReport& report);
 
 }  // namespace dovado::analysis

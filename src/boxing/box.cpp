@@ -45,8 +45,7 @@ std::string vhdl_signal_type(const Port& port, const hdl::ExprEnv& env, std::str
   if (!port.is_vector) {
     return port.type_name.empty() ? "std_logic" : port.type_name;
   }
-  const auto left = hdl::eval_expr(port.left_expr, HdlLanguage::kVhdl, env);
-  const auto right = hdl::eval_expr(port.right_expr, HdlLanguage::kVhdl, env);
+  const auto [left, right] = hdl::eval_port_bounds(port, HdlLanguage::kVhdl, env);
   if (!left.ok() || !right.ok()) {
     error = "cannot evaluate bounds of port '" + port.name + "': " +
             (left.ok() ? right.error : left.error);
@@ -139,8 +138,7 @@ std::string verilog_signal_decl(const Port& port, HdlLanguage lang, const hdl::E
                                 std::string& error) {
   std::string decl = "  wire ";
   if (port.is_vector) {
-    const auto left = hdl::eval_expr(port.left_expr, lang, env);
-    const auto right = hdl::eval_expr(port.right_expr, lang, env);
+    const auto [left, right] = hdl::eval_port_bounds(port, lang, env);
     if (!left.ok() || !right.ok()) {
       error = "cannot evaluate bounds of port '" + port.name + "': " +
               (left.ok() ? right.error : left.error);

@@ -453,7 +453,7 @@ int run_lint(const Options& options, std::ostream& out, std::ostream& err) {
 
   analysis::LintReport report;
   const core::ProjectConfig project = project_from(options);
-  analysis::lint_project(project, report);
+  const std::optional<hdl::Module> top = analysis::lint_project(project, report);
 
   // Design-space lint only when the user gave a space to judge.
   if (!options.params.empty() || !options.objectives.empty()) {
@@ -464,7 +464,8 @@ int run_lint(const Options& options, std::ostream& out, std::ostream& err) {
     }
     config.backend = options.backend;
     config.screen_keep_ratio = options.screen_ratio;
-    analysis::lint_dse_config(project, config, options.raw_param_specs, report);
+    analysis::lint_dse_config(project, top ? &*top : nullptr, config,
+                              options.raw_param_specs, report);
   }
 
   rules.filter(report);

@@ -77,7 +77,8 @@ bool AnalyticBackend::ingest_source(const std::string& path, hdl::HdlLanguage la
     error = "ERROR: [Common 17-55] file not found: " + path;
     return false;
   }
-  const hdl::ParseResult parsed = hdl::parse_source(*text, lang, path);
+  hdl::LexedSource lexed = hdl::lex_source(*text, lang);
+  const hdl::ParseResult parsed = hdl::parse_source(lexed, lang, path);
   if (!parsed.ok) {
     std::string detail = parsed.diagnostics.empty() ? "no modules found"
                                                     : parsed.diagnostics.front().message;
@@ -85,8 +86,9 @@ bool AnalyticBackend::ingest_source(const std::string& path, hdl::HdlLanguage la
     error = "ERROR: [Synth 8-???] cannot parse '" + path + "': " + detail;
     return false;
   }
+  const auto tokens = std::make_shared<const std::vector<hdl::Token>>(std::move(lexed.tokens));
   for (const auto& m : parsed.file.modules) {
-    modules_[util::to_lower(m.name)] = SourceEntry{m, *text};
+    modules_[util::to_lower(m.name)] = SourceEntry{m, tokens};
   }
   if (!is_virtual) parsed_paths_[path] = true;
   return true;
@@ -166,7 +168,7 @@ FlowOutcome AnalyticBackend::run_flow(const FlowRequest& request) {
   std::map<std::string, std::int64_t> overrides;
   if (!netlist::GeneratorRegistry::find(target_name).has_value()) {
     const Instantiation inst =
-        extract_instantiation(top_entry->source_text, top_entry->module.language);
+        extract_instantiation(*top_entry->tokens, top_entry->module.language);
     if (!inst.ok) {
       return fail("ERROR: [Synth 8-439] module '" + target_name +
                   "' has no architecture model and no resolvable instantiation (" +

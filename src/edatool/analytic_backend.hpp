@@ -16,7 +16,9 @@
 #pragma once
 
 #include <map>
+#include <memory>
 #include <optional>
+#include <vector>
 
 #include "src/edatool/backend.hpp"
 #include "src/hdl/ast.hpp"
@@ -52,10 +54,11 @@ class AnalyticBackend final : public EdaBackend {
   [[nodiscard]] double noise_amplitude() const { return noise_amplitude_; }
 
  private:
-  /// A parsed source: interface + raw text (for box-instantiation lookup).
+  /// A parsed module plus the tokens of its file (for box-instantiation
+  /// lookup), shared by every module of that file.
   struct SourceEntry {
     hdl::Module module;
-    std::string source_text;
+    std::shared_ptr<const std::vector<hdl::Token>> tokens;
   };
 
   /// vfs first, then disk; empty optional when the file cannot be read.

@@ -56,10 +56,12 @@ std::string last_positional(const std::vector<std::string>& args) {
 }  // namespace
 
 Instantiation extract_instantiation(std::string_view source, hdl::HdlLanguage lang) {
+  return extract_instantiation(hdl::lex_source(source, lang).tokens, lang);
+}
+
+Instantiation extract_instantiation(std::span<const hdl::Token> tokens, hdl::HdlLanguage lang) {
   Instantiation inst;
-  std::vector<hdl::Diagnostic> diags;
-  hdl::Lexer lexer(source, lang);
-  hdl::TokenStream ts(lexer.tokenize(diags));
+  hdl::TokenStream ts(tokens);
 
   auto parse_int_token = [&](const hdl::Token& t, std::int64_t& out) {
     long long v = 0;
@@ -209,8 +211,18 @@ std::string VivadoSim::read_file(const std::string& path) const {
 }
 
 void VivadoSim::read_source(const std::string& path, hdl::HdlLanguage lang) {
-  const std::string text = read_file(path);
-  const hdl::ParseResult parsed = hdl::parse_source(text, lang, path);
+  std::string text = read_file(path);
+  std::shared_ptr<const ParsedSource>& slot = parsed_[path];
+  if (!slot || slot->language != lang || slot->text != text) {
+    auto source = std::make_shared<ParsedSource>();
+    source->language = lang;
+    source->text = std::move(text);
+    source->lexed = hdl::lex_source(source->text, lang);
+    source->parsed = hdl::parse_source(source->lexed, lang, path);
+    slot = std::move(source);
+    ++source_parses_;
+  }
+  const hdl::ParseResult& parsed = slot->parsed;
   if (!parsed.ok) {
     std::string detail = parsed.diagnostics.empty()
                              ? "no modules found"
@@ -218,9 +230,10 @@ void VivadoSim::read_source(const std::string& path, hdl::HdlLanguage lang) {
     Interp::fail("ERROR: [Synth 8-???] cannot parse '" + path + "': " + detail);
   }
   for (const auto& m : parsed.file.modules) {
-    sources_[util::to_lower(m.name)] = SourceEntry{m, text};
+    sources_[util::to_lower(m.name)] = SourceEntry{slot, &m};
   }
-  charge(0.3 + 1e-6 * static_cast<double>(text.size()));  // file I/O + parse
+  // File I/O + parse, charged per read whether or not the parse was reused.
+  charge(0.3 + 1e-6 * static_cast<double>(slot->text.size()));
 }
 
 const VivadoSim::SourceEntry* VivadoSim::find_module(const std::string& name) const {
@@ -234,13 +247,13 @@ void VivadoSim::elaborate(const std::string& top, const DirectiveEffect& synth_e
     Interp::fail("ERROR: [Synth 8-3348] cannot find top module '" + top + "'");
   }
 
-  std::string target_name = entry->module.name;
+  std::string target_name = entry->module->name;
   std::map<std::string, std::int64_t> overrides;
 
   if (!netlist::GeneratorRegistry::find(target_name).has_value()) {
     // Treat as a wrapper (the Dovado box): follow its instantiation.
     const Instantiation inst =
-        extract_instantiation(entry->source_text, entry->module.language);
+        extract_instantiation(entry->source->lexed.tokens, entry->module->language);
     if (!inst.ok) {
       Interp::fail("ERROR: [Synth 8-439] module '" + target_name +
                    "' has no architecture model and no resolvable instantiation (" +
@@ -261,7 +274,7 @@ void VivadoSim::elaborate(const std::string& top, const DirectiveEffect& synth_e
                  target_name + "'");
   }
 
-  const hdl::ExprEnv env = hdl::build_param_env(target->module, overrides);
+  const hdl::ExprEnv env = hdl::build_param_env(*target->module, overrides);
   netlist::Netlist nl = (*generator)(env);
 
   // Synthesis directive shapes area before mapping.
@@ -270,13 +283,13 @@ void VivadoSim::elaborate(const std::string& top, const DirectiveEffect& synth_e
   pre_map_luts_ = nl.luts;
 
   mapped_ = technology_map(nl, *device_);
-  mapped_->top = entry->module.name;
+  mapped_->top = entry->module->name;
 
   // Design-point hash: part + target + all parameter values reachable in
   // the environment (drives deterministic placement noise).
   std::uint64_t h = std::hash<std::string>{}(device_->part);
   h = util::hash_combine(h, std::hash<std::string>{}(target_name));
-  for (const auto& p : target->module.parameters) {
+  for (const auto& p : target->module->parameters) {
     if (auto v = env.get(p.name)) {
       h = util::hash_combine(h, static_cast<std::uint64_t>(*v));
     }

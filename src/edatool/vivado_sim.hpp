@@ -19,8 +19,10 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "src/edatool/faults.hpp"
 #include "src/edatool/report.hpp"
@@ -28,6 +30,7 @@
 #include "src/edatool/timing.hpp"
 #include "src/fpga/device.hpp"
 #include "src/hdl/ast.hpp"
+#include "src/hdl/lexer.hpp"
 #include "src/tcl/interp.hpp"
 
 namespace dovado::edatool {
@@ -41,9 +44,13 @@ struct Instantiation {
   std::map<std::string, std::int64_t> params;
 };
 
-/// Extract the single instantiation from a box source. Works on the VHDL
-/// ("entity work.<m> generic map (...)") and Verilog ("<m> #(...) inst (...)")
-/// shapes Dovado's boxing step generates.
+/// Extract the single instantiation from the tokens of a box source. Works
+/// on the VHDL ("entity work.<m> generic map (...)") and Verilog
+/// ("<m> #(...) inst (...)") shapes Dovado's boxing step generates.
+[[nodiscard]] Instantiation extract_instantiation(std::span<const hdl::Token> tokens,
+                                                  hdl::HdlLanguage lang);
+
+/// The same, lexing `source` first.
 [[nodiscard]] Instantiation extract_instantiation(std::string_view source,
                                                   hdl::HdlLanguage lang);
 
@@ -98,6 +105,11 @@ class VivadoSim {
   /// Number of synth_design invocations in this session's lifetime.
   [[nodiscard]] int synthesis_runs() const { return synthesis_runs_; }
 
+  /// Number of source texts lexed and parsed in this session's lifetime.
+  /// A read_* of a path whose language and text are unchanged since its
+  /// last read reuses that parse and does not count.
+  [[nodiscard]] int source_parses() const { return source_parses_; }
+
   /// Introspection for tests: the currently mapped design (after
   /// synth_design), and whether route_design has completed on it.
   [[nodiscard]] const std::optional<MappedDesign>& mapped() const { return mapped_; }
@@ -113,10 +125,20 @@ class VivadoSim {
     bool routed = false;
   };
 
-  /// A parsed source: interface + raw text (for box-instantiation lookup).
+  /// One source file as last read at its path: the text, its tokens (for
+  /// box-instantiation lookup) and their parse. Parsed once per distinct
+  /// text: a later read reuses it only if language and text are unchanged.
+  struct ParsedSource {
+    hdl::HdlLanguage language = hdl::HdlLanguage::kVhdl;
+    std::string text;
+    hdl::LexedSource lexed;
+    hdl::ParseResult parsed;
+  };
+
+  /// A module registered by a read_* command.
   struct SourceEntry {
-    hdl::Module module;
-    std::string source_text;
+    std::shared_ptr<const ParsedSource> source;  ///< keeps `module` alive
+    const hdl::Module* module = nullptr;
   };
 
   void register_tool_commands();
@@ -148,6 +170,7 @@ class VivadoSim {
 
   tcl::Interp interp_;
   std::map<std::string, std::string> vfs_;
+  std::map<std::string, std::shared_ptr<const ParsedSource>> parsed_;  // keyed by path
   std::map<std::string, SourceEntry> sources_;  // keyed by lower-cased module name
   std::map<std::string, Checkpoint> checkpoints_;
 
@@ -165,6 +188,7 @@ class VivadoSim {
   double last_run_seconds_ = 0.0;
   double total_seconds_ = 0.0;
   int synthesis_runs_ = 0;
+  int source_parses_ = 0;
 
   // Fault injection (see faults.hpp). The decision for a run is made once
   // at run_script entry from (injector seed, point key, attempt).

@@ -5,12 +5,19 @@
 // declarations — VHDL and (System)Verilog are regular in this declaration
 // region even though the full languages are context-free. Everything below
 // the interface (architecture/module bodies) is scanned but not modelled.
+//
+// Expression-valued fields (parameter defaults, port bounds) are kept twice:
+// as source text for printing and diagnostics, and compiled (lexed once at
+// parse time) for evaluation per design point.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "src/util/strings.hpp"
 
 namespace dovado::hdl {
 
@@ -25,6 +32,42 @@ struct SourceLoc {
   std::uint32_t col = 1;
 };
 
+enum class TokenKind {
+  kIdentifier,
+  kNumber,   ///< numeric literal, original text preserved
+  kString,   ///< "..." with quotes stripped
+  kChar,     ///< VHDL character literal, e.g. '0'
+  kPunct,    ///< operator/punctuation, longest-match
+  kEof,
+};
+
+/// One lexical token (see lexer.hpp).
+struct Token {
+  TokenKind kind = TokenKind::kEof;
+  std::string text;
+  SourceLoc loc;
+
+  [[nodiscard]] bool is_punct(std::string_view p) const {
+    return kind == TokenKind::kPunct && text == p;
+  }
+  /// Case-insensitive keyword check (VHDL keywords are case-insensitive;
+  /// V/SV keywords are lower case so the check is equivalent there).
+  [[nodiscard]] bool is_keyword(std::string_view kw) const {
+    return kind == TokenKind::kIdentifier && text.size() == kw.size() && util::iequals(text, kw);
+  }
+};
+
+/// A constant expression lexed once (see hdl::compile_expr): exactly the
+/// tokens eval_expr lexes from the expression's text, or the reason the
+/// text does not lex. Default-constructed = not compiled.
+struct CompiledExpr {
+  HdlLanguage language = HdlLanguage::kVhdl;
+  std::vector<Token> tokens;  ///< ends with kEof when compiled cleanly
+  std::string error;          ///< empty expression / lexer diagnostic
+
+  [[nodiscard]] bool compiled() const { return !tokens.empty() || !error.empty(); }
+};
+
 /// A parse problem. Parsers collect diagnostics instead of throwing so that
 /// a file with one malformed module still yields the others.
 struct Diagnostic {
@@ -32,8 +75,8 @@ struct Diagnostic {
   std::string message;
 };
 
-/// A module generic (VHDL) or parameter (V/SV). Default expressions are kept
-/// as source text and evaluated lazily against a parameter environment (see
+/// A module generic (VHDL) or parameter (V/SV). Default expressions are
+/// evaluated per design point against a parameter environment (see
 /// expr.hpp) because defaults may reference earlier parameters.
 struct Parameter {
   std::string name;
@@ -45,6 +88,7 @@ struct Parameter {
   std::string range_left_expr;
   std::string range_right_expr;
   SourceLoc loc;
+  CompiledExpr default_code{};  ///< default_expr, compiled by the parser
 };
 
 enum class PortDir { kIn, kOut, kInout };
@@ -67,6 +111,8 @@ struct Port {
   /// outermost range only, so single-range width math does not apply.
   bool multi_packed = false;
   SourceLoc loc;
+  CompiledExpr left_code{};   ///< left_expr, compiled by the parser (vectors only)
+  CompiledExpr right_code{};  ///< right_expr, compiled by the parser (vectors only)
 };
 
 /// One parsed module/entity interface.

@@ -102,6 +102,33 @@ std::optional<std::int64_t> literal_value(const std::string& text, HdlLanguage l
   return v;
 }
 
+/// a**b for b >= 0 by squaring, or nullopt once |a**b| would exceed 2^60.
+/// Every factor multiplied in has magnitude >= 1 unless |a| <= 1, so a
+/// partial product or square past the limit means the result is past it.
+std::optional<std::int64_t> checked_pow(std::int64_t a, std::int64_t b) {
+  constexpr std::uint64_t kLimit = std::uint64_t{1} << 60;
+  const auto magnitude = [](std::int64_t v) {
+    return v < 0 ? std::uint64_t{0} - static_cast<std::uint64_t>(v)
+                 : static_cast<std::uint64_t>(v);
+  };
+  const auto exceeds = [&](std::int64_t x, std::int64_t y) {
+    const std::uint64_t my = magnitude(y);
+    return my != 0 && magnitude(x) > kLimit / my;
+  };
+  std::int64_t result = 1;
+  std::int64_t base = a;
+  while (true) {
+    if ((b & 1) != 0) {
+      if (exceeds(result, base)) return std::nullopt;
+      result *= base;
+    }
+    b >>= 1;
+    if (b == 0) return result;
+    if (exceeds(base, base)) return std::nullopt;
+    base *= base;
+  }
+}
+
 /// Pratt-style evaluator over the token stream.
 class Evaluator {
  public:
@@ -189,12 +216,9 @@ class Evaluator {
     }
     if (p == "**") {
       if (b < 0) return fail("negative exponent");
-      std::int64_t result = 1;
-      for (std::int64_t i = 0; i < b; ++i) {
-        result *= a;
-        if (std::llabs(result) > (1LL << 60)) return fail("exponent overflow");
-      }
-      return result;
+      const auto power = checked_pow(a, b);
+      if (!power) return fail("exponent overflow");
+      return power;
     }
     if (p == "<<" || p == "sll") return b >= 0 && b < 63 ? a << b : 0;
     if (p == ">>" || p == "srl") return b >= 0 && b < 63 ? a >> b : 0;
@@ -299,21 +323,31 @@ class Evaluator {
 
 }  // namespace
 
-ExprResult eval_expr(std::string_view expr, HdlLanguage lang, const ExprEnv& env) {
-  ExprResult result;
+CompiledExpr compile_expr(std::string_view expr, HdlLanguage lang) {
+  CompiledExpr code;
+  code.language = lang;
   const std::string_view trimmed = util::trim(expr);
   if (trimmed.empty()) {
-    result.error = "empty expression";
-    return result;
+    code.error = "empty expression";
+    return code;
   }
   std::vector<Diagnostic> diags;
-  Lexer lexer(trimmed, lang);
-  TokenStream ts(lexer.tokenize(diags));
+  code.tokens = Lexer(trimmed, lang).tokenize(diags);
   if (!diags.empty()) {
-    result.error = diags.front().message;
+    code.error = diags.front().message;
+    code.tokens.clear();
+  }
+  return code;
+}
+
+ExprResult eval_expr(const CompiledExpr& expr, const ExprEnv& env) {
+  ExprResult result;
+  if (!expr.error.empty() || expr.tokens.empty()) {
+    result.error = expr.error.empty() ? "empty expression" : expr.error;
     return result;
   }
-  Evaluator ev(ts, lang, env);
+  TokenStream ts(expr.tokens);
+  Evaluator ev(ts, expr.language, env);
   auto v = ev.parse(1);
   if (!v) {
     result.error = ev.error().empty() ? "evaluation failed" : ev.error();
@@ -327,12 +361,45 @@ ExprResult eval_expr(std::string_view expr, HdlLanguage lang, const ExprEnv& env
   return result;
 }
 
+ExprResult eval_expr(std::string_view expr, HdlLanguage lang, const ExprEnv& env) {
+  return eval_expr(compile_expr(expr, lang), env);
+}
+
+namespace {
+
+/// A parsed field's compiled form; fields of hand-built ASTs that carry
+/// only text are compiled into `on_the_spot` first.
+const CompiledExpr& code_of(const CompiledExpr& code, const std::string& text,
+                            HdlLanguage lang, CompiledExpr& on_the_spot) {
+  if (code.compiled()) return code;
+  on_the_spot = compile_expr(text, lang);
+  return on_the_spot;
+}
+
+}  // namespace
+
+void compile_expressions(Module& module) {
+  for (auto& p : module.parameters) p.default_code = compile_expr(p.default_expr, module.language);
+  for (auto& port : module.ports) {
+    if (!port.is_vector) continue;
+    port.left_code = compile_expr(port.left_expr, module.language);
+    port.right_code = compile_expr(port.right_expr, module.language);
+  }
+}
+
+PortBounds eval_port_bounds(const Port& port, HdlLanguage lang, const ExprEnv& env) {
+  CompiledExpr on_the_spot;
+  PortBounds bounds;
+  bounds.left = eval_expr(code_of(port.left_code, port.left_expr, lang, on_the_spot), env);
+  bounds.right = eval_expr(code_of(port.right_code, port.right_expr, lang, on_the_spot), env);
+  return bounds;
+}
+
 std::optional<std::int64_t> port_width(const Port& port, HdlLanguage lang, const ExprEnv& env) {
   if (!port.is_vector) return 1;
-  const ExprResult left = eval_expr(port.left_expr, lang, env);
-  const ExprResult right = eval_expr(port.right_expr, lang, env);
-  if (!left.ok() || !right.ok()) return std::nullopt;
-  return std::llabs(*left.value - *right.value) + 1;
+  const PortBounds bounds = eval_port_bounds(port, lang, env);
+  if (!bounds.left.ok() || !bounds.right.ok()) return std::nullopt;
+  return std::llabs(*bounds.left.value - *bounds.right.value) + 1;
 }
 
 ExprEnv build_param_env(const Module& module,
@@ -342,6 +409,7 @@ ExprEnv build_param_env(const Module& module,
   for (const auto& [k, v] : overrides) norm[util::to_lower(k)] = v;
 
   ExprEnv env;
+  CompiledExpr on_the_spot;
   for (const auto& p : module.parameters) {
     const auto it = norm.find(util::to_lower(p.name));
     if (it != norm.end() && !p.is_local) {
@@ -349,7 +417,8 @@ ExprEnv build_param_env(const Module& module,
       continue;
     }
     if (p.default_expr.empty()) continue;
-    const ExprResult r = eval_expr(p.default_expr, module.language, env);
+    const ExprResult r =
+        eval_expr(code_of(p.default_code, p.default_expr, module.language, on_the_spot), env);
     if (r.ok()) env.set(p.name, *r.value);
   }
   return env;

@@ -35,9 +35,13 @@ std::optional<HdlLanguage> language_from_content(std::string_view text) {
   return std::nullopt;
 }
 
+ParseResult parse_source(const LexedSource& lexed, HdlLanguage lang, std::string_view path) {
+  if (lang == HdlLanguage::kVhdl) return parse_vhdl(lexed, path);
+  return parse_verilog(lexed, lang, path);
+}
+
 ParseResult parse_source(std::string_view text, HdlLanguage lang, std::string_view path) {
-  if (lang == HdlLanguage::kVhdl) return parse_vhdl(text, path);
-  return parse_verilog(text, lang, path);
+  return parse_source(lex_source(text, lang), lang, path);
 }
 
 ParseResult parse_file(const std::string& path) {

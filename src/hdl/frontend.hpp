@@ -6,6 +6,7 @@
 #include <string_view>
 
 #include "src/hdl/ast.hpp"
+#include "src/hdl/lexer.hpp"
 
 namespace dovado::hdl {
 
@@ -19,6 +20,11 @@ namespace dovado::hdl {
 
 /// Parse in-memory source text in the given language.
 [[nodiscard]] ParseResult parse_source(std::string_view text, HdlLanguage lang,
+                                       std::string_view path = "<memory>");
+
+/// Parse a source lexed with lex_source(text, lang): the same result as
+/// parse_source(text, lang, path), for callers that keep the tokens.
+[[nodiscard]] ParseResult parse_source(const LexedSource& lexed, HdlLanguage lang,
                                        std::string_view path = "<memory>");
 
 /// Read a file from disk, detect its language (extension first, content as

@@ -1,11 +1,25 @@
 #include "src/hdl/lexer.hpp"
 
+#include <algorithm>
 #include <array>
-#include <cctype>
 
 #include "src/util/strings.hpp"
 
 namespace dovado::hdl {
+
+namespace {
+
+// ASCII character classes. The program never leaves the "C" locale, where
+// these are exactly <cctype>'s answers, without a library call per byte.
+constexpr bool is_digit(char c) { return c >= '0' && c <= '9'; }
+constexpr bool is_alpha(char c) {
+  const char lower = static_cast<char>(c | 0x20);
+  return lower >= 'a' && lower <= 'z';
+}
+constexpr bool is_alnum(char c) { return is_digit(c) || is_alpha(c); }
+constexpr bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+}  // namespace
 
 const char* language_name(HdlLanguage lang) {
   switch (lang) {
@@ -63,10 +77,6 @@ const Port* find_clock_port(const Module& module) {
   return best;
 }
 
-bool Token::is_keyword(std::string_view kw) const {
-  return kind == TokenKind::kIdentifier && util::iequals(text, kw);
-}
-
 Lexer::Lexer(std::string_view text, HdlLanguage language)
     : text_(text), language_(language) {}
 
@@ -81,6 +91,13 @@ char Lexer::advance() {
   return c;
 }
 
+void Lexer::skip_to_line_end() {
+  // The rest of a line holds no newline: move the column in one step.
+  const std::size_t end = std::min(text_.find('\n', pos_), text_.size());
+  col_ += static_cast<std::uint32_t>(end - pos_);
+  pos_ = end;
+}
+
 void Lexer::skip_trivia(std::vector<Diagnostic>& diags) {
   while (pos_ < text_.size()) {
     const char c = peek();
@@ -90,7 +107,7 @@ void Lexer::skip_trivia(std::vector<Diagnostic>& diags) {
     }
     if (language_ == HdlLanguage::kVhdl) {
       if (c == '-' && peek(1) == '-') {
-        while (pos_ < text_.size() && peek() != '\n') advance();
+        skip_to_line_end();
         continue;
       }
       // VHDL-2008 delimited comments.
@@ -109,7 +126,7 @@ void Lexer::skip_trivia(std::vector<Diagnostic>& diags) {
       }
     } else {
       if (c == '/' && peek(1) == '/') {
-        while (pos_ < text_.size() && peek() != '\n') advance();
+        skip_to_line_end();
         continue;
       }
       if (c == '/' && peek(1) == '*') {
@@ -142,7 +159,7 @@ void Lexer::skip_trivia(std::vector<Diagnostic>& diags) {
       // Compiler directives (`timescale, `include, `define ...): skip the
       // whole line; macro expansion is out of scope for interface parsing.
       if (c == '`') {
-        while (pos_ < text_.size() && peek() != '\n') advance();
+        skip_to_line_end();
         continue;
       }
     }
@@ -160,21 +177,21 @@ Token Lexer::lex_identifier() {
       while (pos_ < text_.size() && peek() != '\\') text.push_back(advance());
       if (pos_ < text_.size()) advance();
     } else {
-      while (pos_ < text_.size() && !std::isspace(static_cast<unsigned char>(peek()))) {
+      while (pos_ < text_.size() && !is_space(peek())) {
         text.push_back(advance());
       }
     }
     return {TokenKind::kIdentifier, std::move(text), loc};
   }
+  // Plain identifiers never span lines: take the run in one piece.
+  const std::size_t start = pos_;
   while (pos_ < text_.size()) {
-    const char c = peek();
-    if (std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '$') {
-      text.push_back(advance());
-    } else {
-      break;
-    }
+    const char c = text_[pos_];
+    if (!is_alnum(c) && c != '_' && c != '$') break;
+    ++pos_;
   }
-  return {TokenKind::kIdentifier, std::move(text), loc};
+  col_ += static_cast<std::uint32_t>(pos_ - start);
+  return {TokenKind::kIdentifier, std::string(text_.substr(start, pos_ - start)), loc};
 }
 
 Token Lexer::lex_number() {
@@ -184,10 +201,10 @@ Token Lexer::lex_number() {
     while (pos_ < text_.size() && pred(peek())) text.push_back(advance());
   };
   auto is_digitish = [](char c) {
-    return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+    return is_alnum(c) || c == '_';
   };
 
-  take_while([](char c) { return std::isdigit(static_cast<unsigned char>(c)) || c == '_'; });
+  take_while([](char c) { return is_digit(c) || c == '_'; });
 
   if (language_ == HdlLanguage::kVhdl) {
     if (peek() == '#') {
@@ -197,23 +214,23 @@ Token Lexer::lex_number() {
       if (peek() == '#') text.push_back(advance());
     } else if (peek() == '.') {
       text.push_back(advance());
-      take_while([](char c) { return std::isdigit(static_cast<unsigned char>(c)) || c == '_'; });
+      take_while([](char c) { return is_digit(c) || c == '_'; });
     }
     if (peek() == 'e' || peek() == 'E') {
       text.push_back(advance());
       if (peek() == '+' || peek() == '-') text.push_back(advance());
-      take_while([](char c) { return std::isdigit(static_cast<unsigned char>(c)) != 0; });
+      take_while([](char c) { return is_digit(c); });
     }
   } else {
     if (peek() == '\'') {
       // Sized literal: 8'hFF, 4'b1010, 'd42, also 1'sb0.
       text.push_back(advance());
       if (peek() == 's' || peek() == 'S') text.push_back(advance());
-      if (std::isalpha(static_cast<unsigned char>(peek()))) text.push_back(advance());
+      if (is_alpha(peek())) text.push_back(advance());
       take_while(is_digitish);
     } else if (peek() == '.') {
       text.push_back(advance());
-      take_while([](char c) { return std::isdigit(static_cast<unsigned char>(c)) || c == '_'; });
+      take_while([](char c) { return is_digit(c) || c == '_'; });
     }
   }
   return {TokenKind::kNumber, std::move(text), loc};
@@ -252,8 +269,9 @@ Token Lexer::lex_punct() {
       "<=", ">=", "=>", ":=", "**", "<<", ">>", "==", "!=", "/=", "&&",
       "||", "::", "<>", "->", "+:", "-:", "'{", "##", "|=>", "|->", "===",
   };
+  const char first = peek();
   for (std::string_view op : kMulti) {
-    if (text_.substr(pos_, op.size()) == op) {
+    if (op.front() == first && text_.substr(pos_, op.size()) == op) {
       for (std::size_t i = 0; i < op.size(); ++i) advance();
       return {TokenKind::kPunct, std::string(op), loc};
     }
@@ -264,19 +282,20 @@ Token Lexer::lex_punct() {
 
 std::vector<Token> Lexer::tokenize(std::vector<Diagnostic>& diags) {
   std::vector<Token> out;
+  out.reserve(text_.size() / 4 + 1);  // about one token per 4-6 bytes of HDL
   while (true) {
     skip_trivia(diags);
     if (pos_ >= text_.size()) break;
     const char c = peek();
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_' || c == '\\' ||
+    if (is_alpha(c) || c == '_' || c == '\\' ||
         (c == '$' && language_ != HdlLanguage::kVhdl)) {
       // '$' starts Verilog system identifiers such as $clog2.
       out.push_back(lex_identifier());
-    } else if (std::isdigit(static_cast<unsigned char>(c))) {
+    } else if (is_digit(c)) {
       out.push_back(lex_number());
     } else if (c == '\'' && language_ != HdlLanguage::kVhdl &&
-               (std::isalpha(static_cast<unsigned char>(peek(1))) ||
-                std::isdigit(static_cast<unsigned char>(peek(1))))) {
+               (is_alpha(peek(1)) ||
+                is_digit(peek(1)))) {
       // Unsized based literal such as 'd42 or 'b0.
       out.push_back(lex_number());
     } else if (c == '\'' && language_ == HdlLanguage::kVhdl && peek(2) == '\'') {
@@ -294,6 +313,12 @@ std::vector<Token> Lexer::tokenize(std::vector<Diagnostic>& diags) {
   }
   out.push_back({TokenKind::kEof, "", here()});
   return out;
+}
+
+LexedSource lex_source(std::string_view text, HdlLanguage language) {
+  LexedSource lexed;
+  lexed.tokens = Lexer(text, language).tokenize(lexed.diagnostics);
+  return lexed;
 }
 
 }  // namespace dovado::hdl

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -15,28 +16,6 @@
 #include "src/hdl/ast.hpp"
 
 namespace dovado::hdl {
-
-enum class TokenKind {
-  kIdentifier,
-  kNumber,   ///< numeric literal, original text preserved
-  kString,   ///< "..." with quotes stripped
-  kChar,     ///< VHDL character literal, e.g. '0'
-  kPunct,    ///< operator/punctuation, longest-match
-  kEof,
-};
-
-struct Token {
-  TokenKind kind = TokenKind::kEof;
-  std::string text;
-  SourceLoc loc;
-
-  [[nodiscard]] bool is_punct(std::string_view p) const {
-    return kind == TokenKind::kPunct && text == p;
-  }
-  /// Case-insensitive keyword check (VHDL keywords are case-insensitive;
-  /// V/SV keywords are lower case so the check is equivalent there).
-  [[nodiscard]] bool is_keyword(std::string_view kw) const;
-};
 
 /// Tokenize a full source text. Comments and whitespace are skipped; an
 /// explicit kEof token terminates the stream. Unterminated strings/comments
@@ -53,6 +32,7 @@ class Lexer {
     return pos_ + ahead < text_.size() ? text_[pos_ + ahead] : '\0';
   }
   char advance();
+  void skip_to_line_end();
   void skip_trivia(std::vector<Diagnostic>& diags);
   Token lex_identifier();
   Token lex_number();
@@ -67,10 +47,23 @@ class Lexer {
   std::uint32_t col_ = 1;
 };
 
-/// A token cursor with the lookahead helpers both parsers share.
+/// A source text lexed once: every pass over it (parse, instantiation
+/// lookup, structure scan) reads these tokens instead of lexing again.
+struct LexedSource {
+  std::vector<Token> tokens;  ///< ends with kEof
+  std::vector<Diagnostic> diagnostics;
+};
+
+/// Lex a whole source text.
+[[nodiscard]] LexedSource lex_source(std::string_view text, HdlLanguage language);
+
+/// A token cursor with the lookahead helpers both parsers share. It views
+/// tokens kept elsewhere (a lexed source, a compiled expression), which
+/// must end with kEof and outlive the cursor.
 class TokenStream {
  public:
-  explicit TokenStream(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  explicit TokenStream(std::span<const Token> tokens) : tokens_(tokens) {}
+  TokenStream(std::vector<Token>&&) = delete;  // would view a dead temporary
 
   [[nodiscard]] const Token& peek(std::size_t ahead = 0) const {
     const std::size_t i = pos_ + ahead;
@@ -103,7 +96,7 @@ class TokenStream {
   }
 
  private:
-  std::vector<Token> tokens_;
+  std::span<const Token> tokens_;
   std::size_t pos_ = 0;
 };
 

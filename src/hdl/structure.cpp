@@ -1,6 +1,7 @@
 #include "src/hdl/structure.hpp"
 
-#include <set>
+#include <string_view>
+#include <unordered_set>
 
 #include "src/hdl/lexer.hpp"
 
@@ -10,8 +11,8 @@ namespace {
 
 /// Verilog/SV words that can never be net names. Identifiers matching one
 /// of these are skipped by the read/drive classification.
-const std::set<std::string>& keyword_set() {
-  static const std::set<std::string> kKeywords = {
+const std::unordered_set<std::string_view>& keyword_set() {
+  static const std::unordered_set<std::string_view> kKeywords = {
       "module", "endmodule", "macromodule", "input", "output", "inout", "wire",
       "reg", "logic", "bit", "tri", "tri0", "tri1", "wand", "wor", "var",
       "signed", "unsigned", "assign", "deassign", "always", "always_ff",
@@ -42,7 +43,7 @@ bool is_name(const Token& t) { return t.kind == TokenKind::kIdentifier && !is_kw
 /// tokens of one module.
 class Scanner {
  public:
-  Scanner(const std::vector<Token>& tokens, std::size_t begin, std::size_t end,
+  Scanner(std::span<const Token> tokens, std::size_t begin, std::size_t end,
           ModuleStructure& out)
       : toks_(tokens), i_(begin), end_(end), out_(out) {}
 
@@ -53,7 +54,8 @@ class Scanner {
       if (t.is_punct("(")) { ++depth_; ++i_; continue; }
       if (t.is_punct(")")) { if (depth_ > 0) --depth_; ++i_; continue; }
 
-      if (t.kind == TokenKind::kIdentifier && is_kw(t)) {
+      const bool keyword = is_kw(t);
+      if (keyword) {
         const std::string& kw = t.text;
         if (kw == "function" || kw == "task") { skip_region(kw == "function" ? "endfunction" : "endtask"); continue; }
         if (kw == "parameter" || kw == "localparam" || kw == "specparam" ||
@@ -71,7 +73,7 @@ class Scanner {
         continue;
       }
 
-      if (is_name(t)) {
+      if (t.kind == TokenKind::kIdentifier) {  // a name: keywords were handled above
         if (depth_ == 0) {
           if (try_instance()) continue;
           if (try_proc_driver()) continue;
@@ -403,7 +405,7 @@ class Scanner {
     return true;
   }
 
-  const std::vector<Token>& toks_;
+  std::span<const Token> toks_;
   std::size_t i_;
   std::size_t end_;
   int depth_ = 0;  ///< paren depth in the main loop
@@ -412,14 +414,10 @@ class Scanner {
 
 }  // namespace
 
-ModuleStructure scan_structure(std::string_view text, HdlLanguage language,
+ModuleStructure scan_structure(std::span<const Token> tokens, HdlLanguage language,
                                const std::string& module_name) {
   ModuleStructure out;
   if (language == HdlLanguage::kVhdl) return out;
-
-  std::vector<Diagnostic> diags;
-  Lexer lexer(text, language);
-  const std::vector<Token> tokens = lexer.tokenize(diags);
 
   // Locate `module <name>`.
   std::size_t i = 0;

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <map>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -63,9 +64,11 @@ struct ModuleStructure {
   std::vector<ContAssign> assigns;
 };
 
-/// Scan `text` (a full source file) for the body of `module_name`.
-/// Only Verilog/SystemVerilog is supported; VHDL returns found=false.
-[[nodiscard]] ModuleStructure scan_structure(std::string_view text, HdlLanguage language,
+/// Scan `tokens` (a full source file, lexed) for the body of
+/// `module_name`. Only Verilog/SystemVerilog is supported; VHDL returns
+/// found=false.
+[[nodiscard]] ModuleStructure scan_structure(std::span<const Token> tokens,
+                                             HdlLanguage language,
                                              const std::string& module_name);
 
 }  // namespace dovado::hdl

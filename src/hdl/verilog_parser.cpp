@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "src/hdl/expr.hpp"
 #include "src/hdl/lexer.hpp"
 #include "src/util/strings.hpp"
 
@@ -36,11 +37,8 @@ bool is_param_type(const Token& t) {
 
 class VerilogParser {
  public:
-  VerilogParser(std::string_view text, HdlLanguage lang, std::string_view path)
-      : lang_(lang), path_(path) {
-    Lexer lexer(text, lang);
-    ts_.emplace(lexer.tokenize(diags_));
-  }
+  VerilogParser(const LexedSource& lexed, HdlLanguage lang, std::string_view path)
+      : lang_(lang), path_(path), diags_(lexed.diagnostics), ts_(lexed.tokens) {}
 
   ParseResult run() {
     ParseResult result;
@@ -49,7 +47,10 @@ class VerilogParser {
     while (!ts().at_eof()) {
       if (ts().peek().is_keyword("module") || ts().peek().is_keyword("macromodule")) {
         Module m;
-        if (parse_module(m)) result.file.modules.push_back(std::move(m));
+        if (parse_module(m)) {
+          compile_expressions(m);
+          result.file.modules.push_back(std::move(m));
+        }
       } else if (ts().peek().is_keyword("package")) {
         // SV package: record name as a use clause for parse ordering (the
         // paper: "SV packages are read at the very beginning of the step").
@@ -68,7 +69,7 @@ class VerilogParser {
   }
 
  private:
-  TokenStream& ts() { return *ts_; }
+  TokenStream& ts() { return ts_; }
   void error_here(std::string msg) { diags_.push_back({ts().peek().loc, std::move(msg)}); }
 
   void skip_until_keyword(std::string_view kw) {
@@ -359,7 +360,7 @@ class VerilogParser {
   HdlLanguage lang_;
   std::string_view path_;
   std::vector<Diagnostic> diags_;
-  std::optional<TokenStream> ts_;
+  TokenStream ts_;
   std::vector<std::string> pending_packages_;
   std::vector<std::string> nonansi_order_;
   std::string param_type_;
@@ -367,8 +368,12 @@ class VerilogParser {
 
 }  // namespace
 
+ParseResult parse_verilog(const LexedSource& lexed, HdlLanguage lang, std::string_view path) {
+  return VerilogParser(lexed, lang, path).run();
+}
+
 ParseResult parse_verilog(std::string_view text, HdlLanguage lang, std::string_view path) {
-  return VerilogParser(text, lang, path).run();
+  return parse_verilog(lex_source(text, lang), lang, path);
 }
 
 }  // namespace dovado::hdl

@@ -10,12 +10,17 @@
 #include <string_view>
 
 #include "src/hdl/ast.hpp"
+#include "src/hdl/lexer.hpp"
 
 namespace dovado::hdl {
 
 /// Parse Verilog/SV source text. The `lang` flag only affects bookkeeping
 /// (the grammar subset accepted is the SV superset either way).
 [[nodiscard]] ParseResult parse_verilog(std::string_view text, HdlLanguage lang,
+                                        std::string_view path = "<memory>");
+
+/// Parse an already-lexed Verilog/SV source (same result as the text form).
+[[nodiscard]] ParseResult parse_verilog(const LexedSource& lexed, HdlLanguage lang,
                                         std::string_view path = "<memory>");
 
 }  // namespace dovado::hdl

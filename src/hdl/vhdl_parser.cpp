@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "src/hdl/expr.hpp"
 #include "src/hdl/lexer.hpp"
 #include "src/util/strings.hpp"
 
@@ -30,10 +31,8 @@ void append_token_text(std::string& out, const Token& t) {
 
 class VhdlParser {
  public:
-  VhdlParser(std::string_view text, std::string_view path) : path_(path) {
-    Lexer lexer(text, HdlLanguage::kVhdl);
-    ts_.emplace(lexer.tokenize(diags_));
-  }
+  VhdlParser(const LexedSource& lexed, std::string_view path)
+      : path_(path), diags_(lexed.diagnostics), ts_(lexed.tokens) {}
 
   ParseResult run() {
     ParseResult result;
@@ -53,6 +52,7 @@ class VhdlParser {
         if (parse_entity(m)) {
           m.libraries = pending_libraries_;
           m.use_clauses = pending_uses_;
+          compile_expressions(m);
           result.file.modules.push_back(std::move(m));
         }
       } else if (t.is_keyword("architecture")) {
@@ -70,7 +70,7 @@ class VhdlParser {
   }
 
  private:
-  TokenStream& ts() { return *ts_; }
+  TokenStream& ts() { return ts_; }
 
   void error_here(std::string msg) { diags_.push_back({ts().peek().loc, std::move(msg)}); }
 
@@ -375,15 +375,19 @@ class VhdlParser {
 
   std::string_view path_;
   std::vector<Diagnostic> diags_;
-  std::optional<TokenStream> ts_;
+  TokenStream ts_;
   std::vector<std::string> pending_libraries_;
   std::vector<std::string> pending_uses_;
 };
 
 }  // namespace
 
+ParseResult parse_vhdl(const LexedSource& lexed, std::string_view path) {
+  return VhdlParser(lexed, path).run();
+}
+
 ParseResult parse_vhdl(std::string_view text, std::string_view path) {
-  return VhdlParser(text, path).run();
+  return parse_vhdl(lex_source(text, HdlLanguage::kVhdl), path);
 }
 
 }  // namespace dovado::hdl

@@ -10,10 +10,14 @@
 #include <string_view>
 
 #include "src/hdl/ast.hpp"
+#include "src/hdl/lexer.hpp"
 
 namespace dovado::hdl {
 
 /// Parse VHDL source text. `path` is only used for diagnostics/bookkeeping.
 [[nodiscard]] ParseResult parse_vhdl(std::string_view text, std::string_view path = "<memory>");
+
+/// Parse an already-lexed VHDL source (same result as the text form).
+[[nodiscard]] ParseResult parse_vhdl(const LexedSource& lexed, std::string_view path = "<memory>");
 
 }  // namespace dovado::hdl

@@ -57,13 +57,14 @@ class DrrScheduler {
 
   /// Enqueue a job; false when the tenant's bounded queue is full (the
   /// caller sheds with retry_after_ms instead of buffering unboundedly).
-  [[nodiscard]] bool push(const std::string& tenant, Job job) {
+  template <typename J>
+  [[nodiscard]] bool push(const std::string& tenant, J&& job) {
     TenantState& state = state_for(tenant);
     if (state.queue.size() >= state.queue_cap) {
       ++state.stats.shed_queue_full;
       return false;
     }
-    state.queue.push_back(std::move(job));
+    state.queue.push_back(std::forward<J>(job));
     ++queued_;
     return true;
   }
@@ -93,17 +94,17 @@ class DrrScheduler {
       if (state.stats.deficit >= state.stats.expected_cost) {
         state.stats.deficit -= state.stats.expected_cost;
         state.inflight_expected.push_back(state.stats.expected_cost);
-        Job job = std::move(state.queue.front());
+        std::optional<std::pair<std::string, Job>> next(
+            std::in_place, ring_[cursor_], std::move(state.queue.front()));
         state.queue.pop_front();
         --queued_;
         ++state.stats.dispatched;
-        const std::string tenant = ring_[cursor_];
         if (state.queue.empty() || state.stats.deficit < state.stats.expected_cost) {
           state.credited = false;
           if (state.queue.empty()) state.stats.deficit = 0.0;
           advance();
         }
-        return std::make_pair(tenant, std::move(job));
+        return next;
       }
       state.credited = false;
       advance();

@@ -229,12 +229,12 @@ void Server::connection_loop(ConnPtr conn) {
 Response Server::handle_request(const Request& request, const ConnPtr& conn,
                                 bool& respond) {
   respond = true;
-  Response response;
-  response.id = request.id;
   switch (request.op) {
     case RequestOp::kPing: {
       util::MutexLock lock(mu_);
       ++requests_;
+      Response response;
+      response.id = request.id;
       response.status = ResponseStatus::kOk;
       return response;
     }
@@ -243,6 +243,8 @@ Response Server::handle_request(const Request& request, const ConnPtr& conn,
         util::MutexLock lock(mu_);
         ++requests_;
       }
+      Response response;
+      response.id = request.id;
       response.status = ResponseStatus::kOk;
       response.stats_json = stats_json();
       return response;
@@ -253,7 +255,7 @@ Response Server::handle_request(const Request& request, const ConnPtr& conn,
   }
   util::MutexLock lock(mu_);
   ++requests_;
-  response = admit_and_enqueue_locked(request, conn, respond);
+  Response response = admit_and_enqueue_locked(request, conn, respond);
   if (!respond) cv_.notify_all();
   return response;
 }
@@ -391,11 +393,7 @@ void Server::dispatch_loop() {
           scheduler_.queued(), inflight_));
       shed_queue_locked();
     }
-    while (!completions_.empty()) {
-      Completion completion = std::move(completions_.front());
-      completions_.pop_front();
-      finalize_locked(std::move(completion));
-    }
+    finalize_completions_locked();
     if (draining_) {
       if (inflight_ == 0 && completions_.empty()) break;
       continue;
@@ -423,7 +421,10 @@ void Server::pump_locked() {
     }
   }
   if (draining_) return;
-  std::vector<Job> batch;
+  // Reuse the last batch's buffer; a concurrent pump (mu_ is dropped
+  // below) starts an empty one of its own.
+  std::vector<Job> batch = std::move(spare_batch_);
+  spare_batch_.clear();
   while (inflight_ < max_inflight_) {
     auto next = scheduler_.pop();
     if (!next) break;
@@ -445,23 +446,38 @@ void Server::pump_locked() {
       broker_->async([this, job = std::move(job)]() mutable { run_job(std::move(job)); });
     }
   }
+  batch.clear();
   mu_.lock();
+  if (batch.capacity() > spare_batch_.capacity()) spare_batch_ = std::move(batch);
 }
 
-void Server::run_job(Job job) {
+void Server::run_job(Job&& job) {
   core::EvalResult result =
       broker_->tool_evaluate(job.point, false, job.deadline_tool_seconds);
   util::MutexLock inner(mu_);
-  completions_.push_back(Completion{std::move(job), std::move(result)});
+  completions_.emplace_back(std::move(job), std::move(result));
   cv_.notify_all();
 }
 
-void Server::finalize_locked(Completion completion) {
+void Server::finalize_completions_locked() {
+  while (completions_head_ < completions_.size()) {
+    Completion completion = std::move(completions_[completions_head_++]);
+    if (completions_head_ == completions_.size()) {
+      completions_.clear();
+      completions_head_ = 0;
+    }
+    finalize_locked(std::move(completion));
+  }
+}
+
+void Server::finalize_locked(Completion&& completion) {
   Job& job = completion.job;
   core::EvalResult& result = completion.result;
   --inflight_;
   const double charged = result.tool_seconds;
-  admission_.charge_tool_seconds(job.tenant, charged, now());
+  // A free answer (cache hit, join, store hit, fast-fail) leaves the quota
+  // bucket as it is, so it skips the bucket and its clock read.
+  if (charged > 0.0) admission_.charge_tool_seconds(job.tenant, charged, now());
   scheduler_.charge(job.tenant, charged);
 
   if (job.campaign) {
@@ -520,7 +536,7 @@ void Server::finalize_locked(Completion completion) {
     response.attempts = result.attempts;
     if (result.deadline_truncated) response.reason = "deadline";
   }
-  deliver_locked(job.conn, job.id, std::move(response));
+  deliver_locked(job.conn, std::move(response));
 }
 
 void Server::refill_campaign_locked(const std::shared_ptr<CampaignState>& campaign) {
@@ -558,7 +574,7 @@ void Server::finish_campaign_locked(
   campaigns_.erase(std::remove(campaigns_.begin(), campaigns_.end(), campaign),
                    campaigns_.end());
   Response response = make_campaign_response(*campaign);
-  deliver_locked(campaign->conn, campaign->id, std::move(response));
+  deliver_locked(campaign->conn, std::move(response));
 }
 
 Response Server::make_campaign_response(const CampaignState& campaign) const {
@@ -605,7 +621,7 @@ void Server::shed_queue_locked() {
     if (job.conn) {
       replies.emplace_back(job.conn, std::move(response));
     } else {
-      local_results_[job.id] = std::move(response);
+      park_result_locked(std::move(response));
     }
   }
   // Campaigns whose whole pipeline was queued finish right now with the
@@ -621,16 +637,25 @@ void Server::shed_queue_locked() {
   mu_.lock();
 }
 
-void Server::deliver_locked(const ConnPtr& conn, const std::string& id,
-                            Response response) {
+void Server::deliver_locked(const ConnPtr& conn, Response&& response) {
   if (!conn) {
-    local_results_[id] = std::move(response);
+    park_result_locked(std::move(response));
     cv_.notify_all();
     return;
   }
   mu_.unlock();
   (void)conn->send(response);
   mu_.lock();
+}
+
+void Server::park_result_locked(Response&& response) {
+  for (Response& parked : local_results_) {
+    if (parked.id == response.id) {
+      parked = std::move(response);
+      return;
+    }
+  }
+  local_results_.push_back(std::move(response));
 }
 
 // ---------------------------------------------------------------------------
@@ -644,9 +669,10 @@ Response Server::execute(const Request& request) {
 
   util::MutexLock lock(mu_);
   for (;;) {
-    const auto it = local_results_.find(request.id);
+    const auto it = std::find_if(local_results_.begin(), local_results_.end(),
+                                 [&](const Response& parked) { return parked.id == request.id; });
     if (it != local_results_.end()) {
-      Response done = std::move(it->second);
+      Response done = std::move(*it);
       local_results_.erase(it);
       return done;
     }
@@ -662,11 +688,7 @@ Response Server::execute(const Request& request) {
     if (completions_.empty() && inflight_ > 0) {
       while (completions_.empty()) cv_.wait(mu_);
     }
-    while (!completions_.empty()) {
-      Completion completion = std::move(completions_.front());
-      completions_.pop_front();
-      finalize_locked(std::move(completion));
-    }
+    finalize_completions_locked();
   }
 }
 

@@ -29,7 +29,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -201,11 +200,15 @@ class Server {
   /// Evaluate one dispatched job and park the result in completions_.
   /// Runs with mu_ NOT held (worker thread, or the dispatcher inline when
   /// the broker has no workers).
-  void run_job(Job job);
+  void run_job(Job&& job);
 
   /// Apply one finished evaluation: charges, campaign tell/refill, the
   /// client response. Caller holds mu_; releases it to write.
-  void finalize_locked(Completion completion) DOVADO_REQUIRES(mu_);
+  void finalize_locked(Completion&& completion) DOVADO_REQUIRES(mu_);
+
+  /// Finalize queued completions oldest first until none is left. Caller
+  /// holds mu_ (finalize_locked may drop it to write).
+  void finalize_completions_locked() DOVADO_REQUIRES(mu_);
 
   /// Push more asks of `campaign` into the scheduler (up to its window).
   /// Caller holds mu_.
@@ -224,8 +227,11 @@ class Server {
 
   /// Hand a response to its connection (releasing mu_ around the socket
   /// write) or, in execute() mode, park it in local_results_.
-  void deliver_locked(const ConnPtr& conn, const std::string& id,
-                      Response response) DOVADO_REQUIRES(mu_);
+  void deliver_locked(const ConnPtr& conn, Response&& response) DOVADO_REQUIRES(mu_);
+
+  /// Park an execute() response under its request id, response.id
+  /// (replacing one already parked under that id).
+  void park_result_locked(Response&& response) DOVADO_REQUIRES(mu_);
 
   /// Join reader threads whose connection has closed (called from the
   /// accept loop so a long-lived daemon does not accumulate dead threads).
@@ -247,11 +253,16 @@ class Server {
   util::CondVar cv_;
   AdmissionController admission_ DOVADO_GUARDED_BY(mu_);
   DrrScheduler<Job> scheduler_ DOVADO_GUARDED_BY(mu_);
-  std::deque<Completion> completions_ DOVADO_GUARDED_BY(mu_);
+  /// Finished evaluations awaiting finalize: a FIFO from
+  /// completions_head_, emptied (capacity kept) once drained, so a
+  /// request's round trip does not allocate queue nodes.
+  std::vector<Completion> completions_ DOVADO_GUARDED_BY(mu_);
+  std::size_t completions_head_ DOVADO_GUARDED_BY(mu_) = 0;
+  std::vector<Job> spare_batch_ DOVADO_GUARDED_BY(mu_);  ///< pump_locked's buffer
   std::vector<std::shared_ptr<CampaignState>> campaigns_
       DOVADO_GUARDED_BY(mu_);  ///< active only
-  std::map<std::string, Response> local_results_
-      DOVADO_GUARDED_BY(mu_);  ///< execute() responses by id
+  /// execute() responses, found by request id; one per waiting caller.
+  std::vector<Response> local_results_ DOVADO_GUARDED_BY(mu_);
   std::size_t inflight_ DOVADO_GUARDED_BY(mu_) = 0;
   std::size_t requests_ DOVADO_GUARDED_BY(mu_) = 0;
   std::size_t shed_ DOVADO_GUARDED_BY(mu_) = 0;

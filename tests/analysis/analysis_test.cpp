@@ -39,7 +39,7 @@ LintReport lint_hdl_fixture(const std::string& name, const std::string& top) {
   const std::string text = read_file(path);
   const hdl::ParseResult parsed = hdl::parse_file(path);
   LintReport report;
-  lint_hdl_file(parsed, path, text, top, report);
+  lint_hdl_file(parsed, path, hdl::lex_source(text, parsed.file.language).tokens, top, report);
   return report;
 }
 

@@ -120,6 +120,64 @@ TEST(ExprEval, Errors) {
   EXPECT_FALSE(eval_expr("1 2", HdlLanguage::kVhdl, {}).ok());   // trailing tokens
 }
 
+std::string eval_error(std::string_view e) {
+  const auto r = eval_expr(e, HdlLanguage::kSystemVerilog, {});
+  EXPECT_FALSE(r.ok()) << e << " evaluated to " << r.value.value_or(0);
+  return r.error;
+}
+
+TEST(ExprPower, HugeExponentsOfZeroAndUnitBasesFinish) {
+  // A loop per unit of the exponent would not finish these.
+  EXPECT_EQ(eval_sv("0 ** 4000000000"), 0);
+  EXPECT_EQ(eval_sv("1 ** 4000000000"), 1);
+  EXPECT_EQ(eval_sv("(-1) ** 4000000000"), 1);
+  EXPECT_EQ(eval_sv("(-1) ** 4000000001"), -1);
+  EXPECT_EQ(eval_sv("1 ** 9223372036854775807"), 1);
+  EXPECT_EQ(eval_sv("0 ** 0"), 1);
+  EXPECT_EQ(eval_sv("(-1) ** 0"), 1);
+  EXPECT_EQ(eval_v("0 ** 1"), 0);
+}
+
+TEST(ExprPower, OverflowPastTwoToTheSixty) {
+  EXPECT_EQ(eval_sv("2 ** 60"), std::int64_t{1} << 60);
+  EXPECT_EQ(eval_sv("(-2) ** 59"), -(std::int64_t{1} << 59));
+  EXPECT_EQ(eval_sv("(-2) ** 60"), std::int64_t{1} << 60);
+  EXPECT_EQ(eval_sv("3 ** 37"), 450283905890997363);
+  EXPECT_EQ(eval_error("2 ** 61"), "exponent overflow");
+  EXPECT_EQ(eval_error("(-2) ** 61"), "exponent overflow");
+  EXPECT_EQ(eval_error("3 ** 38"), "exponent overflow");
+  EXPECT_EQ(eval_error("2 ** 4000000000"), "exponent overflow");
+  EXPECT_EQ(eval_error("1024 ** 7"), "exponent overflow");
+  EXPECT_EQ(eval_error("4611686018427387904 ** 2"), "exponent overflow");
+  EXPECT_EQ(eval_error("2 ** -1"), "negative exponent");
+}
+
+TEST(ExprPower, ParameterDefaultWithHugeExponentDoesNotHang) {
+  Module m;
+  m.language = HdlLanguage::kSystemVerilog;
+  m.parameters.push_back({"ONE", "int", "1 ** 4000000000", false, "", "", {}});
+  m.parameters.push_back({"BIG", "int", "2 ** 4000000000", false, "", "", {}});
+  compile_expressions(m);
+  const ExprEnv env = build_param_env(m, {});
+  EXPECT_EQ(env.get("ONE"), 1);
+  EXPECT_FALSE(env.get("BIG").has_value());
+}
+
+TEST(CompiledExpr, MatchesTextEvaluation) {
+  ExprEnv env;
+  env.set("DEPTH", 512);
+  for (const char* text : {"$clog2(DEPTH) * 8 + (DEPTH >> 2) - 1", "DEPTH > 1 ? DEPTH : 1",
+                           "WIDTH - 1", "1 +", "", "8'hff", "\"open"}) {
+    const CompiledExpr code = compile_expr(text, HdlLanguage::kSystemVerilog);
+    EXPECT_TRUE(code.compiled()) << text;
+    const ExprResult compiled = eval_expr(code, env);
+    const ExprResult direct = eval_expr(text, HdlLanguage::kSystemVerilog, env);
+    EXPECT_EQ(compiled.value, direct.value) << text;
+    EXPECT_EQ(compiled.error, direct.error) << text;
+  }
+  EXPECT_FALSE(CompiledExpr{}.compiled());
+}
+
 TEST(Clog2, Definition) {
   EXPECT_EQ(clog2(0), 0);
   EXPECT_EQ(clog2(1), 0);

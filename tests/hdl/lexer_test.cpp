@@ -130,7 +130,8 @@ TEST(Lexer, EmptyInputYieldsEof) {
 TEST(TokenStream, AcceptHelpers) {
   std::vector<Diagnostic> diags;
   Lexer lexer("port ( x", HdlLanguage::kVhdl);
-  TokenStream ts(lexer.tokenize(diags));
+  const std::vector<Token> tokens = lexer.tokenize(diags);
+  TokenStream ts(tokens);
   EXPECT_FALSE(ts.accept_punct("("));
   EXPECT_TRUE(ts.accept_keyword("PORT"));
   EXPECT_TRUE(ts.accept_punct("("));
@@ -140,7 +141,8 @@ TEST(TokenStream, AcceptHelpers) {
 TEST(TokenStream, RewindRestoresPosition) {
   std::vector<Diagnostic> diags;
   Lexer lexer("a b c", HdlLanguage::kVhdl);
-  TokenStream ts(lexer.tokenize(diags));
+  const std::vector<Token> tokens = lexer.tokenize(diags);
+  TokenStream ts(tokens);
   const auto mark = ts.position();
   ts.next();
   ts.next();
