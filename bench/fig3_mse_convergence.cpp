@@ -8,11 +8,18 @@
 // report MSE on min-max-normalized metrics so the magnitudes are
 // comparable; expect the same *shape*: FF/LUT almost immediately accurate,
 // frequency noisier and converging as samples accumulate.
+//
+// Usage: fig3_mse_convergence [--json FILE]
+//   --json FILE  also write every MSE of the table to FILE with %.17g, so a
+//                golden copy (tests/golden/fig3_mse.json) can be compared
+//                exactly.
 #include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/core/evaluator.hpp"
@@ -30,7 +37,17 @@ constexpr const char* kLabels[] = {"FF", "LUT", "Frequency"};
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const char* json_path = nullptr;
+  for (int i = 1; i < argc; ++i) {
+    if (std::string_view(argv[i]) == "--json" && i + 1 < argc) {
+      json_path = argv[++i];
+    } else {
+      std::fprintf(stderr, "usage: fig3_mse_convergence [--json FILE]\n");
+      return 2;
+    }
+  }
+
   core::ProjectConfig project;
   project.sources.push_back({std::string(DOVADO_RTL_DIR) + "/cv32e40p_fifo.sv",
                              hdl::HdlLanguage::kSystemVerilog, "work", false});
@@ -79,6 +96,7 @@ int main() {
   std::printf("%8s  %12s  %12s  %12s\n", "samples", "MSE(FF)", "MSE(LUTs)", "MSE(Freq)");
 
   model::Dataset dataset;
+  std::vector<std::pair<std::size_t, std::array<double, 3>>> rows;
   std::size_t next = 0;
   std::array<double, 3> first_mse{};
   std::array<double, 3> last_mse{};
@@ -104,6 +122,7 @@ int main() {
     for (auto& v : mse) v /= static_cast<double>(test_depths.size());
     if (target == 5u) first_mse = mse;
     last_mse = mse;
+    rows.emplace_back(dataset.size(), mse);
     std::printf("%8zu  %12.3e  %12.3e  %12.3e\n", dataset.size(), mse[0], mse[1], mse[2]);
   }
 
@@ -114,5 +133,25 @@ int main() {
               last_mse[2], last_mse[0], last_mse[1]);
   std::printf("  - MSE shrinks as the dataset grows ......... freq: %.1e -> %.1e\n",
               first_mse[2], last_mse[2]);
+  if (json_path != nullptr) {
+    std::FILE* out = std::fopen(json_path, "w");
+    if (out == nullptr) {
+      std::fprintf(stderr, "fig3_mse_convergence: cannot write %s\n", json_path);
+      return 1;
+    }
+    std::fprintf(out, "{\"figure\": \"fig3_mse_convergence\", \"rows\": [\n");
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      const auto& [samples, mse] = rows[r];
+      std::fprintf(out,
+                   "  {\"samples\": %zu, \"mse_ff\": %.17g, \"mse_lut\": %.17g, "
+                   "\"mse_freq\": %.17g}%s\n",
+                   samples, mse[0], mse[1], mse[2], r + 1 < rows.size() ? "," : "");
+    }
+    std::fprintf(out, "]}\n");
+    if (std::fclose(out) != 0) {
+      std::fprintf(stderr, "fig3_mse_convergence: cannot write %s\n", json_path);
+      return 1;
+    }
+  }
   return 0;
 }

@@ -1,7 +1,14 @@
 // Micro benchmarks of the approximation model: the cost asymmetry that
 // justifies the paper's control model (an NWM estimate must be orders of
 // magnitude cheaper than a tool run), plus LOO-CV training cost.
+//
+// BM_ControlGrow times the campaign's pattern: a pre-trained control model
+// growing through add_sample, each addition refreshing Γ and re-selecting
+// bandwidths. The binary exits non-zero when a grow did not reach its size.
 #include <benchmark/benchmark.h>
+
+#include <cstdio>
+#include <vector>
 
 #include "src/model/control.hpp"
 #include "src/model/nadaraya_watson.hpp"
@@ -10,6 +17,8 @@
 namespace {
 
 using namespace dovado;
+
+bool g_grow_short = false;
 
 model::Dataset make_dataset(std::size_t n, std::size_t dims) {
   util::Rng rng(7);
@@ -73,4 +82,40 @@ void BM_SimilarityPhi(benchmark::State& state) {
 }
 BENCHMARK(BM_SimilarityPhi)->Range(32, 512);
 
+void BM_ControlGrow(benchmark::State& state) {
+  constexpr std::size_t kPretrain = 100;
+  constexpr std::size_t kFinal = 256;
+  util::Rng rng(11);
+  std::vector<model::Point> points(kFinal);
+  for (auto& p : points) p = {rng.uniform(0.0, 500.0), rng.uniform(0.0, 500.0)};
+  auto metrics = [](const model::Point& p) -> model::Values {
+    return {p[0] * 2.0 + p[1], 1000.0 - p[0]};
+  };
+  model::ControlModel pretrained;
+  for (std::size_t i = 0; i < kPretrain; ++i) pretrained.add_sample(points[i], metrics(points[i]));
+  for (auto _ : state) {
+    state.PauseTiming();
+    model::ControlModel control = pretrained;
+    state.ResumeTiming();
+    for (std::size_t i = kPretrain; i < kFinal; ++i) {
+      control.add_sample(points[i], metrics(points[i]));
+    }
+    if (control.dataset().size() != kFinal) g_grow_short = true;
+    benchmark::DoNotOptimize(control.threshold());
+  }
+}
+BENCHMARK(BM_ControlGrow)->Unit(benchmark::kMillisecond);
+
 }  // namespace
+
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  if (g_grow_short) {
+    std::fprintf(stderr, "micro_nwm: BM_ControlGrow did not reach its dataset size\n");
+    return 1;
+  }
+  return 0;
+}

@@ -70,7 +70,7 @@ int main() {
       "\ncontrol-model statistics: %zu cached, %zu estimated, %zu tool calls\n",
       stats.cached_hits, stats.estimates, stats.tool_calls);
   std::printf("model bandwidths (LOO-CV): ");
-  for (double h : control.model().bandwidths()) std::printf("%.2f ", h);
+  for (double h : control.bandwidths()) std::printf("%.2f ", h);
   std::printf("\n");
   return 0;
 }

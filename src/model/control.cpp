@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "src/model/nadaraya_watson.hpp"
+
 namespace dovado::model {
 
 ControlModel::ControlModel(Config config) : config_(std::move(config)) {
@@ -10,8 +12,9 @@ ControlModel::ControlModel(Config config) : config_(std::move(config)) {
 }
 
 Decision ControlModel::decide(const Point& x) const {
+  dataset_.check_query(x);
   if (dataset_.find_exact(x).has_value()) return Decision::kCachedTool;
-  if (!dataset_.empty() && model_.fitted()) {
+  if (!dataset_.empty() && fitted()) {
     const double phi = similarity_phi(dataset_, x, 1);
     if (phi <= threshold_) return Decision::kEstimate;
   }
@@ -29,24 +32,17 @@ Decision ControlModel::decide_and_count(const Point& x) {
 }
 
 Values ControlModel::estimate(const Point& x) const {
-  if (!model_.fitted()) throw std::logic_error("estimate() before any sample was added");
-  return model_.predict(x);
-}
-
-void ControlModel::retrain() {
-  model_.fit(dataset_, select_bandwidths(dataset_, config_.bandwidth_grid));
-  additions_since_validation_ = 0;
+  if (!fitted()) throw std::logic_error("estimate() before any sample was added");
+  return nw_predict(dataset_, bandwidths_, x);
 }
 
 void ControlModel::add_sample(Point point, Values values) {
   dataset_.add(std::move(point), std::move(values));
   if (config_.adaptive_threshold) threshold_ = adaptive_threshold(dataset_);
   ++additions_since_validation_;
-  if (additions_since_validation_ >= config_.revalidate_every || !model_.fitted()) {
-    retrain();
-  } else {
-    // Keep the current bandwidths but refresh the sample set.
-    model_.fit(dataset_, model_.bandwidths());
+  if (additions_since_validation_ >= config_.revalidate_every || !fitted()) {
+    bandwidths_ = select_bandwidths(dataset_, config_.bandwidth_grid);
+    additions_since_validation_ = 0;
   }
 }
 

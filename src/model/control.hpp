@@ -11,12 +11,14 @@
 //
 // The threshold is adaptive by default: Γ = the average nearest-neighbour
 // Eq.-(4) distance over dataset points, updated after every addition.
+// decide() and estimate() throw std::invalid_argument for a point whose
+// dimension differs from the dataset's.
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 #include "src/model/dataset.hpp"
-#include "src/model/nadaraya_watson.hpp"
 
 namespace dovado::model {
 
@@ -56,25 +58,29 @@ class ControlModel {
   /// Decide and record the decision in the statistics.
   Decision decide_and_count(const Point& x);
 
-  /// Model estimate at x. Only valid once the dataset is non-empty.
+  /// Model estimate at x (nw_predict over the model's own dataset). Only
+  /// valid once the dataset is non-empty.
   [[nodiscard]] Values estimate(const Point& x) const;
 
   /// Record a tool result (used both for pre-training and for kToolAndAdd
   /// additions): adds the pair, refreshes Γ, and re-runs the LOO-CV
-  /// training/validation step per the revalidation cadence.
+  /// training/validation step per the revalidation cadence. Costs
+  /// O(N * dimension) bookkeeping plus, when it revalidates, one pass over
+  /// the sample pairs with one kernel per candidate bandwidth.
   void add_sample(Point point, Values values);
 
   [[nodiscard]] const Dataset& dataset() const { return dataset_; }
-  [[nodiscard]] const NadarayaWatson& model() const { return model_; }
+  /// The selected bandwidths, one per metric; empty before the first sample.
+  [[nodiscard]] const std::vector<double>& bandwidths() const { return bandwidths_; }
   [[nodiscard]] double threshold() const { return threshold_; }
   [[nodiscard]] const ControlStats& stats() const { return stats_; }
 
  private:
-  void retrain();
+  [[nodiscard]] bool fitted() const { return !bandwidths_.empty(); }
 
   Config config_;
   Dataset dataset_;
-  NadarayaWatson model_;
+  std::vector<double> bandwidths_;
   double threshold_ = 0.0;
   std::size_t additions_since_validation_ = 0;
   ControlStats stats_;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "src/util/rng.hpp"
 
@@ -95,6 +96,16 @@ TEST(ControlModel, StatsCountDecisions) {
   EXPECT_EQ(control.stats().tool_calls, 1u);
 }
 
+TEST(ControlModel, QueryDimensionMismatchThrows) {
+  ControlModel control = pretrained_model(3);  // 2-D samples
+  EXPECT_THROW((void)control.decide({10.0}), std::invalid_argument);
+  EXPECT_THROW((void)control.decide_and_count({10.0, 0.0, 0.0}), std::invalid_argument);
+  EXPECT_THROW((void)control.estimate({10.0}), std::invalid_argument);
+  EXPECT_EQ(control.stats().tool_calls + control.stats().estimates, 0u);
+  // Before the first sample there is no dimension: the tool is called.
+  EXPECT_EQ(ControlModel().decide({1.0, 2.0, 3.0}), Decision::kToolAndAdd);
+}
+
 TEST(ControlModel, EstimateBeforeSamplesThrows) {
   ControlModel control;
   EXPECT_THROW(control.estimate({1.0}), std::logic_error);
@@ -105,10 +116,10 @@ TEST(ControlModel, RevalidationCadence) {
   config.revalidate_every = 3;
   ControlModel control(config);
   control.add_sample({0.0}, {0.0});
-  const auto bw_after_first = control.model().bandwidths();
+  const auto bw_after_first = control.bandwidths();
   control.add_sample({1.0}, {2.0});
   // Not revalidated yet (cadence 3): bandwidths unchanged.
-  EXPECT_EQ(control.model().bandwidths(), bw_after_first);
+  EXPECT_EQ(control.bandwidths(), bw_after_first);
   control.add_sample({2.0}, {4.0});
   control.add_sample({3.0}, {6.0});  // third addition since -> retrain
   EXPECT_EQ(control.dataset().size(), 4u);

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 namespace dovado::model {
 namespace {
@@ -56,6 +57,47 @@ TEST(Dataset, NearestClampsK) {
   Dataset d = line_dataset(3);
   EXPECT_EQ(d.nearest({0.0}, 10).size(), 3u);
   EXPECT_TRUE(Dataset().nearest({0.0}, 2).empty());
+}
+
+TEST(Dataset, NearestBreaksTiesByIndex) {
+  // Equidistant samples are ordered by (squared distance, index).
+  Dataset d;
+  d.add({2.0}, {0.0});   // 0: distance 2
+  d.add({-1.0}, {0.0});  // 1: distance 1
+  d.add({1.0}, {0.0});   // 2: distance 1
+  d.add({-2.0}, {0.0});  // 3: distance 2
+  d.add({0.0}, {0.0});   // 4: distance 0
+  EXPECT_EQ(d.nearest({0.0}, 5), (std::vector<std::size_t>{4, 1, 2, 0, 3}));
+  EXPECT_EQ(d.nearest({0.0}, 3), (std::vector<std::size_t>{4, 1, 2}));
+  EXPECT_EQ(d.nearest({0.5}, 2), (std::vector<std::size_t>{2, 4}));
+  EXPECT_DOUBLE_EQ(similarity_phi(d, {0.0}, 3), 1.0);
+  EXPECT_DOUBLE_EQ(similarity_phi(d, {0.0}, 4), 2.0);
+}
+
+TEST(Dataset, NearestOtherKeepsFirstMinimum) {
+  Dataset d;
+  d.add({0.0}, {0.0});
+  EXPECT_EQ(d.nearest_other(), (std::vector<std::size_t>{Dataset::kNoNeighbour}));
+  EXPECT_TRUE(std::isinf(d.nearest_other_d2()[0]));
+  d.add({2.0}, {0.0});
+  d.add({-2.0}, {0.0});  // as close to sample 0 as sample 1 is: 0 keeps 1
+  EXPECT_EQ(d.nearest_other(), (std::vector<std::size_t>{1, 0, 0}));
+  d.add({1.0}, {0.0});  // strictly closer to samples 0 and 1; tied for itself
+  EXPECT_EQ(d.nearest_other(), (std::vector<std::size_t>{3, 3, 0, 0}));
+  EXPECT_EQ(d.nearest_other_d2(), (std::vector<double>{1.0, 1.0, 4.0, 1.0}));
+}
+
+TEST(Dataset, QueryDimensionMismatchThrows) {
+  // A shorter query must not be answered from its leading coordinates.
+  Dataset d;
+  d.add({1.0, 2.0}, {3.0});
+  d.add({5.0, 9.0}, {4.0});
+  EXPECT_THROW((void)d.nearest({1.0}, 1), std::invalid_argument);
+  EXPECT_THROW((void)similarity_phi(d, {1.0}, 1), std::invalid_argument);
+  EXPECT_THROW((void)similarity_phi(d, {1.0, 2.0, 3.0}, 2), std::invalid_argument);
+  EXPECT_THROW((void)similarity_phi(d, {1.0}, 3), std::invalid_argument);
+  // An empty dataset has no dimension yet: still +inf.
+  EXPECT_TRUE(std::isinf(similarity_phi(Dataset(), {1.0, 2.0, 3.0}, 1)));
 }
 
 TEST(SquaredDistance, Euclidean) {

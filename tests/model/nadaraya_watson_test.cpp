@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "src/util/rng.hpp"
 
@@ -85,6 +86,13 @@ TEST(NadarayaWatson, FitValidation) {
   EXPECT_THROW(model.predict({1.0}), std::logic_error);
   Dataset d = linear_dataset();
   EXPECT_THROW(model.fit(d, {1.0, 2.0}), std::invalid_argument);  // wrong count
+}
+
+TEST(NadarayaWatson, QueryDimensionMismatchThrows) {
+  NadarayaWatson model;
+  model.fit(linear_dataset(), {1.0});
+  EXPECT_THROW((void)model.predict({1.0, 2.0}), std::invalid_argument);
+  EXPECT_THROW((void)nw_predict(linear_dataset(), {1.0}, {1.0, 2.0}), std::invalid_argument);
 }
 
 TEST(LooCv, ErrorFiniteAndSmallForGoodBandwidth) {
