@@ -7,16 +7,25 @@
 // queues, pipeline stages). Expected shape: BRAM count constant across the
 // non-dominated set, LUTs and Registers vary with the configurations, and
 // running frequency lands near 200 MHz.
+//
+// Usage: fig4_corundum_tradeoffs [--json FILE]
+//   --json FILE  also write the non-dominated set (every parameter and
+//                objective, %.17g) so a golden copy
+//                (tests/golden/fig4_front.json) can be compared exactly.
 #include <algorithm>
 #include <cstdio>
 #include <string>
 
 #include "src/core/dse.hpp"
 #include "src/core/writers.hpp"
+#include "bench/front_json.hpp"
 
 using namespace dovado;
 
-int main() {
+int main(int argc, char** argv) {
+  const char* json_path = nullptr;
+  if (!bench::parse_json_flag(argc, argv, "fig4_corundum_tradeoffs", json_path)) return 2;
+
   core::ProjectConfig project;
   project.sources.push_back({std::string(DOVADO_RTL_DIR) + "/corundum_cq_manager.v",
                              hdl::HdlLanguage::kVerilog, "work", false});
@@ -86,5 +95,10 @@ int main() {
   std::printf("  - tool runs: %zu over %zu explored points, %.0f simulated seconds\n",
               result.stats.tool_runs, result.explored.size(),
               result.stats.simulated_tool_seconds);
+  if (json_path != nullptr &&
+      !bench::write_fronts_json(json_path, "fig4_corundum_tradeoffs", config.objectives,
+                                {{"xc7k70t", &result.pareto}})) {
+    return 1;
+  }
   return 0;
 }

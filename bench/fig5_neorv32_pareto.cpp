@@ -6,12 +6,18 @@
 // non-dominated solutions (the paper found five) whose main difference is
 // BRAM usage — the configuration with 2^15 memories shows a sensible BRAM
 // change while leaving the other metrics almost unchanged.
+//
+// Usage: fig5_neorv32_pareto [--json FILE]
+//   --json FILE  also write the non-dominated set (every parameter and
+//                objective, %.17g) so a golden copy
+//                (tests/golden/fig5_front.json) can be compared exactly.
 #include <algorithm>
 #include <cstdio>
 #include <string>
 
 #include "src/core/dse.hpp"
 #include "src/core/writers.hpp"
+#include "bench/front_json.hpp"
 
 using namespace dovado;
 
@@ -28,7 +34,10 @@ int log2_of(std::int64_t v) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const char* json_path = nullptr;
+  if (!bench::parse_json_flag(argc, argv, "fig5_neorv32_pareto", json_path)) return 2;
+
   core::ProjectConfig project;
   project.sources.push_back({std::string(DOVADO_RTL_DIR) + "/neorv32_top.vhd",
                              hdl::HdlLanguage::kVhdl, "work", false});
@@ -85,5 +94,10 @@ int main() {
               bram_big, bram_small);
   std::printf("  - other metrics almost unchanged ............... LUT %.0f vs %.0f (%.1f%%)\n",
               lut_big, lut_small, 100.0 * (lut_big - lut_small) / lut_small);
+  if (json_path != nullptr &&
+      !bench::write_fronts_json(json_path, "fig5_neorv32_pareto", config.objectives,
+                                {{"xc7k70t", &result.pareto}})) {
+    return 1;
+  }
   return 0;
 }

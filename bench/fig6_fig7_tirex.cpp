@@ -9,6 +9,11 @@
 // similar parameter choices on both devices, and a large technology gap in
 // achievable frequency (~550 vs ~190 MHz) despite near-identical
 // configurations.
+//
+// Usage: fig6_fig7_tirex [--json FILE]
+//   --json FILE  also write both non-dominated sets (every parameter and
+//                objective, %.17g) so a golden copy
+//                (tests/golden/fig6_fig7_fronts.json) can be compared exactly.
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -16,6 +21,7 @@
 
 #include "src/core/dse.hpp"
 #include "src/core/writers.hpp"
+#include "bench/front_json.hpp"
 
 using namespace dovado;
 
@@ -29,6 +35,9 @@ int log2_of(std::int64_t v) {
   }
   return e;
 }
+
+const std::vector<core::Objective> kObjectives = {
+    {"lut", false}, {"bram", false}, {"fmax_mhz", true}};
 
 core::DseResult explore(const std::string& part, std::uint64_t seed) {
   core::ProjectConfig project;
@@ -46,7 +55,7 @@ core::DseResult explore(const std::string& part, std::uint64_t seed) {
   config.space.params.push_back({"STACK_SIZE", core::ParamDomain::power_of_two(0, 8)});
   config.space.params.push_back({"INSTR_MEM_SIZE", core::ParamDomain::power_of_two(3, 4)});
   config.space.params.push_back({"DATA_MEM_SIZE", core::ParamDomain::power_of_two(3, 4)});
-  config.objectives = {{"lut", false}, {"bram", false}, {"fmax_mhz", true}};
+  config.objectives = kObjectives;
   config.ga.population_size = 22;
   config.ga.max_generations = 14;
   config.ga.seed = seed;
@@ -84,7 +93,10 @@ double best_fmax(const std::vector<core::ExploredPoint>& pareto) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const char* json_path = nullptr;
+  if (!bench::parse_json_flag(argc, argv, "fig6_fig7_tirex", json_path)) return 2;
+
   const auto zu3eg = explore("xczu3eg-sbva484-1-e", 6);
   const auto xc7k = explore("xc7k70tfbv676-1", 6);
 
@@ -116,5 +128,10 @@ int main() {
               zu_pareto.size(), k7_pareto.size());
   std::printf("  - tool runs: ZU3EG %zu, XC7K %zu\n", zu3eg.stats.tool_runs,
               xc7k.stats.tool_runs);
+  if (json_path != nullptr &&
+      !bench::write_fronts_json(json_path, "fig6_fig7_tirex", kObjectives,
+                                {{"xczu3eg", &zu3eg.pareto}, {"xc7k70t", &xc7k.pareto}})) {
+    return 1;
+  }
   return 0;
 }
