@@ -42,7 +42,7 @@ const char kXdc[] = "create_clock -period 1.000 [get_ports clk_i]\n";
 std::int64_t consume(const std::vector<std::string>& reports) {
   std::int64_t sum = 0;
   for (const auto& chunk : reports) {
-    if (const auto report = edatool::UtilizationReport::parse(chunk)) {
+    if (const auto report = edatool::UtilizationReport::parse_checked(chunk).report) {
       sum += report->used("Slice LUTs");
     }
   }

@@ -16,6 +16,7 @@ namespace {
 using tcl::CommandNode;
 using tcl::ScriptNode;
 using tcl::WordNode;
+using tcl::WordPart;
 
 /// Per-tool-command flag table. Only commands listed here have their flags
 /// validated; everything else passes through (an unknown flag on a command
@@ -80,22 +81,26 @@ std::vector<std::string> builtin_commands() {
           "proc",   "llength", "lindex", "lappend", "string", "format"};
 }
 
-/// True when the word's text reaches the command verbatim: braced words are
-/// never substituted, and bare/quoted words without `$` or `[` are literal.
-bool is_static(const WordNode& word) {
-  if (word.kind == WordNode::Kind::kBraced) return true;
-  if (word.kind == WordNode::Kind::kBracket) return false;
-  return tcl::extract_var_refs(word.text).empty() && !tcl::has_command_subst(word.text);
+/// The value of a literal word, or nullptr when it is only known at run time.
+const std::string* literal(const WordNode& word) {
+  return word.is_literal() ? &word.literal() : nullptr;
+}
+
+/// True when the word is literally `text` (e.g. the `else` of an if).
+bool is_keyword(const WordNode& word, std::string_view text) {
+  return word.is_literal() && word.literal() == text;
 }
 
 /// Static numeric evaluation of a condition; nullopt when it depends on
 /// variables, command substitution, or is not a constant expression.
 std::optional<double> static_number(const WordNode& word) {
-  if (!tcl::extract_var_refs(word.text).empty()) return std::nullopt;
-  if (tcl::has_command_subst(word.text)) return std::nullopt;
+  if (!word.is_literal()) return std::nullopt;
+  const ScriptNode text = tcl::parse_substitution(word.literal());
+  const WordNode& substituted = text.commands.front().words.front();
+  if (!text.ok || !substituted.is_literal()) return std::nullopt;
   try {
-    return tcl::Interp::eval_number(word.text);
-  } catch (const std::exception&) {
+    return tcl::Interp::eval_number(substituted.literal());
+  } catch (const tcl::TclError&) {
     return std::nullopt;
   }
 }
@@ -112,15 +117,7 @@ class TclLinter {
     for (const auto& var : options.predefined_vars) defined_.insert(var);
   }
 
-  void lint(const std::string& text) {
-    const ScriptNode script = tcl::parse_script(text);
-    if (!script.ok) {
-      report_.add(Severity::kError, "tcl-parse-error", path_,
-                  {static_cast<std::uint32_t>(script.error_line), 0}, script.error);
-      return;
-    }
-    lint_commands(script.commands);
-  }
+  void lint(const std::string& text) { lint_script(tcl::parse_script(text), 1); }
 
  private:
   void add(Severity severity, const std::string& rule, int line, std::string message,
@@ -129,48 +126,82 @@ class TclLinter {
                 std::move(message), std::move(note));
   }
 
-  /// Check every `$ref` in a word against the may-defined set.
-  void check_refs(const WordNode& word) {
-    if (word.kind == WordNode::Kind::kBraced) return;  // not substituted
-    check_refs_in(word.text, word.line);
-  }
-
-  void check_refs_in(const std::string& text, int line) {
-    for (const auto& ref : tcl::extract_var_refs(text)) {
-      if (defined_.count(ref) > 0) continue;
-      add(Severity::kError, "tcl-unset-var", line,
-          "variable '" + ref + "' is read but never set on any path");
-      defined_.insert(ref);  // report each variable once
-    }
-  }
-
-  /// Lint a word that the command will evaluate as a script (if/while
-  /// bodies, proc bodies, bracket substitutions).
-  void lint_script_word(const WordNode& word) {
-    const ScriptNode nested = tcl::parse_script(word.text, word.line);
-    if (!nested.ok) {
-      add(Severity::kError, "tcl-parse-error", nested.error_line, nested.error);
+  /// Lint a script that runs nested in the current one (a `[...]`, a body)
+  /// or the whole file: its syntax error, or else its commands.
+  void lint_script(const ScriptNode& script, int line) {
+    if (!script.ok) {
+      add(Severity::kError, "tcl-parse-error", script.error_line, script.error);
       return;
     }
-    lint_commands(nested.commands);
+    if (depth_ >= tcl::kMaxDepth) {
+      add(Severity::kError, "tcl-parse-error", line, "too many nested evaluations");
+      return;
+    }
+    ++depth_;
+    lint_commands(script.commands);
+    --depth_;
+  }
+
+  /// The substitution of one word, left to right: every `$ref` against the
+  /// may-defined set, every `[...]` as a nested script sharing this scope.
+  void check_parts(const WordNode& word) {
+    for (const WordPart& part : word.parts) {
+      if (part.kind == WordPart::Kind::kVar) check_ref(part.text, word.line);
+      if (part.kind == WordPart::Kind::kScript) lint_script(*part.script, word.line);
+    }
+  }
+
+  void check_ref(const std::string& name, int line) {
+    if (defined_.count(name) > 0) return;
+    add(Severity::kError, "tcl-unset-var", line,
+        "variable '" + name + "' is read but never set on any path");
+    defined_.insert(name);  // report each variable once
+  }
+
+  /// The second substitution round `expr`/`if`/`while`/`for` apply to a
+  /// literal condition (a dynamic one is only known at run time).
+  void check_substitution(const WordNode& word) {
+    if (!word.is_literal()) return;
+    const ScriptNode text = tcl::parse_substitution(word.literal(), word.line);
+    if (!text.ok) {
+      add(Severity::kError, "tcl-parse-error", text.error_line, text.error);
+      return;
+    }
+    check_parts(text.commands.front().words.front());
+  }
+
+  /// Parse a literal word the command runs as a script (if/while bodies,
+  /// proc bodies, catch scripts). A braced word is parsed from its source
+  /// text so line numbers stay right across backslash-newlines.
+  static std::optional<ScriptNode> parse_body(const WordNode& word) {
+    if (!word.is_literal()) return std::nullopt;
+    const std::string& text =
+        word.kind == WordNode::Kind::kBraced ? word.text : word.literal();
+    return tcl::parse_script(text, word.line);
+  }
+
+  void lint_script_word(const WordNode& word) {
+    if (auto body = parse_body(word)) lint_script(*body, word.line);
   }
 
   /// Collect variables a script word could define, without reporting
   /// anything — the pre-pass for loop bodies, where a read in iteration N
   /// may see a definition from iteration N-1.
   void collect_defs(const WordNode& word) {
-    const ScriptNode nested = tcl::parse_script(word.text, word.line);
-    if (!nested.ok) return;
-    collect_defs_in(nested.commands);
+    const auto body = parse_body(word);
+    if (!body || !body->ok || depth_ >= tcl::kMaxDepth) return;
+    ++depth_;
+    collect_defs_in(body->commands);
+    --depth_;
   }
 
   void collect_defs_in(const std::vector<CommandNode>& commands) {
     for (const auto& command : commands) {
-      if (command.words.empty() || !is_static(command.words[0])) continue;
-      const std::string& name = command.words[0].text;
+      if (command.words.empty() || !command.words[0].is_literal()) continue;
+      const std::string& name = command.words[0].literal();
       const auto def_target = [&](std::size_t i) {
-        if (command.words.size() > i && is_static(command.words[i])) {
-          defined_.insert(command.words[i].text);
+        if (command.words.size() > i && command.words[i].is_literal()) {
+          defined_.insert(command.words[i].literal());
         }
       };
       if (name == "set" && command.words.size() >= 3) def_target(1);
@@ -178,7 +209,7 @@ class TclLinter {
       if (name == "foreach") def_target(1);
       if (name == "catch") def_target(2);
       if (name == "proc" && command.words.size() == 4) {
-        if (is_static(command.words[1])) known_commands_.insert(command.words[1].text);
+        if (const std::string* proc = literal(command.words[1])) known_commands_.insert(*proc);
       }
       // Recurse into nested control-flow bodies.
       if (name == "if" || name == "while" || name == "for" || name == "foreach" ||
@@ -194,7 +225,7 @@ class TclLinter {
 
   void wrong_arity(const CommandNode& command, const std::string& usage) {
     add(Severity::kError, "tcl-wrong-arity", command.line,
-        "wrong # args to '" + command.words[0].text + "'", "usage: " + usage);
+        "wrong # args to '" + command.words[0].literal() + "'", "usage: " + usage);
   }
 
   void lint_commands(const std::vector<CommandNode>& commands) {
@@ -203,20 +234,12 @@ class TclLinter {
 
   void lint_command(const CommandNode& command) {
     if (command.words.empty()) return;
+    // Every word is substituted, left to right, before the command runs.
+    for (const auto& word : command.words) check_parts(word);
+
     const WordNode& head = command.words[0];
-
-    // Bracket words anywhere in the command are nested scripts sharing this
-    // scope — lint them before the command itself consumes their results.
-    for (const auto& word : command.words) {
-      if (word.kind == WordNode::Kind::kBracket) lint_script_word(word);
-    }
-
-    if (!is_static(head)) {
-      // Dynamically-named command: check the name's own refs, then bail.
-      for (const auto& word : command.words) check_refs(word);
-      return;
-    }
-    const std::string& name = head.text;
+    if (!head.is_literal()) return;  // dynamically-named command
+    const std::string& name = head.literal();
 
     if (known_commands_.count(name) == 0) {
       const std::vector<std::string> candidates(known_commands_.begin(),
@@ -225,7 +248,6 @@ class TclLinter {
       add(Severity::kError, "tcl-unknown-command", command.line,
           "unknown command '" + name + "'",
           suggestion.empty() ? std::string() : "did you mean '" + suggestion + "'?");
-      for (std::size_t i = 1; i < command.words.size(); ++i) check_refs(command.words[i]);
       return;
     }
 
@@ -254,35 +276,29 @@ class TclLinter {
       return;
     }
 
-    // Plain commands: every remaining word is substituted normally.
-    for (std::size_t i = 1; i < command.words.size(); ++i) {
-      const WordNode& word = command.words[i];
-      // `expr` re-substitutes braced arguments, so refs inside them count.
-      if (name == "expr" && word.kind == WordNode::Kind::kBraced) {
-        check_refs_in(word.text, word.line);
-      } else {
-        check_refs(word);
+    // `expr` substitutes its arguments once more.
+    if (name == "expr") {
+      for (std::size_t i = 1; i < command.words.size(); ++i) {
+        check_substitution(command.words[i]);
       }
     }
 
     const std::size_t args = command.words.size() - 1;
+    const std::string* target = args >= 1 ? literal(command.words[1]) : nullptr;
     if (name == "set") {
       if (args < 1 || args > 2) {
         wrong_arity(command, "set varName ?newValue?");
-      } else if (args == 2) {
-        if (is_static(command.words[1])) defined_.insert(command.words[1].text);
-      } else if (is_static(command.words[1]) &&
-                 defined_.count(command.words[1].text) == 0) {
-        add(Severity::kError, "tcl-unset-var", command.line,
-            "variable '" + command.words[1].text + "' is read but never set on any path");
-        defined_.insert(command.words[1].text);
+      } else if (target != nullptr && args == 2) {
+        defined_.insert(*target);
+      } else if (target != nullptr) {
+        check_ref(*target, command.line);
       }
       return;
     }
     if (name == "unset") {
       if (args < 1) wrong_arity(command, "unset varName ?varName ...?");
       for (std::size_t i = 1; i < command.words.size(); ++i) {
-        if (is_static(command.words[i])) defined_.erase(command.words[i].text);
+        if (const std::string* var = literal(command.words[i])) defined_.erase(*var);
       }
       return;
     }
@@ -297,14 +313,13 @@ class TclLinter {
     if (name == "incr") {
       if (args < 1 || args > 2) {
         wrong_arity(command, "incr varName ?increment?");
-      } else if (is_static(command.words[1])) {
-        defined_.insert(command.words[1].text);
+      } else if (target != nullptr) {
+        defined_.insert(*target);
       }
       return;
     }
-    if ((name == "append" || name == "lappend") && args >= 1 &&
-        is_static(command.words[1])) {
-      defined_.insert(command.words[1].text);
+    if ((name == "append" || name == "lappend") && target != nullptr) {
+      defined_.insert(*target);
       return;
     }
 
@@ -329,11 +344,9 @@ class TclLinter {
         return;
       }
       const WordNode& cond = words[i];
-      check_refs_in(cond.text, cond.line);  // conditions are always substituted
+      check_substitution(cond);  // conditions are always substituted
       std::size_t body = i + 1;
-      if (body < words.size() && is_static(words[body]) && words[body].text == "then") {
-        ++body;
-      }
+      if (is_keyword(words[body], "then")) ++body;
       if (body >= words.size()) {
         wrong_arity(command, "if cond body ?elseif cond body ...? ?else body?");
         return;
@@ -356,11 +369,11 @@ class TclLinter {
 
       std::size_t next = body + 1;
       if (next >= words.size()) break;
-      if (is_static(words[next]) && words[next].text == "elseif") {
+      if (is_keyword(words[next], "elseif")) {
         i = next + 1;
         continue;
       }
-      if (is_static(words[next]) && words[next].text == "else") {
+      if (is_keyword(words[next], "else")) {
         if (next + 1 >= words.size()) {
           wrong_arity(command, "if cond body ?elseif cond body ...? ?else body?");
           return;
@@ -392,7 +405,7 @@ class TclLinter {
     }
     const WordNode& cond = command.words[1];
     const WordNode& body = command.words[2];
-    check_refs_in(cond.text, cond.line);
+    check_substitution(cond);
     const std::optional<double> value = static_number(cond);
     if (value && *value == 0.0) {
       add(Severity::kWarning, "tcl-dead-branch", cond.line,
@@ -408,7 +421,7 @@ class TclLinter {
       return;
     }
     lint_script_word(command.words[1]);  // init runs unconditionally
-    check_refs_in(command.words[2].text, command.words[2].line);
+    check_substitution(command.words[2]);
     collect_defs(command.words[3]);
     collect_defs(command.words[4]);
     lint_script_word(command.words[4]);
@@ -420,8 +433,7 @@ class TclLinter {
       wrong_arity(command, "foreach varName list body");
       return;
     }
-    check_refs(command.words[2]);
-    if (is_static(command.words[1])) defined_.insert(command.words[1].text);
+    if (const std::string* var = literal(command.words[1])) defined_.insert(*var);
     collect_defs(command.words[3]);
     lint_script_word(command.words[3]);
   }
@@ -431,12 +443,14 @@ class TclLinter {
       wrong_arity(command, "proc name args body");
       return;
     }
-    if (is_static(command.words[1])) known_commands_.insert(command.words[1].text);
+    if (const std::string* proc = literal(command.words[1])) known_commands_.insert(*proc);
     // Flat scoping (see interp.cpp): the body sees globals, and formals are
     // bound as ordinary variables.
-    for (const auto& formal : util::split(command.words[2].text, ' ')) {
-      const std::string trimmed{util::trim(formal)};
-      if (!trimmed.empty()) defined_.insert(trimmed);
+    if (const std::string* formals = literal(command.words[2])) {
+      for (const auto& formal : util::split(*formals, ' ')) {
+        const std::string trimmed{util::trim(formal)};
+        if (!trimmed.empty()) defined_.insert(trimmed);
+      }
     }
     lint_script_word(command.words[3]);
   }
@@ -447,13 +461,13 @@ class TclLinter {
       return;
     }
     lint_script_word(command.words[1]);
-    if (command.words.size() == 3 && is_static(command.words[2])) {
-      defined_.insert(command.words[2].text);
+    if (command.words.size() == 3) {
+      if (const std::string* var = literal(command.words[2])) defined_.insert(*var);
     }
   }
 
   void lint_tool_command(const CommandNode& command, const FlagTable& table) {
-    const std::string& name = command.words[0].text;
+    const std::string& name = command.words[0].literal();
     std::vector<std::string> seen_flags;
     std::size_t positionals = 0;
 
@@ -462,34 +476,33 @@ class TclLinter {
 
     for (std::size_t i = 1; i < command.words.size(); ++i) {
       const WordNode& word = command.words[i];
-      const bool flag_like = is_static(word) && !word.text.empty() &&
-                             word.text[0] == '-' &&
-                             word.kind != WordNode::Kind::kBraced;
-      if (!flag_like) {
+      const std::string* flag = literal(word);
+      if (flag == nullptr || flag->empty() || (*flag)[0] != '-' ||
+          word.kind == WordNode::Kind::kBraced) {
         ++positionals;
         continue;
       }
       const bool is_value =
-          std::find(table.value_flags.begin(), table.value_flags.end(), word.text) !=
+          std::find(table.value_flags.begin(), table.value_flags.end(), *flag) !=
           table.value_flags.end();
       const bool is_bool =
-          std::find(table.bool_flags.begin(), table.bool_flags.end(), word.text) !=
+          std::find(table.bool_flags.begin(), table.bool_flags.end(), *flag) !=
           table.bool_flags.end();
       if (!is_value && !is_bool) {
-        const std::string suggestion = util::closest_match(word.text, all_flags);
+        const std::string suggestion = util::closest_match(*flag, all_flags);
         add(Severity::kError, "tcl-unknown-flag", word.line,
-            "unknown flag '" + word.text + "' for '" + name + "'",
+            "unknown flag '" + *flag + "' for '" + name + "'",
             suggestion.empty() ? std::string() : "did you mean '" + suggestion + "'?");
         continue;
       }
-      seen_flags.push_back(word.text);
+      seen_flags.push_back(*flag);
       if (is_value) {
         if (i + 1 >= command.words.size()) {
           add(Severity::kError, "tcl-missing-arg", word.line,
-              "flag '" + word.text + "' of '" + name + "' expects a value");
+              "flag '" + *flag + "' of '" + name + "' expects a value");
         } else {
           ++i;  // consume the value (refs were already checked above)
-          if (word.text == "-directive") check_directive(name, command.words[i]);
+          if (*flag == "-directive") check_directive(name, command.words[i]);
         }
       }
     }
@@ -516,13 +529,14 @@ class TclLinter {
   }
 
   void check_directive(const std::string& command, const WordNode& value) {
-    if (!is_static(value)) return;  // dynamic directive: cannot judge
+    const std::string* directive = literal(value);
+    if (directive == nullptr) return;  // dynamic directive: cannot judge
     for (const auto& known : known_directives()) {
-      if (util::iequals(value.text, known)) return;
+      if (util::iequals(*directive, known)) return;
     }
-    const std::string suggestion = util::closest_match(value.text, known_directives());
+    const std::string suggestion = util::closest_match(*directive, known_directives());
     add(Severity::kWarning, "tcl-unknown-directive", value.line,
-        "unknown directive '" + value.text + "' for '" + command +
+        "unknown directive '" + *directive + "' for '" + command +
             "' silently behaves as Default",
         suggestion.empty() ? std::string() : "did you mean '" + suggestion + "'?");
   }
@@ -533,6 +547,7 @@ class TclLinter {
   std::set<std::string> defined_;
   std::set<std::string> known_commands_;
   bool synth_done_ = false;
+  int depth_ = 0;  ///< nesting of the script being linted
 };
 
 }  // namespace

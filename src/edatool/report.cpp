@@ -43,32 +43,6 @@ std::string UtilizationReport::to_text() const {
   return out;
 }
 
-std::optional<UtilizationReport> UtilizationReport::parse(std::string_view text) {
-  UtilizationReport report;
-  for (const auto& line : util::split(text, '\n')) {
-    const std::string_view trimmed = util::trim(line);
-    if (trimmed.size() < 2 || trimmed.front() != '|') continue;
-    auto cells = util::split(trimmed.substr(1, trimmed.size() - 2), '|');
-    if (cells.size() != 4) continue;
-    UtilizationRow row;
-    row.site_type = std::string(util::trim(cells[0]));
-    if (row.site_type == "Site Type") continue;  // header
-    long long used = 0;
-    long long avail = 0;
-    double pct = 0.0;
-    if (!util::parse_int(cells[1], used) || !util::parse_int(cells[2], avail) ||
-        !util::parse_double(cells[3], pct)) {
-      continue;
-    }
-    row.used = used;
-    row.available = avail;
-    row.util_percent = pct;
-    report.rows.push_back(std::move(row));
-  }
-  if (report.rows.empty()) return std::nullopt;
-  return report;
-}
-
 UtilizationReport::Checked UtilizationReport::parse_checked(std::string_view text) {
   Checked out;
   enum class State { kBeforeTable, kAfterHeader, kInRows, kDone };
@@ -142,38 +116,6 @@ std::string TimingReport::to_text() const {
   out += util::format("  Logic Levels:     %d\n", logic_levels);
   out += util::format("  Path Group:       %s\n", path_group.c_str());
   return out;
-}
-
-std::optional<TimingReport> TimingReport::parse(std::string_view text) {
-  TimingReport report;
-  bool saw_slack = false;
-  bool saw_req = false;
-  for (const auto& line : util::split(text, '\n')) {
-    const std::string_view trimmed = util::trim(line);
-    if (util::starts_with(trimmed, "Slack")) {
-      const auto colon = trimmed.find(':');
-      if (colon == std::string_view::npos) continue;
-      std::string_view value = util::trim(trimmed.substr(colon + 1));
-      const auto ns = value.find("ns");
-      if (ns != std::string_view::npos) value = value.substr(0, ns);
-      if (util::parse_double(value, report.slack_ns)) saw_slack = true;
-    } else if (util::starts_with(trimmed, "Requirement:")) {
-      std::string v = util::replace_all(trimmed.substr(12), "ns", "");
-      if (util::parse_double(v, report.requirement_ns)) saw_req = true;
-    } else if (util::starts_with(trimmed, "Data Path Delay:")) {
-      std::string v = util::replace_all(trimmed.substr(16), "ns", "");
-      (void)util::parse_double(v, report.data_path_ns);
-    } else if (util::starts_with(trimmed, "Logic Levels:")) {
-      long long levels = 0;
-      if (util::parse_int(trimmed.substr(13), levels)) {
-        report.logic_levels = static_cast<int>(levels);
-      }
-    } else if (util::starts_with(trimmed, "Path Group:")) {
-      report.path_group = std::string(util::trim(trimmed.substr(11)));
-    }
-  }
-  if (!saw_slack || !saw_req) return std::nullopt;
-  return report;
 }
 
 TimingReport::Checked TimingReport::parse_checked(std::string_view text) {

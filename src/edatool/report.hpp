@@ -36,22 +36,18 @@ struct UtilizationReport {
   /// Render in Vivado's +----+ table style.
   [[nodiscard]] std::string to_text() const;
 
-  /// Parse a report produced by to_text (or a real Vivado report limited to
-  /// the summary table). std::nullopt when no table is found.
-  [[nodiscard]] static std::optional<UtilizationReport> parse(std::string_view text);
-
-  /// Outcome of a checked parse: `attempted` is true when the text contains
-  /// a utilization table at all; `error` carries the diagnostic when an
+  /// Outcome of a parse: `attempted` is true when the text contains a
+  /// utilization table at all; `error` carries the diagnostic when an
   /// attempted parse fails (truncated table, garbled rows, interleaved
-  /// output). A truncated or corrupt report must fail loudly here — the
-  /// lenient parse() would silently drop rows and downstream metric lookups
-  /// would read as zero. (Defined after the class: it holds an optional of
-  /// the then-complete report type.)
+  /// output). A truncated or corrupt report must fail loudly: a dropped row
+  /// would make downstream metric lookups read as zero. (Defined after the
+  /// class: it holds an optional of the then-complete report type.)
   struct Checked;
 
-  /// Strict parse with diagnostics: requires an intact table (header,
-  /// >= 1 well-formed row, closing border) and rejects malformed or
-  /// interleaved lines inside it.
+  /// Parse a report produced by to_text (or a real Vivado report limited to
+  /// the summary table): requires an intact table (header, >= 1 well-formed
+  /// row, closing border) and rejects malformed or interleaved lines inside
+  /// it.
   [[nodiscard]] static Checked parse_checked(std::string_view text);
 };
 
@@ -74,10 +70,8 @@ struct TimingReport {
   /// Render in a Vivado-like "Slack (MET/VIOLATED)" layout.
   [[nodiscard]] std::string to_text() const;
 
-  /// Parse a report produced by to_text. std::nullopt on malformed text.
-  [[nodiscard]] static std::optional<TimingReport> parse(std::string_view text);
-
-  /// Checked parse (see UtilizationReport::Checked): requires Slack,
+  /// Parse a report produced by to_text (see UtilizationReport::Checked):
+  /// requires Slack,
   /// Requirement and Data Path Delay to all be present and numeric, and
   /// names the offending field in `error` otherwise — a timing report
   /// missing its delay line must not come back as delay_ns == 0.

@@ -8,189 +8,263 @@ namespace {
 
 bool is_word_end(char c) { return c == ' ' || c == '\t' || c == '\r'; }
 bool is_command_end(char c) { return c == '\n' || c == ';'; }
+bool is_name_char(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == ':';
+}
 
-struct Cursor {
-  std::string_view text;
-  std::size_t pos = 0;
-  int line = 1;
+class Parser {
+ public:
+  Parser(std::string_view text, int first_line, int level)
+      : text_(text), line_(first_line), level_(level) {}
 
-  [[nodiscard]] bool done() const { return pos >= text.size(); }
+  ScriptNode script() {
+    while (!done() && out_.ok) {
+      while (!done() && (is_word_end(peek()) || is_command_end(peek()))) next();
+      if (done()) break;
+      if (peek() == '#') {  // comment at command position
+        while (!done() && peek() != '\n') {
+          if (peek() == '\\' && peek(1) == '\n') next();
+          next();
+        }
+        continue;
+      }
+      CommandNode command;
+      command.line = line_;
+      while (!done() && out_.ok) {
+        while (!done() && is_word_end(peek())) next();
+        if (done()) break;
+        if (is_command_end(peek())) {
+          next();
+          break;
+        }
+        if (peek() == '\\' && peek(1) == '\n') {  // continuation between words
+          next();
+          next();
+          continue;
+        }
+        command.words.push_back(word());
+      }
+      if (!command.words.empty() || !out_.ok) out_.commands.push_back(std::move(command));
+    }
+    return std::move(out_);
+  }
+
+  ScriptNode substitution() {
+    WordNode word;
+    word.line = line_;
+    while (!done() && out_.ok) {
+      if (peek() == '$') {
+        dollar(word);
+      } else if (peek() == '[') {
+        bracket(word, /*raw=*/true);
+      } else {
+        append(word, next());
+      }
+    }
+    CommandNode command;
+    command.line = word.line;
+    command.words.push_back(std::move(word));
+    out_.commands.push_back(std::move(command));
+    return std::move(out_);
+  }
+
+ private:
+  [[nodiscard]] bool done() const { return pos_ >= text_.size(); }
   [[nodiscard]] char peek(std::size_t ahead = 0) const {
-    return pos + ahead < text.size() ? text[pos + ahead] : '\0';
+    return pos_ + ahead < text_.size() ? text_[pos_ + ahead] : '\0';
   }
   char next() {
-    const char c = text[pos++];
-    if (c == '\n') ++line;
+    const char c = text_[pos_++];
+    if (c == '\n') ++line_;
     return c;
   }
+
+  void fail(std::string message, int line) {
+    out_.ok = false;
+    out_.error = std::move(message);
+    out_.error_line = line;
+  }
+
+  /// Append a literal character, merging it into a trailing text part.
+  static void append(WordNode& word, char c) {
+    if (word.parts.empty() || word.parts.back().kind != WordPart::Kind::kText) {
+      word.parts.push_back({WordPart::Kind::kText, {}, nullptr});
+    }
+    word.parts.back().text.push_back(c);
+  }
+
+  WordNode word() {
+    WordNode word;
+    word.line = line_;
+    const std::size_t start = pos_;
+    if (peek() == '{') {
+      word.kind = WordNode::Kind::kBraced;
+      braced(word);
+      word.text = std::string(text_.substr(start + 1, pos_ - start - (out_.ok ? 2 : 1)));
+    } else if (peek() == '"') {
+      word.kind = WordNode::Kind::kQuoted;
+      quoted(word);
+      word.text = std::string(text_.substr(start + 1, pos_ - start - (out_.ok ? 2 : 1)));
+    } else {
+      bare(word);
+      word.text = std::string(text_.substr(start, pos_ - start));
+    }
+    return word;
+  }
+
+  void braced(WordNode& word) {
+    const int open_line = line_;
+    next();  // '{'
+    std::string value;
+    int depth = 1;
+    while (!done()) {
+      const char ch = next();
+      if (ch == '\\' && !done()) {
+        if (peek() == '\n') {  // continuation: a space even inside braces
+          next();
+          value.push_back(' ');
+          continue;
+        }
+        value.push_back(ch);
+        value.push_back(next());
+        continue;
+      }
+      if (ch == '{') ++depth;
+      if (ch == '}' && --depth == 0) {
+        word.parts.push_back({WordPart::Kind::kText, std::move(value), nullptr});
+        return;
+      }
+      value.push_back(ch);
+    }
+    fail("missing close-brace", open_line);
+  }
+
+  void quoted(WordNode& word) {
+    const int open_line = line_;
+    next();  // '"'
+    while (!done() && peek() != '"' && out_.ok) {
+      if (peek() == '$') {
+        dollar(word);
+      } else if (peek() == '[') {
+        bracket(word, /*raw=*/false);
+      } else if (peek() == '\\') {
+        next();
+        escape(word);
+      } else {
+        append(word, next());
+      }
+    }
+    if (!out_.ok) return;
+    if (done()) {
+      fail("missing close-quote", open_line);
+      return;
+    }
+    next();
+  }
+
+  void bare(WordNode& word) {
+    while (!done() && !is_word_end(peek()) && !is_command_end(peek()) && out_.ok) {
+      if (peek() == '$') {
+        dollar(word);
+      } else if (peek() == '[') {
+        bracket(word, /*raw=*/false);
+      } else if (peek() == '\\') {
+        next();
+        if (peek() == '\n') {  // continuation ends the word
+          next();
+          return;
+        }
+        escape(word);
+      } else {
+        append(word, next());
+      }
+    }
+  }
+
+  /// Decode the escape after a backslash (already consumed).
+  void escape(WordNode& word) {
+    const char ch = done() ? '\0' : next();
+    switch (ch) {
+      case 'n': append(word, '\n'); return;
+      case 't': append(word, '\t'); return;
+      case 'r': append(word, '\r'); return;
+      case '\n':  // continuation: one space for the newline and what indents it
+        while (!done() && (peek() == ' ' || peek() == '\t')) next();
+        append(word, ' ');
+        return;
+      case '\0': append(word, '\\'); return;
+      default: append(word, ch); return;
+    }
+  }
+
+  void dollar(WordNode& word) {
+    const int dollar_line = line_;
+    next();  // '$'
+    std::string name;
+    if (peek() == '{') {
+      next();
+      while (!done() && peek() != '}') name.push_back(next());
+      if (done()) {
+        fail("missing close-brace for variable name", dollar_line);
+        return;
+      }
+      next();
+    } else {
+      while (!done() && is_name_char(peek())) name.push_back(next());
+      if (name.empty()) {
+        append(word, '$');
+        return;
+      }
+    }
+    word.parts.push_back({WordPart::Kind::kVar, std::move(name), nullptr});
+  }
+
+  /// `[...]`: find the balancing `]` (in a script a backslash escapes the
+  /// next character; in raw substitution text it does not), then parse the
+  /// contents as a nested script.
+  void bracket(WordNode& word, bool raw) {
+    const int open_line = line_;
+    next();  // '['
+    const std::size_t start = pos_;
+    int depth = 1;
+    while (!done()) {
+      const char ch = next();
+      if (ch == '\\' && !raw && !done()) {
+        next();
+        continue;
+      }
+      if (ch == '[') ++depth;
+      if (ch == ']' && --depth == 0) break;
+    }
+    if (depth != 0) {
+      fail("missing close-bracket", open_line);
+      return;
+    }
+    if (level_ + 1 > kMaxDepth) {
+      fail("too many nested evaluations", open_line);
+      return;
+    }
+    auto nested = std::make_shared<ScriptNode>(
+        Parser(text_.substr(start, pos_ - 1 - start), open_line, level_ + 1).script());
+    word.parts.push_back({WordPart::Kind::kScript, {}, std::move(nested)});
+  }
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+  int line_;
+  int level_;  ///< nesting level of the script being parsed (root = 1)
+  ScriptNode out_;
 };
 
 }  // namespace
 
 ScriptNode parse_script(std::string_view text, int first_line) {
-  ScriptNode script;
-  Cursor c{text, 0, first_line};
-
-  auto fail = [&](std::string message, int line) {
-    script.ok = false;
-    script.error = std::move(message);
-    script.error_line = line;
-  };
-
-  while (!c.done() && script.ok) {
-    while (!c.done() && (is_word_end(c.peek()) || is_command_end(c.peek()))) c.next();
-    if (c.done()) break;
-    if (c.peek() == '#') {  // comment at command position
-      while (!c.done() && c.peek() != '\n') {
-        if (c.peek() == '\\' && c.peek(1) == '\n') c.next();
-        c.next();
-      }
-      continue;
-    }
-
-    CommandNode command;
-    command.line = c.line;
-    bool command_done = false;
-    while (!c.done() && !command_done && script.ok) {
-      while (!c.done() && is_word_end(c.peek())) c.next();
-      if (c.done()) break;
-      if (is_command_end(c.peek())) {
-        c.next();
-        break;
-      }
-      if (c.peek() == '\\' && c.peek(1) == '\n') {
-        c.next();
-        c.next();
-        continue;
-      }
-
-      WordNode word;
-      word.line = c.line;
-      if (c.peek() == '{') {
-        word.kind = WordNode::Kind::kBraced;
-        const int open_line = c.line;
-        c.next();
-        int depth = 1;
-        while (!c.done()) {
-          if (c.peek() == '\\' && c.pos + 1 < c.text.size()) {
-            word.text.push_back(c.next());
-            word.text.push_back(c.next());
-            continue;
-          }
-          const char ch = c.next();
-          if (ch == '{') ++depth;
-          if (ch == '}') {
-            if (--depth == 0) break;
-          }
-          word.text.push_back(ch);
-        }
-        if (depth != 0) {
-          fail("missing close-brace", open_line);
-          break;
-        }
-      } else if (c.peek() == '"') {
-        word.kind = WordNode::Kind::kQuoted;
-        const int open_line = c.line;
-        c.next();
-        while (!c.done() && c.peek() != '"') {
-          if (c.peek() == '\\' && c.pos + 1 < c.text.size()) {
-            word.text.push_back(c.next());
-            word.text.push_back(c.next());
-            continue;
-          }
-          word.text.push_back(c.next());
-        }
-        if (c.done()) {
-          fail("missing close-quote", open_line);
-          break;
-        }
-        c.next();
-      } else if (c.peek() == '[') {
-        word.kind = WordNode::Kind::kBracket;
-        const int open_line = c.line;
-        c.next();
-        int depth = 1;
-        while (!c.done()) {
-          if (c.peek() == '\\' && c.pos + 1 < c.text.size()) {
-            word.text.push_back(c.next());
-            word.text.push_back(c.next());
-            continue;
-          }
-          const char ch = c.next();
-          if (ch == '[') ++depth;
-          if (ch == ']') {
-            if (--depth == 0) break;
-          }
-          word.text.push_back(ch);
-        }
-        if (depth != 0) {
-          fail("missing close-bracket", open_line);
-          break;
-        }
-        // A bracket word may have a bare tail (`[cmd]suffix`); keep it as
-        // part of the text so the linter still sees the substitution.
-        while (!c.done() && !is_word_end(c.peek()) && !is_command_end(c.peek())) {
-          word.text.push_back(c.next());
-        }
-      } else {
-        word.kind = WordNode::Kind::kBare;
-        while (!c.done() && !is_word_end(c.peek()) && !is_command_end(c.peek())) {
-          if (c.peek() == '\\' && c.peek(1) == '\n') {
-            c.next();
-            c.next();
-            command_done = false;
-            break;
-          }
-          if (c.peek() == '\\' && c.pos + 1 < c.text.size()) {
-            word.text.push_back(c.next());
-            word.text.push_back(c.next());
-            continue;
-          }
-          word.text.push_back(c.next());
-        }
-      }
-      command.words.push_back(std::move(word));
-    }
-    if (!command.words.empty()) script.commands.push_back(std::move(command));
-  }
-  return script;
+  return Parser(text, first_line, 1).script();
 }
 
-std::vector<std::string> extract_var_refs(std::string_view text) {
-  std::vector<std::string> refs;
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    if (text[i] == '\\') {  // escaped character — not a reference
-      ++i;
-      continue;
-    }
-    if (text[i] != '$') continue;
-    std::size_t j = i + 1;
-    std::string name;
-    if (j < text.size() && text[j] == '{') {
-      ++j;
-      while (j < text.size() && text[j] != '}') name.push_back(text[j++]);
-    } else {
-      while (j < text.size() &&
-             (std::isalnum(static_cast<unsigned char>(text[j])) || text[j] == '_' ||
-              text[j] == ':')) {
-        name.push_back(text[j++]);
-      }
-    }
-    if (!name.empty()) refs.push_back(name);
-    i = j > i ? j - 1 : i;
-  }
-  return refs;
-}
-
-bool has_command_subst(std::string_view text) {
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    if (text[i] == '\\') {
-      ++i;
-      continue;
-    }
-    if (text[i] == '[') return true;
-  }
-  return false;
+ScriptNode parse_substitution(std::string_view text, int first_line) {
+  // The text itself is not a script: its brackets are the first level.
+  return Parser(text, first_line, 0).substitution();
 }
 
 }  // namespace dovado::tcl

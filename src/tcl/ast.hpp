@@ -1,31 +1,74 @@
-// A structural AST for the mini-TCL dialect (see interp.hpp).
+// The one parser of the mini-TCL dialect (see interp.hpp).
 //
-// The interpreter parses scripts on the fly while executing them; the TCL
-// lint analyzer (src/analysis/tcl_lint) needs the same parse *without* the
-// side effects. parse_script applies the identical word rules — braces,
-// quotes, bracket substitution, backslash-newline continuation, comments —
-// but produces a command list instead of running anything. Braced words are
-// kept as raw text (TCL's "everything is a string": bodies of if/while/proc
-// are re-parsed by whoever evaluates them, and the linter does the same).
+// parse_script turns script text into commands, words and word parts. The
+// interpreter executes that tree (compiling each distinct text once, see
+// Interp) and the TCL lint analyzer (src/analysis/tcl_lint) reads the same
+// tree, so the two cannot disagree on where a word or a substitution ends.
+//
+// Word rules: words are separated by spaces, tabs and carriage returns and
+// commands by newlines and semicolons; `#` at command position starts a
+// comment; backslash-newline continues a line. A braced word is literal
+// (braces nest, backslash-newline becomes a space). A bare or quoted word is
+// split into parts: literal text with backslash escapes decoded, `$name` /
+// `${name}` variable references, and `[...]` command substitutions. A
+// bracket ends at the first `]` that balances the `[`s before it (only
+// backslashes escape), and its contents are parsed as a nested script where
+// it appears; nesting deeper than kMaxDepth is a syntax error (`too many
+// nested evaluations`). Braced words stay text: bodies of if/while/proc are
+// scripts only for the command that runs them, which parses them in turn.
+//
+// A syntax error stops the parse where it is found. The commands before it
+// are complete; the last command holds the words (and the parts of a
+// cut-short word) parsed before the error. Executing such a script runs the
+// complete commands, substitutes what was parsed of the broken one, and
+// then raises the error, the order in which an on-the-fly parser meets them.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace dovado::tcl {
 
-/// One word of a command, classified by its quoting.
+/// Deepest nesting of script evaluations (and of `[...]` in one text).
+inline constexpr int kMaxDepth = 64;
+
+struct ScriptNode;
+
+/// One piece of a bare or quoted word; parts are substituted left to right.
+struct WordPart {
+  enum class Kind {
+    kText,    ///< literal text, backslash escapes already decoded
+    kVar,     ///< `$name` or `${name}`; `text` is the name
+    kScript,  ///< `[...]`; `script` is the parsed contents
+  };
+  Kind kind = Kind::kText;
+  std::string text;
+  std::shared_ptr<const ScriptNode> script;
+};
+
+/// One word of a command.
 struct WordNode {
   enum class Kind {
-    kBare,     ///< unquoted; $var and [cmd] substitution applies
-    kQuoted,   ///< "..." with substitution
-    kBraced,   ///< {...} literal (no substitution at parse level)
-    kBracket,  ///< [script] — the whole word is a command substitution
+    kBare,    ///< unquoted; $var and [cmd] substitution applies
+    kQuoted,  ///< "..." with substitution
+    kBraced,  ///< {...} literal: one text part
   };
   Kind kind = Kind::kBare;
-  std::string text;  ///< raw contents (quotes/braces/brackets stripped)
+  std::string text;  ///< raw source between the delimiters
+  std::vector<WordPart> parts;  ///< adjacent text is merged into one part
   int line = 1;
+
+  /// True when the word's value is known without running anything.
+  [[nodiscard]] bool is_literal() const {
+    return parts.empty() || (parts.size() == 1 && parts[0].kind == WordPart::Kind::kText);
+  }
+  /// The value of a literal word.
+  [[nodiscard]] const std::string& literal() const {
+    static const std::string kEmpty;
+    return parts.empty() ? kEmpty : parts[0].text;
+  }
 };
 
 /// One command: words[0] is the command name.
@@ -34,8 +77,9 @@ struct CommandNode {
   int line = 1;
 };
 
-/// A parsed script. `ok` is false on unbalanced syntax (the error carries
-/// the line of the unterminated construct).
+/// A parsed script. When `ok` is false, `error` is the message the
+/// interpreter raises, `error_line` the line of the construct left open, and
+/// the last command is the one the error cut short (see the file comment).
 struct ScriptNode {
   std::vector<CommandNode> commands;
   bool ok = true;
@@ -46,10 +90,12 @@ struct ScriptNode {
 /// Parse a script into commands without evaluating anything.
 [[nodiscard]] ScriptNode parse_script(std::string_view text, int first_line = 1);
 
-/// Extract `$name` / `${name}` variable references from word text.
-[[nodiscard]] std::vector<std::string> extract_var_refs(std::string_view text);
-
-/// True when the text contains a `[...]` command substitution.
-[[nodiscard]] bool has_command_subst(std::string_view text);
+/// Parse text for one round of substitution, as expr/if/while/for apply it to
+/// their (already substituted) condition: the whole text is one bare word
+/// (its only command) with `$` and `[...]` parts. Unlike in a script,
+/// whitespace and separators are literal, backslashes are literal, and a
+/// bracket ends at the first balancing `]` even after a backslash. Errors are
+/// reported as for parse_script.
+[[nodiscard]] ScriptNode parse_substitution(std::string_view text, int first_line = 1);
 
 }  // namespace dovado::tcl

@@ -18,6 +18,7 @@
 #include "src/analysis/space_lint.hpp"
 #include "src/analysis/tcl_lint.hpp"
 #include "src/hdl/frontend.hpp"
+#include "src/tcl/interp.hpp"
 
 namespace dovado::analysis {
 namespace {
@@ -134,6 +135,51 @@ TEST(TclDefectCorpus, TyposGetDidYouMeanNotes) {
   ASSERT_TRUE(unknown_flag.has("tcl-unknown-flag"));
   EXPECT_NE(unknown_flag.diagnostics.front().note.find("-directive"),
             std::string::npos);
+}
+
+// --- the linter and the interpreter share one parser ----------------------
+
+TEST(TclLintAgreesWithInterp, SubstitutionInsideWordsIsClean) {
+  const std::string text = read_file(fixture_path("clean_subst.tcl"));
+  LintReport report;
+  lint_tcl_script(text, "clean_subst.tcl", {}, report);
+  for (const auto& diag : report.diagnostics) {
+    ADD_FAILURE() << diag.rule_id << " at line " << diag.loc.line << ": " << diag.message;
+  }
+  tcl::Interp in;
+  const tcl::EvalResult result = in.eval(text);
+  ASSERT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(in.output(), std::vector<std::string>{"a3 v=2 37 a btailc d"});
+}
+
+TEST(TclLintAgreesWithInterp, NonNumericLiteralConditionIsNotStatic) {
+  // `true` is no expr operand: the interpreter fails on it at run time, and
+  // the linter must not evaluate it statically (it used to throw out of
+  // lint_tcl_script).
+  LintReport report;
+  EXPECT_NO_THROW(lint_tcl_script("if {true} {puts a}\n", "cond.tcl", {}, report));
+  EXPECT_TRUE(report.diagnostics.empty());
+}
+
+TEST(TclLintAgreesWithInterp, DeepNestingIsAParseErrorNotACrash) {
+  // `set x [set y [set y ... 1]]`, 100,000 levels deep.
+  constexpr int kLevels = 100000;
+  std::string text = "set x ";
+  for (int i = 0; i < kLevels; ++i) text += "[set y ";
+  text += "1";
+  text.append(kLevels, ']');
+  LintReport report;
+  lint_tcl_script(text, "deep.tcl", {}, report);
+  expect_only_rule(report, "tcl-parse-error");
+  EXPECT_EQ(report.diagnostics.front().message, "too many nested evaluations");
+
+  // Nested bodies recurse in the linter too; they stop at the same bound.
+  std::string bodies;
+  for (int i = 0; i < kLevels; ++i) bodies += "if 1 {";
+  bodies.append(kLevels, '}');
+  LintReport body_report;
+  lint_tcl_script(bodies, "deep_bodies.tcl", {}, body_report);
+  expect_only_rule(body_report, "tcl-parse-error");
 }
 
 // --- clean corpus: zero false positives on shipped designs -----------------

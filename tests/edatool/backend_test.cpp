@@ -54,7 +54,7 @@ void add_clock_xdc(EdaBackend& backend) {
 
 std::int64_t used(const FlowOutcome& outcome, const std::string& site) {
   for (const auto& chunk : outcome.reports) {
-    if (auto report = UtilizationReport::parse(chunk)) return report->used(site);
+    if (auto report = UtilizationReport::parse_checked(chunk).report) return report->used(site);
   }
   return -1;
 }

@@ -86,16 +86,12 @@ TEST(CheckedUtilization, GarbageTextIsNotAttempted) {
   EXPECT_TRUE(util::contains(checked.error, "no utilization table")) << checked.error;
 }
 
-TEST(CheckedUtilization, LenientParseStillDropsBadRows) {
-  // Documents why parse_checked exists: the lenient parser keeps going past
-  // a garbled row, which downstream would read as a missing (zero) metric.
+TEST(CheckedUtilization, GarbledCountFailsInsteadOfReadingZero) {
+  // Skipping the garbled row would make the Slice LUTs lookup read zero.
   std::string text = sample_utilization().to_text();
   const auto pos = text.find("1200");
   ASSERT_NE(pos, std::string::npos);
   text.replace(pos, 4, "12#0");
-  const auto lenient = UtilizationReport::parse(text);
-  ASSERT_TRUE(lenient.has_value());
-  EXPECT_EQ(lenient->used("Slice LUTs"), 0);  // silently zero
   const auto checked = UtilizationReport::parse_checked(text);
   EXPECT_FALSE(checked.report.has_value());  // checked parse refuses
   EXPECT_FALSE(checked.error.empty());

@@ -27,7 +27,7 @@ TEST(UtilizationReport, ToTextLooksLikeVivado) {
 
 TEST(UtilizationReport, RoundTrip) {
   const auto original = sample_util();
-  const auto parsed = UtilizationReport::parse(original.to_text());
+  const auto parsed = UtilizationReport::parse_checked(original.to_text()).report;
   ASSERT_TRUE(parsed.has_value());
   ASSERT_EQ(parsed->rows.size(), original.rows.size());
   for (std::size_t i = 0; i < original.rows.size(); ++i) {
@@ -47,19 +47,18 @@ TEST(UtilizationReport, FindAndUsed) {
 }
 
 TEST(UtilizationReport, ParseRejectsGarbage) {
-  EXPECT_FALSE(UtilizationReport::parse("no table here").has_value());
-  EXPECT_FALSE(UtilizationReport::parse("").has_value());
+  EXPECT_FALSE(UtilizationReport::parse_checked("no table here").report.has_value());
+  EXPECT_FALSE(UtilizationReport::parse_checked("").report.has_value());
 }
 
-TEST(UtilizationReport, ParseSkipsMalformedRows) {
+TEST(UtilizationReport, ParseRejectsMalformedRows) {
   const std::string text =
       "| Site Type | Used | Available | Util% |\n"
       "| Slice LUTs | abc | 41000 | 3.01 |\n"
       "| Slice Registers | 10 | 82000 | 0.01 |\n";
-  const auto parsed = UtilizationReport::parse(text);
-  ASSERT_TRUE(parsed.has_value());
-  ASSERT_EQ(parsed->rows.size(), 1u);
-  EXPECT_EQ(parsed->rows[0].site_type, "Slice Registers");
+  const auto checked = UtilizationReport::parse_checked(text);
+  EXPECT_FALSE(checked.report.has_value());
+  EXPECT_TRUE(util::contains(checked.error, "malformed utilization row")) << checked.error;
 }
 
 TEST(TimingReport, ToTextShowsViolation) {
@@ -91,7 +90,7 @@ TEST(TimingReport, RoundTrip) {
   t.data_path_ns = 4.456;
   t.logic_levels = 7;
   t.path_group = "fetch_dispatch";
-  const auto parsed = TimingReport::parse(t.to_text());
+  const auto parsed = TimingReport::parse_checked(t.to_text()).report;
   ASSERT_TRUE(parsed.has_value());
   EXPECT_NEAR(parsed->requirement_ns, 1.0, 1e-9);
   EXPECT_NEAR(parsed->slack_ns, -3.456, 1e-9);
@@ -101,8 +100,8 @@ TEST(TimingReport, RoundTrip) {
 }
 
 TEST(TimingReport, ParseRejectsIncomplete) {
-  EXPECT_FALSE(TimingReport::parse("").has_value());
-  EXPECT_FALSE(TimingReport::parse("Requirement: 1.0ns").has_value());
+  EXPECT_FALSE(TimingReport::parse_checked("").report.has_value());
+  EXPECT_FALSE(TimingReport::parse_checked("Requirement: 1.0ns").report.has_value());
 }
 
 TEST(FmaxFormula, MatchesEquationOne) {

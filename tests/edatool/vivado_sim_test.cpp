@@ -132,11 +132,26 @@ report_timing
   bool found_util = false;
   bool found_timing = false;
   for (const auto& chunk : sim.interp().output()) {
-    if (UtilizationReport::parse(chunk)) found_util = true;
-    if (TimingReport::parse(chunk)) found_timing = true;
+    if (UtilizationReport::parse_checked(chunk).report) found_util = true;
+    if (TimingReport::parse_checked(chunk).report) found_timing = true;
   }
   EXPECT_TRUE(found_util);
   EXPECT_TRUE(found_timing);
+}
+
+TEST(VivadoSim, ReadXdcWithCrlfLineEndings) {
+  // A carriage return separates words like a space: the foreach below has
+  // three arguments, not a fourth "\r" after its body.
+  VivadoSim sim;
+  load_counter_files(sim);
+  sim.add_virtual_file("crlf.xdc",
+                       "create_clock -name clk -period 3.125 [get_ports clk]\r\n"
+                       "foreach port {clk rst} {\r\n"
+                       "  set_property IOSTANDARD LVCMOS33 [get_ports $port]\r\n"
+                       "}\r\n");
+  const auto r = sim.run_script("read_xdc {crlf.xdc}\r\n");
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(sim.period_ns(), 3.125);
 }
 
 TEST(VivadoSim, FullImplementationFlow) {
@@ -291,7 +306,7 @@ TEST(VivadoSim, UramReportedOnlyOnUramParts) {
                   .ok);
   bool has_uram_row = false;
   for (const auto& chunk : sim.interp().output()) {
-    if (auto rep = UtilizationReport::parse(chunk)) {
+    if (auto rep = UtilizationReport::parse_checked(chunk).report) {
       has_uram_row |= (rep->find("URAM") != nullptr);
     }
   }
@@ -305,7 +320,7 @@ TEST(VivadoSim, UramReportedOnlyOnUramParts) {
                   .ok);
   bool vu9p_has_uram = false;
   for (const auto& chunk : sim2.interp().output()) {
-    if (auto rep = UtilizationReport::parse(chunk)) {
+    if (auto rep = UtilizationReport::parse_checked(chunk).report) {
       vu9p_has_uram |= (rep->find("URAM") != nullptr);
     }
   }

@@ -205,6 +205,55 @@ TEST(TclInterp, RecursionGuard) {
   EXPECT_FALSE(in.eval("loop").ok);
 }
 
+TEST(TclInterp, CrlfLineEndings) {
+  // A carriage return separates words like a space, as the linter reads it.
+  Interp in;
+  EXPECT_EQ(eval_ok(in, "set x 5\r\nincr x\r\n"), "6");
+  EXPECT_EQ(in.get_var("x"), "6");
+}
+
+TEST(TclInterp, DeepBracketNestingHitsDepthLimit) {
+  // `set x [set y [set y ... 1]]`, 100,000 levels: the parser stops at the
+  // nesting bound instead of recursing, and the error is the runtime's.
+  constexpr int kLevels = 100000;
+  std::string script = "puts first; set x ";
+  for (int i = 0; i < kLevels; ++i) script += "[set y ";
+  script += "1";
+  script.append(kLevels, ']');
+  Interp in;
+  const auto r = in.eval(script);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.error, "too many nested evaluations");
+  EXPECT_EQ(in.output(), std::vector<std::string>{"first"});
+  EXPECT_FALSE(in.has_var("x"));
+}
+
+TEST(TclInterp, SyntaxErrorRunsEarlierCommandsAndPartsFirst) {
+  // Commands before the error run, the broken command's parsed parts are
+  // substituted in order, then the syntax error is raised.
+  Interp in;
+  const auto r = in.eval("puts a; set x \"b[puts c]$undefined\nputs d");
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.error, "can't read \"undefined\": no such variable");
+  EXPECT_EQ(in.output(), (std::vector<std::string>{"a", "c"}));
+
+  Interp quoted;
+  const auto unclosed = quoted.eval("puts a; set x \"b[puts c]\nputs d");
+  EXPECT_EQ(unclosed.error, "missing close-quote");
+  EXPECT_EQ(quoted.output(), (std::vector<std::string>{"a", "c"}));
+  EXPECT_FALSE(quoted.has_var("x"));
+}
+
+TEST(TclInterp, RepeatedScriptsSeeCurrentVariables) {
+  // A script is compiled once per text; each run still substitutes afresh.
+  Interp in;
+  const std::string script = "set out [expr {$n * 2}]";
+  for (int n = 0; n < 3; ++n) {
+    in.set_var("n", std::to_string(n));
+    EXPECT_EQ(eval_ok(in, script), std::to_string(2 * n));
+  }
+}
+
 TEST(TclEvalNumber, StaticHelper) {
   EXPECT_DOUBLE_EQ(Interp::eval_number("1 + 2"), 3.0);
   EXPECT_DOUBLE_EQ(Interp::eval_number("2 ** 3 ** 2"), 512.0);
