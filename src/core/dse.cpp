@@ -246,30 +246,7 @@ DseEngine::DseEngine(ProjectConfig project, DseConfig config)
     if (point.failed) seeded.error = "failed in a previous session";
     broker_->seed_cache(point.params, seeded);
     record(point.params, point.metrics, false, point.failed);
-    if (control_ && !point.failed) {
-      bool complete = true;
-      model::Values values;
-      values.reserve(config_.objectives.size());
-      for (const auto& obj : config_.objectives) {
-        if (point.metrics.values.count(obj.metric) == 0) {
-          complete = false;
-          break;
-        }
-        values.push_back(point.metrics.get(obj.metric));
-      }
-      // Points must also lie inside the current space to be usable as
-      // dataset coordinates.
-      bool in_space = true;
-      for (const auto& spec : config_.space.params) {
-        if (point.params.count(spec.name) == 0) {
-          in_space = false;
-          break;
-        }
-      }
-      if (complete && in_space) {
-        control_->add_sample(to_model_point(point.params), std::move(values));
-      }
-    }
+    if (!point.failed) grow_dataset(point.params, point.metrics);
   }
 
   // Crash recovery: the broker seeds its cache from the journal (skipping
@@ -334,25 +311,12 @@ void DseEngine::run_probe_queue() {
       probe_queue_.push_front(std::move(point));
       return;
     }
-    {
-      util::MutexLock lock(stats_mutex_);
-      if (r.cache_hit) ++stats_.cache_hits;
-      else if (r.joined) ++stats_.single_flight_joins;
-      else if (!r.store_hit) ++stats_.tool_runs;  // store hits counted by the broker
-      if (!r.ok) ++stats_.failures;
-    }
+    tally(r);
     if (!r.ok) continue;  // breaker handles the re-trip; the point is not recorded
     // A probe success is a paid-for exact answer: record it (superseding
     // any hedged estimate for the point) and grow the dataset.
     record(point, r.metrics, false, false);
-    if (control_ && !r.cache_hit && !r.joined) {
-      model::Values values;
-      values.reserve(config_.objectives.size());
-      for (const auto& obj : config_.objectives) {
-        values.push_back(r.metrics.get(obj.metric));
-      }
-      control_->add_sample(to_model_point(point), values);
-    }
+    if (!r.cache_hit && !r.joined) grow_dataset(point, r.metrics);
   }
 }
 
@@ -361,31 +325,7 @@ void DseEngine::absorb_replayed(const std::vector<JournalRecord>& records) {
     record(rec.params, rec.metrics, false, !rec.ok);
     // Rebuild the approximation dataset the way the original run grew it,
     // so a resumed model-guided exploration makes the same decisions.
-    if (control_ && rec.ok) {
-      bool in_space = true;
-      for (const auto& spec : config_.space.params) {
-        if (rec.params.count(spec.name) == 0) {
-          in_space = false;
-          break;
-        }
-      }
-      bool complete = true;
-      model::Values values;
-      values.reserve(config_.objectives.size());
-      for (const auto& obj : config_.objectives) {
-        if (rec.metrics.values.count(obj.metric) == 0) {
-          complete = false;
-          break;
-        }
-        values.push_back(rec.metrics.get(obj.metric));
-      }
-      if (in_space && complete) {
-        model::Point coords = to_model_point(rec.params);
-        if (!control_->dataset().find_exact(coords)) {
-          control_->add_sample(std::move(coords), std::move(values));
-        }
-      }
-    }
+    if (rec.ok) grow_dataset(rec.params, rec.metrics);
   }
 }
 
@@ -466,7 +406,155 @@ model::Point DseEngine::to_model_point(const DesignPoint& point) const {
   return p;
 }
 
-void DseEngine::record(const DesignPoint& point, const EvalMetrics& metrics, bool estimated,
+bool DseEngine::has_objectives(const EvalMetrics& metrics) const {
+  return std::all_of(config_.objectives.begin(), config_.objectives.end(),
+                     [&](const Objective& obj) { return metrics.values.count(obj.metric) != 0; });
+}
+
+EvalMetrics DseEngine::estimate_metrics(const DesignPoint& point) const {
+  const model::Values est = control_->estimate(to_model_point(point));
+  EvalMetrics metrics;
+  for (std::size_t k = 0; k < config_.objectives.size(); ++k) {
+    metrics.values[config_.objectives[k].metric] = est[k];
+  }
+  return metrics;
+}
+
+std::optional<opt::Objectives> DseEngine::try_estimate(const DesignPoint& point) {
+  if (!control_) return std::nullopt;
+  // kCachedTool and kToolAndAdd both invoke the tool; the evaluation cache
+  // answers instantly for the former.
+  if (control_->decide_and_count(to_model_point(point)) != model::Decision::kEstimate) {
+    return std::nullopt;
+  }
+  const EvalMetrics metrics = estimate_metrics(point);
+  {
+    util::MutexLock lock(stats_mutex_);
+    ++stats_.estimates;
+  }
+  record(point, metrics, true, false);
+  return to_objectives(metrics);
+}
+
+void DseEngine::grow_dataset(const DesignPoint& point, const EvalMetrics& metrics) {
+  if (!control_ || !has_objectives(metrics)) return;
+  // Only points of the current space are usable coordinates, and each
+  // coordinate is a sample at most once: session, journal or store points
+  // that differ only in a parameter outside the space project onto the
+  // same coordinates.
+  for (const auto& spec : config_.space.params) {
+    if (point.count(spec.name) == 0) return;
+  }
+  model::Point coords = to_model_point(point);
+  if (control_->dataset().find_exact(coords)) return;
+  model::Values values;
+  values.reserve(config_.objectives.size());
+  for (const auto& obj : config_.objectives) values.push_back(metrics.get(obj.metric));
+  control_->add_sample(std::move(coords), std::move(values));
+}
+
+void DseEngine::tally(const EvalResult& r) {
+  util::MutexLock lock(stats_mutex_);
+  if (r.cache_hit) ++stats_.cache_hits;
+  else if (r.joined) ++stats_.single_flight_joins;
+  else if (!r.store_hit) ++stats_.tool_runs;  // store hits counted by the broker
+  if (!r.ok) ++stats_.failures;
+}
+
+DseEngine::Settled DseEngine::settle(const DesignPoint& point, const EvalResult& r,
+                                     const EvalResult* hedge) {
+  Settled out;
+  if (r.fast_failed) {
+    // Breaker open: the hi-fi backend was never touched, so no hi-fi tool
+    // seconds are billed. Score from the hedge answer when the analytic tier
+    // delivered one; the point is recorded estimated + approximate so front
+    // verification re-verifies it hi-fi once (if) the backend recovers.
+    if (hedge != nullptr && hedge->ok) {
+      out.objectives = to_objectives(hedge->metrics);
+      out.consumed = true;
+      if (!r.joined) {
+        util::MutexLock lock(stats_mutex_);
+        ++stats_.degraded_evals;
+      }
+      record(point, hedge->metrics, /*estimated=*/true, /*failed=*/false,
+             /*approximate=*/true);
+    } else {
+      // No hedge answer either: penalize but do not record — the point was
+      // never actually evaluated by anything.
+      out.objectives.assign(config_.objectives.size(), kFailurePenalty);
+      util::MutexLock lock(stats_mutex_);
+      ++stats_.failures;
+    }
+    return out;
+  }
+  out.consumed = true;
+  tally(r);
+  if (!r.ok) {
+    out.tell_cost = r.tool_seconds;
+    // Graceful degradation: a quarantined point (the tool kept failing,
+    // not a property of the design) is scored with an NWM estimate when
+    // the dataset can support one, instead of the +inf penalty that
+    // would punch a hole in the front.
+    if (r.quarantined && control_ && config_.approx_fallback_min_samples > 0 &&
+        control_->dataset().size() >= config_.approx_fallback_min_samples) {
+      const EvalMetrics metrics = estimate_metrics(point);
+      out.objectives = to_objectives(metrics);
+      {
+        util::MutexLock lock(stats_mutex_);
+        ++stats_.approx_fallbacks;
+      }
+      record(point, metrics, false, false, /*approximate=*/true);
+    } else {
+      out.objectives.assign(config_.objectives.size(), kFailurePenalty);
+      record(point, r.metrics, false, true);
+    }
+    return out;
+  }
+  out.objectives = to_objectives(r.metrics);
+  record(point, r.metrics, false, false);
+  // Only fresh runs grow the dataset and bill the asking searcher; cache
+  // hits, joins and store hits were already paid for.
+  const bool fresh = !r.cache_hit && !r.joined;
+  if (fresh) grow_dataset(point, r.metrics);
+  if (fresh && !r.store_hit) out.tell_cost = r.tool_seconds;
+  return out;
+}
+
+opt::Objectives DseEngine::settle_screen(const DesignPoint& point, const EvalMetrics& metrics) {
+  // The screen backend reports the same metric names, so objectives and
+  // derived metrics line up. Sticky screen-outs re-settle every time the
+  // search resamples the point; only the first settle counts.
+  if (record(point, metrics, true, false)) {
+    util::MutexLock lock(stats_mutex_);
+    ++stats_.screened_out;
+  }
+  return to_objectives(metrics);
+}
+
+bool DseEngine::should_stop() {
+  if (broker_->deadline_exceeded()) {
+    broker_->mark_deadline_hit();
+    return true;
+  }
+  return config_.ga.should_stop ? config_.ga.should_stop() : false;
+}
+
+std::vector<opt::Genome> DseEngine::seed_genomes(const std::vector<ExploredPoint>& points) const {
+  std::vector<opt::Genome> genomes;
+  std::vector<opt::Objectives> objs;
+  for (const auto& point : points) {
+    if (point.estimated || point.failed) continue;
+    auto genome = config_.space.encode(point.params);
+    if (!genome) continue;  // spaces may differ between sessions and campaigns
+    genomes.push_back(std::move(*genome));
+    objs.push_back(to_objectives(point.metrics));
+  }
+  std::vector<opt::Genome> seeds;
+  for (std::size_t i : opt::non_dominated_indices(objs)) seeds.push_back(genomes[i]);
+  return seeds;
+}
+
+bool DseEngine::record(const DesignPoint& point, const EvalMetrics& metrics, bool estimated,
                        bool failed, bool approximate) {
   util::MutexLock lock(record_mutex_);
   auto it = explored_index_.find(point);
@@ -484,10 +572,11 @@ void DseEngine::record(const DesignPoint& point, const EvalMetrics& metrics, boo
       explored_[it->second].failed = false;
       explored_[it->second].approximate = true;
     }
-    return;
+    return false;
   }
   explored_index_[point] = explored_.size();
   explored_.push_back(ExploredPoint{point, metrics, estimated, failed, approximate});
+  return true;
 }
 
 void DseEngine::pretrain() {
@@ -532,25 +621,10 @@ void DseEngine::pretrain() {
     {
       util::MutexLock lock(stats_mutex_);
       ++stats_.pretrain_runs;
+      if (!results[i].ok) ++stats_.failures;
     }
-    if (!results[i].ok) {
-      {
-        util::MutexLock lock(stats_mutex_);
-        ++stats_.failures;
-      }
-      record(points[i], results[i].metrics, false, true);
-      continue;
-    }
-    model::Point coords = to_model_point(points[i]);
-    if (!control_->dataset().find_exact(coords)) {
-      model::Values values;
-      values.reserve(config_.objectives.size());
-      for (const auto& obj : config_.objectives) {
-        values.push_back(results[i].metrics.get(obj.metric));
-      }
-      control_->add_sample(std::move(coords), std::move(values));
-    }
-    record(points[i], results[i].metrics, false, false);
+    record(points[i], results[i].metrics, false, !results[i].ok);
+    if (results[i].ok) grow_dataset(points[i], results[i].metrics);
   }
 }
 
@@ -652,27 +726,11 @@ std::size_t DseEngine::batch_evaluate(std::vector<opt::Individual>& individuals)
       ++stats_.ga_evaluations;
     }
     DesignPoint point = config_.space.decode(ind.genome);
-
-    if (control_) {
-      const model::Decision decision = control_->decide_and_count(to_model_point(point));
-      if (decision == model::Decision::kEstimate) {
-        const model::Values est = control_->estimate(to_model_point(point));
-        EvalMetrics metrics;
-        for (std::size_t k = 0; k < config_.objectives.size(); ++k) {
-          metrics.values[config_.objectives[k].metric] = est[k];
-        }
-        ind.objectives = to_objectives(metrics);
-        ind.evaluated = true;
-        ++scored;
-        {
-          util::MutexLock lock(stats_mutex_);
-          ++stats_.estimates;
-        }
-        record(point, metrics, true, false);
-        continue;
-      }
-      // kCachedTool and kToolAndAdd both invoke the tool; the evaluation
-      // cache answers instantly for the former.
+    if (auto estimate = try_estimate(point)) {
+      ind.objectives = std::move(*estimate);
+      ind.evaluated = true;
+      ++scored;
+      continue;
     }
     const auto [it, inserted] = unique_index.try_emplace(point, unique_points.size());
     if (inserted) unique_points.push_back(std::move(point));
@@ -683,15 +741,15 @@ std::size_t DseEngine::batch_evaluate(std::vector<opt::Individual>& individuals)
   // low-fidelity broker; unpromising ones are settled with their screening
   // answer and never reach the high-fidelity tool. Skipped once the
   // deadline passed — the batch is about to be cut anyway.
-  std::vector<std::optional<EvalResult>> settled(unique_points.size());
+  std::vector<std::optional<EvalResult>> screened(unique_points.size());
   if (screen_broker_ && !broker_->deadline_exceeded()) {
-    settled = screen_batch(unique_points);
+    screened = screen_batch(unique_points);
   }
   constexpr std::size_t kNotForwarded = static_cast<std::size_t>(-1);
   std::vector<std::size_t> forward;  ///< unique indices sent to high fidelity
   std::vector<std::size_t> forward_pos(unique_points.size(), kNotForwarded);
   for (std::size_t ui = 0; ui < unique_points.size(); ++ui) {
-    if (settled[ui]) continue;
+    if (screened[ui]) continue;
     forward_pos[ui] = forward.size();
     forward.push_back(ui);
   }
@@ -703,26 +761,22 @@ std::size_t DseEngine::batch_evaluate(std::vector<opt::Individual>& individuals)
       });
 
   // Degraded rung of the availability ladder: points the open breaker
-  // fast-failed are *hedged* — evaluated on the analytic tier right away
-  // (scored below, flagged approximate) — and remembered as probe
-  // candidates so recovery is tested on points the search actually wants.
-  std::map<std::size_t, EvalResult> hedged;
-  {
-    std::vector<std::size_t> hedge_ui;
-    for (std::size_t fi = 0; fi < dispatched; ++fi) {
-      if (results[fi].fast_failed) hedge_ui.push_back(forward[fi]);
-    }
-    if (!hedge_ui.empty()) {
-      EvaluationBroker* hedger = hedge_broker();
-      std::vector<EvalResult> hedge_results(hedge_ui.size());
-      hedger->parallel_for(hedge_ui.size(), [&](std::size_t i) {
-        hedge_results[i] = hedger->tool_evaluate(unique_points[hedge_ui[i]]);
-      });
-      for (std::size_t i = 0; i < hedge_ui.size(); ++i) {
-        enqueue_probe(unique_points[hedge_ui[i]]);
-        hedged.emplace(hedge_ui[i], std::move(hedge_results[i]));
-      }
-    }
+  // fast-failed are *hedged* — evaluated on the analytic tier right away,
+  // fanned out over the hedge broker's lanes (settle() scores them) — and
+  // remembered as probe candidates so recovery is tested on points the
+  // search actually wants.
+  std::vector<std::size_t> hedge_fi;  ///< forward indices the breaker fast-failed
+  for (std::size_t fi = 0; fi < dispatched; ++fi) {
+    if (results[fi].fast_failed) hedge_fi.push_back(fi);
+  }
+  std::vector<EvalResult> hedges;  ///< per forward index, once anything fast-failed
+  if (!hedge_fi.empty()) {
+    hedges.resize(forward.size());
+    EvaluationBroker* hedger = hedge_broker();
+    hedger->parallel_for(hedge_fi.size(), [&](std::size_t i) {
+      hedges[hedge_fi[i]] = hedger->tool_evaluate(unique_points[forward[hedge_fi[i]]]);
+    });
+    for (std::size_t fi : hedge_fi) enqueue_probe(unique_points[forward[fi]]);
   }
 
   std::vector<bool> leader_done(unique_points.size(), false);
@@ -730,129 +784,36 @@ std::size_t DseEngine::batch_evaluate(std::vector<opt::Individual>& individuals)
     auto& ind = individuals[pending.individual];
     const std::size_t ui = pending.unique_index;
     const DesignPoint& point = unique_points[ui];
+    ind.evaluated = true;
 
-    if (settled[ui]) {
-      // Screened out: the low-fidelity answer scores the individual and the
-      // point is recorded as estimated (the screen backend reports the same
-      // metric names, so objectives and derived metrics line up).
-      ind.objectives = to_objectives(settled[ui]->metrics);
-      ind.evaluated = true;
+    if (screened[ui]) {
+      // Screened out: the low-fidelity answer scores the individual.
+      ind.objectives = settle_screen(point, screened[ui]->metrics);
       ++scored;
-      if (!leader_done[ui]) {
-        leader_done[ui] = true;
-        bool first_settle;
-        {
-          // Sticky screen-outs re-settle on every later batch that
-          // resamples the point; only the first settle counts.
-          util::MutexLock lock(record_mutex_);
-          first_settle = explored_index_.find(point) == explored_index_.end();
-        }
-        if (first_settle) {
-          util::MutexLock lock(stats_mutex_);
-          ++stats_.screened_out;
-        }
-      }
-      record(point, settled[ui]->metrics, true, false);
       continue;
     }
-
     if (forward_pos[ui] >= dispatched) {
       // The mid-batch deadline cut dispatch before this point ran. Penalize
       // the individual so the generation can still close (the GA's
       // should_stop sees the deadline right after), and leave it out of the
       // explored set — it was never actually evaluated.
       ind.objectives.assign(config_.objectives.size(), kFailurePenalty);
-      ind.evaluated = true;
       util::MutexLock lock(stats_mutex_);
       ++stats_.deadline_skips;
       continue;
     }
-    EvalResult r = results[forward_pos[ui]];
-    if (r.fast_failed) {
-      // Breaker open: the hi-fi backend was never touched. Score from the
-      // hedge answer when the analytic tier delivered one; the point is
-      // recorded estimated + approximate so the verification loop
-      // re-verifies it hi-fi once (if) the backend recovers.
-      const auto hedge_it = hedged.find(ui);
-      if (hedge_it != hedged.end() && hedge_it->second.ok) {
-        ind.objectives = to_objectives(hedge_it->second.metrics);
-        ind.evaluated = true;
-        ++scored;
-        if (!leader_done[ui]) {
-          leader_done[ui] = true;
-          util::MutexLock lock(stats_mutex_);
-          ++stats_.degraded_evals;
-        }
-        record(point, hedge_it->second.metrics, /*estimated=*/true, /*failed=*/false,
-               /*approximate=*/true);
-      } else {
-        // No hedge tier answer either: penalize but do not record — the
-        // point was never actually evaluated by anything.
-        ind.objectives.assign(config_.objectives.size(), kFailurePenalty);
-        ind.evaluated = true;
-        leader_done[ui] = true;
-        util::MutexLock lock(stats_mutex_);
-        ++stats_.failures;
-      }
-      continue;
-    }
+    const std::size_t fi = forward_pos[ui];
+    EvalResult r = results[fi];
     if (leader_done[ui] && !r.cache_hit) {
       // A duplicate of an earlier individual in this batch: it joins the
-      // leader's run instead of paying for the tool again.
+      // leader's run (or hedge) instead of paying for the tool again.
       r.joined = true;
       r.tool_seconds = 0.0;
     }
     leader_done[ui] = true;
-    ++scored;  // every remaining branch scores from a consumed evaluation
-    {
-      util::MutexLock lock(stats_mutex_);
-      if (r.cache_hit) ++stats_.cache_hits;
-      else if (r.joined) ++stats_.single_flight_joins;
-      else if (!r.store_hit) ++stats_.tool_runs;  // store hits counted by the broker
-    }
-
-    if (!r.ok) {
-      {
-        util::MutexLock lock(stats_mutex_);
-        ++stats_.failures;
-      }
-      // Graceful degradation: a quarantined point (the tool kept failing,
-      // not a property of the design) is scored with an NWM estimate when
-      // the dataset can support one, instead of the +inf penalty that
-      // would punch a hole in the front.
-      if (r.quarantined && control_ && config_.approx_fallback_min_samples > 0 &&
-          control_->dataset().size() >= config_.approx_fallback_min_samples) {
-        const model::Values est = control_->estimate(to_model_point(point));
-        EvalMetrics metrics;
-        for (std::size_t k = 0; k < config_.objectives.size(); ++k) {
-          metrics.values[config_.objectives[k].metric] = est[k];
-        }
-        ind.objectives = to_objectives(metrics);
-        ind.evaluated = true;
-        {
-          util::MutexLock lock(stats_mutex_);
-          ++stats_.approx_fallbacks;
-        }
-        record(point, metrics, false, false, /*approximate=*/true);
-        continue;
-      }
-      ind.objectives.assign(config_.objectives.size(), kFailurePenalty);
-      ind.evaluated = true;
-      record(point, r.metrics, false, true);
-      continue;
-    }
-    ind.objectives = to_objectives(r.metrics);
-    ind.evaluated = true;
-    record(point, r.metrics, false, false);
-
-    if (control_ && !r.cache_hit && !r.joined) {
-      model::Values values;
-      values.reserve(config_.objectives.size());
-      for (const auto& obj : config_.objectives) {
-        values.push_back(r.metrics.get(obj.metric));
-      }
-      control_->add_sample(to_model_point(point), values);
-    }
+    Settled answer = settle(point, r, r.fast_failed ? &hedges[fi] : nullptr);
+    ind.objectives = std::move(answer.objectives);
+    if (answer.consumed) ++scored;
   }
 
   // The generational barrier, made visible to the virtual lane clock: every
@@ -936,13 +897,7 @@ void DseEngine::run_steady_state(opt::Problem& problem, opt::Nsga2Config ga) {
     // samples the model has nothing to say and the sampler degrades to
     // random search.
     if (!control_ || control_->dataset().size() < 2) return std::nullopt;
-    const DesignPoint point = config_.space.decode(genome);
-    const model::Values est = control_->estimate(to_model_point(point));
-    EvalMetrics metrics;
-    for (std::size_t k = 0; k < config_.objectives.size(); ++k) {
-      metrics.values[config_.objectives[k].metric] = est[k];
-    }
-    return to_objectives(metrics);
+    return to_objectives(estimate_metrics(config_.space.decode(genome)));
   };
   const std::unique_ptr<opt::Optimizer> searcher_ptr =
       opt::OptimizerRegistry::create(config_.optimizer, opt_ctx);
@@ -958,15 +913,6 @@ void DseEngine::run_steady_state(opt::Problem& problem, opt::Nsga2Config ga) {
   const std::size_t max_inflight = std::max<std::size_t>(
       1, config_.max_inflight != 0 ? config_.max_inflight
                                    : broker_->virtual_lane_count());
-
-  auto user_stop = config_.ga.should_stop;
-  auto should_stop = [&] {
-    if (broker_->deadline_exceeded()) {
-      broker_->mark_deadline_hit();
-      return true;
-    }
-    return user_stop ? user_stop() : false;
-  };
 
   // One submitted evaluation awaiting its broker answer. `result` is
   // written by the pool task and read by the control loop only after the
@@ -996,82 +942,17 @@ void DseEngine::run_steady_state(opt::Problem& problem, opt::Nsga2Config ga) {
   std::size_t inflight = 0;
   std::size_t seq = 0;
 
-  // Resolve one broker answer — the per-individual scoring of the batch
-  // engine (hedge, quarantine fallback, penalties) followed by a (mu+1)
-  // tell. Runs on the control thread only.
+  // Resolve one broker answer through the shared settle() path, hedging a
+  // fast-fail on the analytic tier first, then (mu+1)-tell it. Runs on the
+  // control thread only.
   auto resolve = [&](const Inflight& c) {
-    const EvalResult& r = c.result;
-    opt::Objectives objectives;
-    if (r.fast_failed) {
-      // Breaker open: hedge on the analytic tier right away and remember
-      // the point as a probe candidate (recorded estimated + approximate so
-      // front verification re-verifies it hi-fi after recovery).
-      EvaluationBroker* hedger = hedge_broker();
-      const EvalResult hedge = hedger->tool_evaluate(c.point);
+    std::optional<EvalResult> hedge;
+    if (c.result.fast_failed) {
+      hedge = hedge_broker()->tool_evaluate(c.point);
       enqueue_probe(c.point);
-      if (hedge.ok) {
-        objectives = to_objectives(hedge.metrics);
-        {
-          util::MutexLock lock(stats_mutex_);
-          ++stats_.degraded_evals;
-        }
-        record(c.point, hedge.metrics, /*estimated=*/true, /*failed=*/false,
-               /*approximate=*/true);
-      } else {
-        objectives.assign(config_.objectives.size(), kFailurePenalty);
-        util::MutexLock lock(stats_mutex_);
-        ++stats_.failures;
-      }
-      // Hedged answers cost no hi-fi tool seconds; the bandit should not
-      // bill the asking member for a fast-fail it did not cause.
-      searcher.tell(c.genome, objectives, 0.0);
-      return;
     }
-    {
-      util::MutexLock lock(stats_mutex_);
-      if (r.cache_hit) ++stats_.cache_hits;
-      else if (r.joined) ++stats_.single_flight_joins;
-      else if (!r.store_hit) ++stats_.tool_runs;  // store hits counted by the broker
-    }
-    if (!r.ok) {
-      {
-        util::MutexLock lock(stats_mutex_);
-        ++stats_.failures;
-      }
-      if (r.quarantined && control_ && config_.approx_fallback_min_samples > 0 &&
-          control_->dataset().size() >= config_.approx_fallback_min_samples) {
-        const model::Values est = control_->estimate(to_model_point(c.point));
-        EvalMetrics metrics;
-        for (std::size_t k = 0; k < config_.objectives.size(); ++k) {
-          metrics.values[config_.objectives[k].metric] = est[k];
-        }
-        objectives = to_objectives(metrics);
-        {
-          util::MutexLock lock(stats_mutex_);
-          ++stats_.approx_fallbacks;
-        }
-        record(c.point, metrics, false, false, /*approximate=*/true);
-      } else {
-        objectives.assign(config_.objectives.size(), kFailurePenalty);
-        record(c.point, r.metrics, false, true);
-      }
-      searcher.tell(c.genome, objectives, r.tool_seconds);
-      return;
-    }
-    objectives = to_objectives(r.metrics);
-    record(c.point, r.metrics, false, false);
-    if (control_ && !r.cache_hit && !r.joined) {
-      model::Values values;
-      values.reserve(config_.objectives.size());
-      for (const auto& obj : config_.objectives) {
-        values.push_back(r.metrics.get(obj.metric));
-      }
-      control_->add_sample(to_model_point(c.point), values);
-    }
-    // Fresh runs bill their tool seconds to the member that asked; cache
-    // and store hits were already paid for.
-    searcher.tell(c.genome, objectives,
-                  r.cache_hit || r.joined || r.store_hit ? 0.0 : r.tool_seconds);
+    const Settled answer = settle(c.point, c.result, hedge ? &*hedge : nullptr);
+    searcher.tell(c.genome, answer.objectives, answer.tell_cost);
   };
 
   // Submit one genome. Returns true when the point went to the broker
@@ -1085,21 +966,9 @@ void DseEngine::run_steady_state(opt::Problem& problem, opt::Nsga2Config ga) {
       ++stats_.ga_evaluations;
     }
     DesignPoint point = config_.space.decode(genome);
-
-    if (control_ && !direct) {
-      const model::Decision decision = control_->decide_and_count(to_model_point(point));
-      if (decision == model::Decision::kEstimate) {
-        const model::Values est = control_->estimate(to_model_point(point));
-        EvalMetrics metrics;
-        for (std::size_t k = 0; k < config_.objectives.size(); ++k) {
-          metrics.values[config_.objectives[k].metric] = est[k];
-        }
-        {
-          util::MutexLock lock(stats_mutex_);
-          ++stats_.estimates;
-        }
-        record(point, metrics, true, false);
-        searcher.tell(genome, to_objectives(metrics));
+    if (!direct) {
+      if (auto estimate = try_estimate(point)) {
+        searcher.tell(genome, *estimate);
         return false;
       }
     }
@@ -1134,17 +1003,7 @@ void DseEngine::run_steady_state(opt::Problem& problem, opt::Nsga2Config ga) {
         // authoritative verdict on buildability.
       }
       if (settle) {
-        bool first_settle;
-        {
-          util::MutexLock lock(record_mutex_);
-          first_settle = explored_index_.find(point) == explored_index_.end();
-        }
-        if (first_settle) {
-          util::MutexLock lock(stats_mutex_);
-          ++stats_.screened_out;
-        }
-        record(point, screen.metrics, true, false);
-        searcher.tell(genome, to_objectives(screen.metrics));
+        searcher.tell(genome, settle_screen(point, screen.metrics));
         return false;
       }
     }
@@ -1268,49 +1127,22 @@ DseResult DseEngine::run() {
   opt::Nsga2Config ga = config_.ga;
   if (!config_.warm_start.empty() && ga.initial_genomes.empty()) {
     // Continue from the previous session: seed the initial population with
-    // the non-dominated subset of the warm-started points (those that still
-    // encode into the current design space).
-    std::vector<opt::Genome> genomes;
-    std::vector<opt::Objectives> objs;
-    for (const auto& point : config_.warm_start) {
-      if (point.estimated || point.failed) continue;
-      auto genome = config_.space.encode(point.params);
-      if (!genome) continue;
-      genomes.push_back(std::move(*genome));
-      objs.push_back(to_objectives(point.metrics));
-    }
-    for (std::size_t i : opt::non_dominated_indices(objs)) {
-      ga.initial_genomes.push_back(genomes[i]);
-    }
+    // the front of the warm-started points.
+    ga.initial_genomes = seed_genomes(config_.warm_start);
   }
   if (store_ && config_.store_warm_start && ga.initial_genomes.empty()) {
     // No explicit warm-start file: seed from the cross-campaign store
     // instead. Only exact hi-fi answers for *this* backend count — screen
     // estimates and approximate scores never steer the initial population.
-    std::vector<opt::Genome> genomes;
-    std::vector<opt::Objectives> objs;
+    std::vector<ExploredPoint> exact;
     for (const auto& rec : store_->live_records()) {
       if (rec.tier != store::EvalStore::kTierHifi) continue;
       if (rec.backend != broker_->backend_info().name) continue;
       if (!rec.ok || rec.approximate) continue;
-      bool complete = true;
-      for (const auto& objective : config_.objectives) {
-        if (rec.metrics.find(objective.metric) == rec.metrics.end()) {
-          complete = false;
-          break;
-        }
-      }
-      if (!complete) continue;
-      auto genome = config_.space.encode(rec.params);
-      if (!genome) continue;  // store spans campaigns; spaces may differ
-      EvalMetrics metrics;
-      metrics.values = rec.metrics;
-      genomes.push_back(std::move(*genome));
-      objs.push_back(to_objectives(metrics));
+      ExploredPoint point{rec.params, EvalMetrics{rec.metrics}};
+      if (has_objectives(point.metrics)) exact.push_back(std::move(point));
     }
-    for (std::size_t i : opt::non_dominated_indices(objs)) {
-      ga.initial_genomes.push_back(genomes[i]);
-    }
+    ga.initial_genomes = seed_genomes(exact);
     if (!ga.initial_genomes.empty()) {
       {
         util::MutexLock lock(stats_mutex_);
@@ -1327,14 +1159,7 @@ DseResult DseEngine::run() {
     ga.batch_evaluate = [this](opt::Problem&, std::vector<opt::Individual>& individuals) {
       return batch_evaluate(individuals);
     };
-    auto user_stop = config_.ga.should_stop;
-    ga.should_stop = [this, user_stop] {
-      if (broker_->deadline_exceeded()) {
-        broker_->mark_deadline_hit();
-        return true;
-      }
-      return user_stop ? user_stop() : false;
-    };
+    ga.should_stop = [this] { return should_stop(); };
 
     opt::Nsga2 solver(ga);
     const opt::Nsga2Result ga_result = solver.run(problem);
@@ -1377,8 +1202,11 @@ DseResult DseEngine::run() {
     std::size_t zero_progress_passes = 0;
     while (zero_progress_passes < 4) {
       std::vector<DesignPoint> to_verify;
+      std::vector<char> hedged;  ///< per to_verify: a breaker-degraded estimate
       for (std::size_t i : front) {
-        if (explored_[i].estimated) to_verify.push_back(explored_[i].params);
+        if (!explored_[i].estimated) continue;
+        to_verify.push_back(explored_[i].params);
+        hedged.push_back(explored_[i].approximate ? 1 : 0);
       }
       if (to_verify.empty()) break;
       // Verification runs even past the deadline: the returned front must
@@ -1395,35 +1223,10 @@ DseResult DseEngine::run() {
           continue;
         }
         ++converted;
-        {
-          util::MutexLock lock(stats_mutex_);
-          if (results[i].cache_hit) ++stats_.cache_hits;
-          else if (results[i].joined) ++stats_.single_flight_joins;
-          else if (!results[i].store_hit) ++stats_.tool_runs;
-        }
-        if (!results[i].ok) {
-          {
-            util::MutexLock lock(stats_mutex_);
-            ++stats_.failures;
-          }
-          record(to_verify[i], results[i].metrics, false, true);
-          continue;
-        }
-        // Tool answer replaces the estimate (record() handles supersession,
-        // but estimated entries must be overwritten even when equal).
-        bool was_approximate = false;
-        {
-          util::MutexLock lock(record_mutex_);
-          auto it = explored_index_.find(to_verify[i]);
-          if (it != explored_index_.end()) {
-            was_approximate = explored_[it->second].approximate;
-            explored_[it->second].metrics = results[i].metrics;
-            explored_[it->second].estimated = false;
-            explored_[it->second].failed = false;
-            explored_[it->second].approximate = false;
-          }
-        }
-        if (was_approximate) {
+        tally(results[i]);
+        // The tool answer (or failure) supersedes the estimate.
+        record(to_verify[i], results[i].metrics, false, !results[i].ok);
+        if (results[i].ok && hedged[i]) {
           util::MutexLock lock(stats_mutex_);
           ++stats_.reverified_points;
         }

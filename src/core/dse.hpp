@@ -73,10 +73,19 @@ struct DseConfig {
   /// Evaluation backend override; empty uses the project's backend.
   std::string backend;
 
-  /// Multi-fidelity screening: fraction of each GA offspring batch that is
-  /// forwarded to the high-fidelity backend after pre-ranking the batch on
-  /// `screen_backend`. 1.0 (default) disables screening; e.g. 0.5 halves
-  /// the high-fidelity runs per batch. Must be in (0, 1].
+  /// Multi-fidelity screening on `screen_backend`. 1.0 (default) disables
+  /// screening; must be in (0, 1]. Only points with no high-fidelity answer
+  /// yet are screened, and a point screened out once settles from its
+  /// cached screen answer ever after.
+  /// - Generational engine: each offspring batch is ranked on its screen
+  ///   answers (non-dominated sorting, crowding distance on the boundary
+  ///   front) and the best ceil(ratio x batch) first-seen points are
+  ///   forwarded; e.g. 0.5 halves the high-fidelity runs per batch.
+  /// - Steady-state engine: each screen answer is compared with a sliding
+  ///   window of the last max(4 x population, 16) screen answers and is
+  ///   forwarded iff fewer than ratio x window of them dominate it (every
+  ///   point is forwarded until the window holds 4 answers).
+  /// Screen failures are always forwarded.
   double screen_keep_ratio = 1.0;
 
   /// Low-fidelity backend used for screening.
@@ -88,9 +97,13 @@ struct DseConfig {
   model::ControlModel::Config control;
   std::size_t pretrain_samples = 100;  ///< M, the synthetic-dataset size
 
-  /// Soft deadline on cumulative *simulated* high-fidelity tool seconds
-  /// (the GA finishes the current generation, then stops). Infinity =
-  /// unconstrained. Screening runs are not charged against it.
+  /// Soft deadline on cumulative *simulated* high-fidelity tool seconds.
+  /// Infinity = unconstrained. Screening runs are not charged against it.
+  /// The generational engine checks it between dispatch chunks of
+  /// 2 x lanes: once it passes, the rest of the batch is not dispatched and
+  /// gets the failure penalty (counted in deadline_skips), and the search
+  /// stops after that batch. The steady-state engine stops submitting and
+  /// drains the evaluations already in flight.
   double deadline_tool_seconds = std::numeric_limits<double>::infinity();
 
   /// Worker threads for parallel tool runs (0 = evaluate inline).
@@ -385,8 +398,61 @@ class DseEngine {
   /// front afterwards exactly as for the generational engine.
   void run_steady_state(opt::Problem& problem, opt::Nsga2Config ga);
 
-  void record(const DesignPoint& point, const EvalMetrics& metrics, bool estimated,
+  /// Add `point` to the explored set, or let an exact answer supersede an
+  /// estimate (and an NWM fallback a bare failure). Returns true when the
+  /// point was not explored before.
+  bool record(const DesignPoint& point, const EvalMetrics& metrics, bool estimated,
               bool failed, bool approximate = false);
+
+  /// How settle() scored one broker answer.
+  struct Settled {
+    opt::Objectives objectives;
+    double tell_cost = 0.0;  ///< hi-fi tool seconds billed to the asking searcher
+    bool consumed = false;   ///< a genuine evaluation scored the point
+  };
+
+  /// The one scoring path for a high-fidelity broker answer, shared by both
+  /// engines (see DESIGN.md "One scoring path"): tally it, score a
+  /// fast-fail from `hedge` (the analytic-tier answer the caller obtained,
+  /// or null), score a quarantined point with an NWM fallback, penalize
+  /// other failures, record the point and grow the dataset with a fresh
+  /// exact answer.
+  Settled settle(const DesignPoint& point, const EvalResult& r, const EvalResult* hedge);
+
+  /// Score a screened-out point with its low-fidelity answer (recorded
+  /// estimated); the first settle of a point counts as screened_out.
+  opt::Objectives settle_screen(const DesignPoint& point, const EvalMetrics& metrics);
+
+  /// Count a broker answer: cache hit, single-flight join or tool run, and
+  /// failure.
+  void tally(const EvalResult& r);
+
+  /// Answer `point` with the NWM when the control model says it is close
+  /// enough to the dataset (counted and recorded estimated); std::nullopt
+  /// when the point must go to the tool (or approximation is off).
+  std::optional<opt::Objectives> try_estimate(const DesignPoint& point);
+
+  /// The NWM estimate at `point`, as objective metrics.
+  [[nodiscard]] EvalMetrics estimate_metrics(const DesignPoint& point) const;
+
+  /// Add an exact answer to the approximation dataset when the point lies in
+  /// the current space, carries every objective metric and its coordinates
+  /// are not a sample yet. No-op without approximation.
+  void grow_dataset(const DesignPoint& point, const EvalMetrics& metrics);
+
+  /// Whether `metrics` reports every objective metric.
+  [[nodiscard]] bool has_objectives(const EvalMetrics& metrics) const;
+
+  /// Initial genomes from exact prior answers: the non-dominated subset of
+  /// the non-estimated, non-failed `points` that encode into the current
+  /// space, in order.
+  [[nodiscard]] std::vector<opt::Genome> seed_genomes(
+      const std::vector<ExploredPoint>& points) const;
+
+  /// Stop the search once the tool deadline passed (marking it hit) or the
+  /// user's ga.should_stop says so.
+  bool should_stop();
+
   /// Mirror journal records the broker replayed into the explored set and
   /// the approximation dataset; called from the constructor on --resume.
   void absorb_replayed(const std::vector<JournalRecord>& records);

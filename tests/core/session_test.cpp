@@ -149,6 +149,27 @@ TEST(Session, WarmStartSeedsApproximationDataset) {
   EXPECT_EQ(second_result.stats.pretrain_runs, 0u);
 }
 
+TEST(Session, WarmStartSeedsEachDatasetCoordinateOnce) {
+  // Two session points that differ only in a parameter outside the current
+  // space project onto the same dataset coordinates: the first one becomes
+  // the sample, the second must not add a duplicate.
+  std::vector<ExploredPoint> warm(2);
+  warm[0].params = {{"DEPTH", 16}, {"DATA_WIDTH", 8}};
+  warm[0].metrics.values = {{"lut", 120.0}, {"fmax_mhz", 480.0}};
+  warm[1].params = {{"DEPTH", 16}, {"DATA_WIDTH", 32}};
+  warm[1].metrics.values = {{"lut", 180.0}, {"fmax_mhz", 470.5}};
+
+  DseConfig config = fifo_dse();
+  config.use_approximation = true;
+  config.warm_start = warm;
+  DseEngine engine(fifo_project(), config);
+  ASSERT_NE(engine.control_model(), nullptr);
+  const model::Dataset& dataset = engine.control_model()->dataset();
+  ASSERT_EQ(dataset.size(), 1u);
+  EXPECT_EQ(dataset.points()[0], (model::Point{16.0}));
+  EXPECT_EQ(dataset.values()[0], (model::Values{120.0, 480.0}));
+}
+
 TEST(Session, EstimatedPointsDoNotSeedState) {
   std::vector<ExploredPoint> warm;
   ExploredPoint est;
