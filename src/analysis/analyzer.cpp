@@ -151,9 +151,7 @@ void lint_dse_config(const core::ProjectConfig& project, const hdl::Module* top,
 
   const std::string backend = config.backend.empty() ? project.backend : config.backend;
   options.backends.push_back(backend);
-  if (config.screen_keep_ratio < 1.0 && !config.screen_backend.empty()) {
-    options.backends.push_back(config.screen_backend);
-  }
+  if (config.screen_keep_ratio < 1.0) options.backends.push_back(core::kAnalyticBackend);
 
   if (top != nullptr) {
     for (const auto& param : top->parameters) {

@@ -21,6 +21,9 @@ namespace {
 
 constexpr double kFailurePenalty = 1e18;
 
+/// Dataset samples the NWM needs before it scores a quarantined point.
+constexpr std::size_t kApproxFallbackMinSamples = 5;
+
 }  // namespace
 
 /// Adapts the design space + engine to the optimizer's Problem interface.
@@ -180,47 +183,19 @@ DseEngine::DseEngine(ProjectConfig project, DseConfig config)
   }
 
   // Validate that every space parameter exists on the module and is free.
-  const hdl::Module& module = broker_->module();
-  for (const auto& spec : config_.space.params) {
-    bool found = false;
-    for (const auto& p : module.free_parameters()) {
-      const bool match = module.language == hdl::HdlLanguage::kVhdl
-                             ? util::iequals(p.name, spec.name)
-                             : p.name == spec.name;
-      if (match) {
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      throw std::runtime_error("design-space parameter '" + spec.name +
-                               "' is not a free parameter of module '" + module.name + "'");
-    }
+  if (const std::string error = space_parameter_error(config_.space, broker_->module());
+      !error.empty()) {
+    throw std::runtime_error(error);
   }
 
-  // Multi-fidelity screening: a second broker on the low-fidelity backend.
-  // No fault plan, no journal, no deadline — screening answers are cheap,
-  // disposable estimates; only high-fidelity spend is budgeted.
-  if (config_.screen_keep_ratio < 1.0) {
-    ProjectConfig screen_project = project_;
-    screen_project.backend = config_.screen_backend;
-    BrokerConfig screen_config;
-    screen_config.workers = config_.workers;
-    screen_config.supervise = config_.supervise;
-    screen_config.derived_metrics = config_.derived_metrics;
-    // Screen answers are persisted too — under the "screen" tier, so they
-    // can only ever be served back to a screen-tier broker.
-    screen_config.store = store_;
-    screen_config.store_tier = store::EvalStore::kTierScreen;
-    screen_config.campaign_id = config_.campaign_id;
-    screen_broker_ = std::make_unique<EvaluationBroker>(screen_project, screen_config);
-  }
+  // Multi-fidelity screening runs on the analytic tier: build its broker
+  // now rather than on the first hedge.
+  if (screening()) analytic_broker();
 
   // Backend health management (see core/health/): a circuit breaker on the
   // high-fidelity backend drives the degradation ladder. Pointless when the
   // hi-fi backend *is* the hedge tier — there is nothing to degrade to.
-  if (config_.breaker.enabled &&
-      broker_->backend_info().name != config_.screen_backend) {
+  if (config_.breaker.enabled && broker_->backend_info().name != kAnalyticBackend) {
     health_ = std::make_shared<BackendHealthManager>(config_.breaker);
     health_->set_event_sink([this](const HealthEvent& event) {
       util::Log::warn("backend '" + event.backend + "' breaker: " +
@@ -258,26 +233,34 @@ DseEngine::DseEngine(ProjectConfig project, DseConfig config)
   if (health_) health_->restore(broker_->replayed_health_events());
 }
 
-EvaluationBroker* DseEngine::hedge_broker() {
-  // With screening enabled the low-fidelity broker already exists and its
-  // cache likely holds the hedged points (screen_batch saw them first).
-  if (screen_broker_) return screen_broker_.get();
-  util::MutexLock lock(hedge_mutex_);
-  if (!owned_hedge_broker_) {
-    ProjectConfig hedge_project = project_;
-    hedge_project.backend = config_.screen_backend;
-    BrokerConfig hedge_config;
-    hedge_config.workers = config_.workers;
-    hedge_config.supervise = config_.supervise;
-    hedge_config.derived_metrics = config_.derived_metrics;
-    // Hedged (degraded) evaluations land in the store under the "screen"
-    // tier: honest answers for the analytic backend, never hi-fi ones.
-    hedge_config.store = store_;
-    hedge_config.store_tier = store::EvalStore::kTierScreen;
-    hedge_config.campaign_id = config_.campaign_id;
-    owned_hedge_broker_ = std::make_unique<EvaluationBroker>(hedge_project, hedge_config);
+EvaluationBroker* DseEngine::analytic_broker() {
+  util::MutexLock lock(analytic_mutex_);
+  if (!analytic_broker_) {
+    // No fault plan, no journal, no deadline: analytic answers are cheap,
+    // disposable estimates; only high-fidelity spend is budgeted. They are
+    // persisted under the store's "screen" tier, so they are only ever
+    // served back to an analytic-tier broker, never as hi-fi answers.
+    ProjectConfig analytic_project = project_;
+    analytic_project.backend = kAnalyticBackend;
+    BrokerConfig analytic_config;
+    analytic_config.workers = config_.workers;
+    analytic_config.supervise = config_.supervise;
+    analytic_config.derived_metrics = config_.derived_metrics;
+    analytic_config.store = store_;
+    analytic_config.store_tier = store::EvalStore::kTierScreen;
+    analytic_config.campaign_id = config_.campaign_id;
+    analytic_broker_ = std::make_unique<EvaluationBroker>(analytic_project, analytic_config);
   }
-  return owned_hedge_broker_.get();
+  return analytic_broker_.get();
+}
+
+const EvaluationBroker* DseEngine::built_analytic_broker() const {
+  util::MutexLock lock(analytic_mutex_);
+  return analytic_broker_.get();
+}
+
+const EvaluationBroker* DseEngine::screen_broker() const {
+  return screening() ? built_analytic_broker() : nullptr;
 }
 
 void DseEngine::enqueue_probe(const DesignPoint& point) {
@@ -358,24 +341,15 @@ DseStats DseEngine::stats() const {
   snapshot.virtual_makespan_seconds = hifi.virtual_makespan_seconds;
   snapshot.virtual_lanes = hifi.virtual_lanes;
   snapshot.backend_runs[broker_->backend_info().name] += hifi.fresh_runs;
-  if (screen_broker_) {
-    const BrokerStats lofi = screen_broker_->stats();
-    snapshot.screen_runs = lofi.fresh_runs;
-    snapshot.screen_tool_seconds = lofi.tool_seconds;
-    snapshot.backend_runs[screen_broker_->backend_info().name] += lofi.fresh_runs;
+  if (const EvaluationBroker* analytic = built_analytic_broker()) {
+    const BrokerStats lofi = analytic->stats();
+    if (screening()) {
+      snapshot.screen_runs = lofi.fresh_runs;
+      snapshot.screen_tool_seconds = lofi.tool_seconds;
+    }
+    snapshot.backend_runs[analytic->backend_info().name] += lofi.fresh_runs;
     snapshot.store_hits += lofi.store_hits;
     snapshot.store_appends += lofi.store_appends;
-  }
-  {
-    // The lazily-built hedge broker (only exists once a breaker opened
-    // without screening enabled).
-    util::MutexLock lock(hedge_mutex_);
-    if (owned_hedge_broker_) {
-      const BrokerStats hedge = owned_hedge_broker_->stats();
-      snapshot.backend_runs[owned_hedge_broker_->backend_info().name] += hedge.fresh_runs;
-      snapshot.store_hits += hedge.store_hits;
-      snapshot.store_appends += hedge.store_appends;
-    }
   }
   if (health_) {
     const HealthStats health = health_->stats();
@@ -495,8 +469,8 @@ DseEngine::Settled DseEngine::settle(const DesignPoint& point, const EvalResult&
     // not a property of the design) is scored with an NWM estimate when
     // the dataset can support one, instead of the +inf penalty that
     // would punch a hole in the front.
-    if (r.quarantined && control_ && config_.approx_fallback_min_samples > 0 &&
-        control_->dataset().size() >= config_.approx_fallback_min_samples) {
+    if (r.quarantined && control_ &&
+        control_->dataset().size() >= kApproxFallbackMinSamples) {
       const EvalMetrics metrics = estimate_metrics(point);
       out.objectives = to_objectives(metrics);
       {
@@ -646,14 +620,15 @@ std::vector<std::optional<EvalResult>> DseEngine::screen_batch(
   // generations, and each re-ranking is another chance to be forwarded).
   // Such points settle from the cached estimate; only first-seen points
   // compete for the high-fidelity slots.
+  EvaluationBroker& screener = *analytic_broker();
   std::vector<char> sticky(fresh.size(), 0);
   for (std::size_t i = 0; i < fresh.size(); ++i) {
-    sticky[i] = screen_broker_->cached(unique_points[fresh[i]]) ? 1 : 0;
+    sticky[i] = screener.cached(unique_points[fresh[i]]) ? 1 : 0;
   }
 
   std::vector<EvalResult> screens(fresh.size());
-  screen_broker_->parallel_for(fresh.size(), [&](std::size_t i) {
-    screens[i] = screen_broker_->tool_evaluate(unique_points[fresh[i]]);
+  screener.parallel_for(fresh.size(), [&](std::size_t i) {
+    screens[i] = screener.tool_evaluate(unique_points[fresh[i]]);
   });
 
   // Rank the successful first-seen screens; failures are always forwarded
@@ -742,7 +717,7 @@ std::size_t DseEngine::batch_evaluate(std::vector<opt::Individual>& individuals)
   // answer and never reach the high-fidelity tool. Skipped once the
   // deadline passed — the batch is about to be cut anyway.
   std::vector<std::optional<EvalResult>> screened(unique_points.size());
-  if (screen_broker_ && !broker_->deadline_exceeded()) {
+  if (screening() && !broker_->deadline_exceeded()) {
     screened = screen_batch(unique_points);
   }
   constexpr std::size_t kNotForwarded = static_cast<std::size_t>(-1);
@@ -762,7 +737,7 @@ std::size_t DseEngine::batch_evaluate(std::vector<opt::Individual>& individuals)
 
   // Degraded rung of the availability ladder: points the open breaker
   // fast-failed are *hedged* — evaluated on the analytic tier right away,
-  // fanned out over the hedge broker's lanes (settle() scores them) — and
+  // fanned out over that broker's lanes (settle() scores them) — and
   // remembered as probe candidates so recovery is tested on points the
   // search actually wants.
   std::vector<std::size_t> hedge_fi;  ///< forward indices the breaker fast-failed
@@ -772,7 +747,7 @@ std::size_t DseEngine::batch_evaluate(std::vector<opt::Individual>& individuals)
   std::vector<EvalResult> hedges;  ///< per forward index, once anything fast-failed
   if (!hedge_fi.empty()) {
     hedges.resize(forward.size());
-    EvaluationBroker* hedger = hedge_broker();
+    EvaluationBroker* hedger = analytic_broker();
     hedger->parallel_for(hedge_fi.size(), [&](std::size_t i) {
       hedges[hedge_fi[i]] = hedger->tool_evaluate(unique_points[forward[hedge_fi[i]]]);
     });
@@ -932,8 +907,9 @@ void DseEngine::run_steady_state(opt::Problem& problem, opt::Nsga2Config ga) {
   // batch to rank, each screen answer is compared against a sliding window
   // of recent ones and forwarded iff fewer than keep_ratio of them
   // dominate it — the same top-fraction intent, thresholded on domination
-  // count. Screen-outs stay sticky through the screen broker's cache
+  // count. Screen-outs stay sticky through the analytic-tier broker's cache
   // exactly as in the batch path.
+  EvaluationBroker* const screener = screening() ? analytic_broker() : nullptr;
   std::deque<opt::Objectives> screen_window;
   const std::size_t window_cap = std::max<std::size_t>(4 * ga.population_size, 16);
 
@@ -948,7 +924,7 @@ void DseEngine::run_steady_state(opt::Problem& problem, opt::Nsga2Config ga) {
   auto resolve = [&](const Inflight& c) {
     std::optional<EvalResult> hedge;
     if (c.result.fast_failed) {
-      hedge = hedge_broker()->tool_evaluate(c.point);
+      hedge = analytic_broker()->tool_evaluate(c.point);
       enqueue_probe(c.point);
     }
     const Settled answer = settle(c.point, c.result, hedge ? &*hedge : nullptr);
@@ -974,17 +950,17 @@ void DseEngine::run_steady_state(opt::Problem& problem, opt::Nsga2Config ga) {
     }
 
     const bool hifi_cached = broker_->cached(point).has_value();
-    if (screen_broker_ && !direct && !hifi_cached && !broker_->deadline_exceeded()) {
+    if (screener != nullptr && !direct && !hifi_cached && !broker_->deadline_exceeded()) {
       // Sticky screen-outs: a cached screen answer means the point already
       // lost the forwarding lottery; it settles again without re-entering.
-      const auto prior = screen_broker_->cached(point);
+      const auto prior = screener->cached(point);
       EvalResult screen;
       bool settle = false;
       if (prior && prior->ok) {
         screen = *prior;
         settle = true;
       } else if (!prior) {
-        screen = screen_broker_->tool_evaluate(point);
+        screen = screener->tool_evaluate(point);
         if (screen.ok) {
           const opt::Objectives sobj = to_objectives(screen.metrics);
           if (screen_window.size() >= 4) {
@@ -1188,7 +1164,7 @@ DseResult DseEngine::run() {
 
   std::vector<std::size_t> front = build_front();
 
-  if ((control_ || screen_broker_ || health_) && config_.verify_estimated_front) {
+  if (control_ || screening() || health_) {
     // Estimated points that made the front — NWM estimates, screened-out
     // survivors and hedged (breaker-degraded) members alike — get an exact
     // tool evaluation (growing the dataset), then the front is recomputed.

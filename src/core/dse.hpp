@@ -12,10 +12,12 @@
 //
 // The evaluation machinery — cache, evaluator pool, supervisor, journal,
 // deadline accounting — lives in EvaluationBroker (core/broker.hpp); the
-// engine owns the search logic. With multi-fidelity screening enabled
-// (screen_keep_ratio < 1) a second low-fidelity broker pre-ranks each GA
-// offspring batch and only the most promising fraction pays for a
-// high-fidelity run; the rest are recorded as estimated.
+// engine owns the search logic. A second broker on the analytic tier serves
+// both low-fidelity uses: with multi-fidelity screening enabled
+// (screen_keep_ratio < 1) it pre-ranks each GA offspring batch and only the
+// most promising fraction pays for a high-fidelity run, the rest being
+// recorded as estimated; and while the hi-fi breaker is open it hedges
+// fast-failed points.
 //
 // Tool time is *simulated* (the SimVivado runtime model), so the paper's
 // four-hour soft deadline semantics are reproduced without wall-clock cost.
@@ -42,6 +44,9 @@
 #include "src/util/sync.hpp"
 
 namespace dovado::core {
+
+/// The analytic tier: the low-fidelity backend screening and hedging run on.
+inline constexpr const char* kAnalyticBackend = "analytic";
 
 /// One optimization objective: a metric name from EvalMetrics plus the
 /// direction. Internally everything is minimized (maximize => negate).
@@ -73,7 +78,7 @@ struct DseConfig {
   /// Evaluation backend override; empty uses the project's backend.
   std::string backend;
 
-  /// Multi-fidelity screening on `screen_backend`. 1.0 (default) disables
+  /// Multi-fidelity screening on the analytic tier. 1.0 (default) disables
   /// screening; must be in (0, 1]. Only points with no high-fidelity answer
   /// yet are screened, and a point screened out once settles from its
   /// cached screen answer ever after.
@@ -88,11 +93,12 @@ struct DseConfig {
   /// Screen failures are always forwarded.
   double screen_keep_ratio = 1.0;
 
-  /// Low-fidelity backend used for screening.
-  std::string screen_backend = "analytic";
-
   /// Fitness-approximation model (Sec. III-C). Disabled by default — the
-  /// Corundum/Neorv32/TiReX studies run direct Vivado evaluations.
+  /// Corundum/Neorv32/TiReX studies run direct Vivado evaluations. With it
+  /// on, estimated members of the final front are re-evaluated by the tool,
+  /// and a point that exhausts its retries (quarantine) is scored with an
+  /// NWM estimate flagged `approximate=true` instead of the failure penalty
+  /// once the dataset holds 5 samples.
   bool use_approximation = false;
   model::ControlModel::Config control;
   std::size_t pretrain_samples = 100;  ///< M, the synthetic-dataset size
@@ -145,9 +151,6 @@ struct DseConfig {
   /// real lane count (workers + 1, or 1 inline).
   std::size_t virtual_lanes = 0;
 
-  /// Re-evaluate estimated members of the final front with the tool.
-  bool verify_estimated_front = true;
-
   /// Warm start: tool-backed points from a previous session (see
   /// core/session.hpp). They pre-populate the evaluation cache — and, when
   /// approximation is on, the synthetic dataset — so resumed explorations
@@ -188,16 +191,11 @@ struct DseConfig {
   /// with all objective metrics present). Disable for A/B cold starts.
   bool store_warm_start = true;
 
-  /// Graceful degradation: when a point exhausts its retries (quarantine)
-  /// and the approximation model is on with at least this many dataset
-  /// samples, score the point with an NWM estimate flagged
-  /// `approximate=true` instead of the failure penalty. 0 disables.
-  std::size_t approx_fallback_min_samples = 5;
-
   /// Backend health management (see core/health/ and DESIGN.md
   /// "Availability & degradation ladder"): a per-backend circuit breaker
   /// fast-fails evaluations on a persistently sick backend, new points are
-  /// hedged on the analytic tier (flagged `approximate=true`) and a bounded
+  /// hedged on the analytic tier (flagged `approximate=true`; the final
+  /// front's hedged members are re-verified on the tool) and a bounded
   /// probe queue re-tries representative points until the backend recovers.
   /// Disabled automatically when the high-fidelity backend *is* the
   /// analytic backend (there is nothing to degrade to).
@@ -235,8 +233,10 @@ struct DseStats {
   // Multi-fidelity screening counters (see DESIGN.md "Backend abstraction
   // & multi-fidelity screening").
   std::size_t screened_out = 0;         ///< distinct points settled by the screening backend
-  std::size_t screen_runs = 0;          ///< fresh screening-backend runs
-  double screen_tool_seconds = 0.0;     ///< simulated seconds on the screen backend
+  /// Fresh runs and simulated seconds of the analytic-tier broker; 0
+  /// unless screening is on (hedges alone show only in backend_runs).
+  std::size_t screen_runs = 0;
+  double screen_tool_seconds = 0.0;
   /// Fresh pipeline runs per backend name (e.g. "vivado-sim", "analytic").
   std::map<std::string, std::size_t> backend_runs;
 
@@ -349,10 +349,8 @@ class DseEngine {
   /// The high-fidelity evaluation broker (tests and benches inspect it).
   [[nodiscard]] const EvaluationBroker& broker() const { return *broker_; }
 
-  /// The screening broker; null unless screening is enabled.
-  [[nodiscard]] const EvaluationBroker* screen_broker() const {
-    return screen_broker_.get();
-  }
+  /// The analytic-tier broker when screening is enabled; null otherwise.
+  [[nodiscard]] const EvaluationBroker* screen_broker() const;
 
   /// The backend health manager; null when the breaker is disabled (or the
   /// high-fidelity backend is already the analytic tier).
@@ -457,10 +455,16 @@ class DseEngine {
   /// the approximation dataset; called from the constructor on --resume.
   void absorb_replayed(const std::vector<JournalRecord>& records);
 
-  /// The low-fidelity broker hedged evaluations run on while the hi-fi
-  /// breaker is open: the screening broker when screening is enabled,
-  /// otherwise a lazily built analytic broker. Thread-safe.
-  [[nodiscard]] EvaluationBroker* hedge_broker();
+  /// Whether multi-fidelity screening is on (screen_keep_ratio < 1).
+  [[nodiscard]] bool screening() const { return config_.screen_keep_ratio < 1.0; }
+
+  /// The analytic-tier broker that screens and hedges, built on first use:
+  /// by the constructor when screening is on, otherwise by the first hedge
+  /// of an open breaker. Thread-safe.
+  EvaluationBroker* analytic_broker();
+
+  /// The analytic-tier broker if it has been built, else null.
+  [[nodiscard]] const EvaluationBroker* built_analytic_broker() const;
 
   /// Remember a fast-failed point as a recovery-probe candidate (bounded,
   /// deduplicated).
@@ -475,16 +479,15 @@ class DseEngine {
   ProjectConfig project_;
   DseConfig config_;
   std::shared_ptr<store::EvalStore> store_;  ///< null = no store configured
-  std::unique_ptr<EvaluationBroker> broker_;         ///< high fidelity
-  std::unique_ptr<EvaluationBroker> screen_broker_;  ///< null = no screening
-  std::shared_ptr<BackendHealthManager> health_;     ///< null = breaker disabled
+  std::unique_ptr<EvaluationBroker> broker_;      ///< high fidelity
+  std::shared_ptr<BackendHealthManager> health_;  ///< null = breaker disabled
   std::unique_ptr<model::ControlModel> control_;
 
   // Engine locks are independent leaves: no code path holds two of them at
   // once (see DESIGN.md "Concurrency contracts" for the repo-wide ordering).
-  mutable util::Mutex hedge_mutex_{"DseEngine.hedge"};
-  std::unique_ptr<EvaluationBroker> owned_hedge_broker_
-      DOVADO_GUARDED_BY(hedge_mutex_);  ///< lazily created on first hedge
+  mutable util::Mutex analytic_mutex_{"DseEngine.analytic"};
+  std::unique_ptr<EvaluationBroker> analytic_broker_
+      DOVADO_GUARDED_BY(analytic_mutex_);  ///< see analytic_broker()
 
   util::Mutex probe_mutex_{"DseEngine.probe"};
   std::deque<DesignPoint> probe_queue_ DOVADO_GUARDED_BY(probe_mutex_);

@@ -1,5 +1,6 @@
 #include "src/core/evaluator.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "src/boxing/box.hpp"
@@ -322,6 +323,21 @@ const std::vector<hdl::Parameter>& EvaluatorPool::free_parameters() const {
     throw std::logic_error("EvaluatorPool::free_parameters on an empty pool");
   }
   return free_parameters_snapshot_;
+}
+
+std::string space_parameter_error(const DesignSpace& space, const hdl::Module& module) {
+  const std::vector<hdl::Parameter> free = module.free_parameters();
+  for (const auto& spec : space.params) {
+    const bool found = std::any_of(free.begin(), free.end(), [&](const hdl::Parameter& p) {
+      return module.language == hdl::HdlLanguage::kVhdl ? util::iequals(p.name, spec.name)
+                                                        : p.name == spec.name;
+    });
+    if (!found) {
+      return "design-space parameter '" + spec.name + "' is not a free parameter of module '" +
+             module.name + "'";
+    }
+  }
+  return {};
 }
 
 }  // namespace dovado::core

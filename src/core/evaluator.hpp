@@ -106,6 +106,12 @@ struct ProjectConfig {
   std::string backend = "vivado-sim";
 };
 
+/// Why `space` cannot be explored on `module`: the message naming the first
+/// design-space parameter that is not a free parameter of the module (names
+/// match case-insensitively for VHDL), or empty when every one is.
+[[nodiscard]] std::string space_parameter_error(const DesignSpace& space,
+                                                const hdl::Module& module);
+
 /// Thread-safe memoization of (design point -> result), shared between
 /// parallel evaluators, with *single-flight* deduplication: the first
 /// thread to claim an uncached point becomes its leader and runs the tool;

@@ -9,6 +9,10 @@
 namespace dovado::core {
 namespace {
 
+constexpr double kBackoffBaseSeconds = 2.0;  ///< backoff before retry #1
+constexpr double kBackoffFactor = 2.0;       ///< growth per retry
+constexpr double kBackoffJitter = 0.5;       ///< +/- fraction of the backoff randomized
+
 bool contains(const std::string& haystack, std::string_view needle) {
   return haystack.find(needle) != std::string::npos;
 }
@@ -154,19 +158,15 @@ EvalResult EvaluationSupervisor::supervise(
 }
 
 double EvaluationSupervisor::backoff_seconds(std::uint64_t point_key, int attempt) const {
-  double pause = config_.backoff_base_seconds;
-  for (int i = 0; i < attempt; ++i) pause *= config_.backoff_factor;
+  double pause = kBackoffBaseSeconds;
+  for (int i = 0; i < attempt; ++i) pause *= kBackoffFactor;
   // Deterministic jitter in [1-j, 1+j), derived from (seed, point, attempt)
   // so no global state orders the retries.
-  const double jitter = std::clamp(config_.backoff_jitter, 0.0, 1.0);
-  if (jitter > 0.0) {
-    const std::uint64_t h = util::mix64(
-        util::hash_combine(util::hash_combine(config_.seed, point_key),
-                           static_cast<std::uint64_t>(attempt) ^ 0x5bacc0ffull));
-    const double unit = static_cast<double>(h >> 11) * 0x1.0p-53;  // [0, 1)
-    pause *= 1.0 - jitter + 2.0 * jitter * unit;
-  }
-  return pause;
+  const std::uint64_t h = util::mix64(
+      util::hash_combine(util::hash_combine(config_.seed, point_key),
+                         static_cast<std::uint64_t>(attempt) ^ 0x5bacc0ffull));
+  const double unit = static_cast<double>(h >> 11) * 0x1.0p-53;  // [0, 1)
+  return pause * (1.0 - kBackoffJitter + 2.0 * kBackoffJitter * unit);
 }
 
 SupervisorStats EvaluationSupervisor::stats() const {

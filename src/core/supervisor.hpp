@@ -15,6 +15,7 @@
 //     failure is still published to the evaluation cache, so a quarantined
 //     point is never re-attempted for the rest of the campaign.
 //
+// The backoff before retry #k+1 is fixed at 2 s x 2^k with +/-50 % jitter.
 // Backoff and jitter are pure functions of (seed, point key, attempt), so a
 // supervised run is as deterministic as an unsupervised one.
 #pragma once
@@ -35,10 +36,7 @@ struct SupervisorConfig {
   /// classified kTimeout and their charged time is capped at the budget.
   /// 0 disables the per-attempt timeout.
   double attempt_timeout_tool_seconds = 0.0;
-  double backoff_base_seconds = 2.0;  ///< backoff before retry #1
-  double backoff_factor = 2.0;        ///< growth per retry
-  double backoff_jitter = 0.5;        ///< +/- fraction of the backoff randomized
-  std::uint64_t seed = 1;             ///< jitter determinism
+  std::uint64_t seed = 1;  ///< jitter determinism
 };
 
 /// Robustness counters, merged into DseStats.

@@ -11,23 +11,15 @@ namespace {
 /// Genome-level duplicate detection set.
 using GenomeSet = std::set<Genome>;
 
-/// Apply the configured mutation operator to one genome.
-void mutate_genome(const Problem& problem, const Nsga2Config& config, Genome& g,
-                   util::Rng& rng) {
-  switch (config.mutation) {
-    case MutationKind::kGaussianProbability:
-      gaussian_mutation(problem, g, config.mutation_gaussian_mean,
-                        config.mutation_gaussian_sigma, config.mutation_step_fraction, rng);
-      break;
-    case MutationKind::kPolynomial: {
-      const double prob =
-          config.mutation_polynomial_prob > 0.0
-              ? config.mutation_polynomial_prob
-              : 1.0 / static_cast<double>(std::max<std::size_t>(1, problem.n_vars()));
-      polynomial_mutation(problem, g, config.mutation_polynomial_eta, prob, rng);
-      break;
-    }
-  }
+/// Mate two parents: integer SBX, then the paper's mutation on each child.
+void mate(const Problem& problem, const Genome& parent_a, const Genome& parent_b,
+          util::Rng& rng, Genome& child_a, Genome& child_b) {
+  sbx_integer(problem, parent_a, parent_b, kCrossoverEta, kCrossoverProbVar, rng, child_a,
+              child_b);
+  gaussian_mutation(problem, child_a, kMutationMean, kMutationSigma, kMutationStepFraction,
+                    rng);
+  gaussian_mutation(problem, child_b, kMutationMean, kMutationSigma, kMutationStepFraction,
+                    rng);
 }
 
 /// Initial candidate genomes: seeded genomes first (repaired, deduplicated),
@@ -43,14 +35,14 @@ std::vector<Genome> sample_initial(Problem& problem, const Nsga2Config& config,
     if (initial.size() >= config.population_size) break;
     g.resize(problem.n_vars(), 0);
     problem.repair(g);
-    if (config.eliminate_duplicates && !seen.insert(g).second) continue;
+    if (!seen.insert(g).second) continue;
     initial.push_back(std::move(g));
   }
   const std::int64_t volume = problem.volume();
   int stale = 0;
   while (initial.size() < config.population_size) {
     Genome g = random_genome(problem, rng);
-    if (config.eliminate_duplicates && !seen.insert(g).second) {
+    if (!seen.insert(g).second) {
       if (++stale > 200 || static_cast<std::int64_t>(seen.size()) >= volume) break;
       continue;
     }
@@ -99,34 +91,23 @@ std::vector<Individual> Nsga2::make_offspring(const Problem& problem,
                                               const std::vector<Individual>& population,
                                               util::Rng& rng) const {
   GenomeSet existing;
-  if (config_.eliminate_duplicates) {
-    for (const auto& ind : population) existing.insert(ind.genome);
-  }
+  for (const auto& ind : population) existing.insert(ind.genome);
 
   const std::size_t n = population.size();
   std::vector<Individual> offspring;
   offspring.reserve(config_.population_size);
-
-  auto mutate = [&](Genome& g) { mutate_genome(problem, config_, g, rng); };
 
   while (offspring.size() < config_.population_size) {
     const std::size_t before = offspring.size();
     Genome child_a;
     Genome child_b;
     bool accepted = false;
-    for (int attempt = 0; attempt < std::max(1, config_.duplicate_retries); ++attempt) {
+    for (int attempt = 0; attempt < kDuplicateRetries; ++attempt) {
       const std::size_t p1 =
           tournament(population, rng.index(n), rng.index(n), rng);
       const std::size_t p2 =
           tournament(population, rng.index(n), rng.index(n), rng);
-      sbx_integer(problem, population[p1].genome, population[p2].genome,
-                  config_.crossover_eta, config_.crossover_prob_var, rng, child_a, child_b);
-      mutate(child_a);
-      mutate(child_b);
-      if (!config_.eliminate_duplicates) {
-        accepted = true;
-        break;
-      }
+      mate(problem, population[p1].genome, population[p2].genome, rng, child_a, child_b);
       if (existing.count(child_a) == 0 || existing.count(child_b) == 0) {
         accepted = true;
         break;
@@ -140,10 +121,9 @@ std::vector<Individual> Nsga2::make_offspring(const Problem& problem,
     }
     for (Genome* g : {&child_a, &child_b}) {
       if (offspring.size() >= config_.population_size) break;
-      if (config_.eliminate_duplicates && existing.count(*g) != 0) continue;
+      if (!existing.insert(*g).second) continue;
       Individual ind;
       ind.genome = *g;
-      if (config_.eliminate_duplicates) existing.insert(*g);
       offspring.push_back(std::move(ind));
     }
     // Tiny/exhausted spaces: every remaining genome is a duplicate. Accept
@@ -280,9 +260,9 @@ Genome SteadyStateNsga2::make_one_offspring() {
   // back (e.g. while the initial candidates are still inflight), fall back
   // to random immigrants so ask() never blocks on completions.
   if (population_.size() < 2) {
-    for (int attempt = 0; attempt < std::max(1, config_.duplicate_retries); ++attempt) {
+    for (int attempt = 0; attempt < kDuplicateRetries; ++attempt) {
       Genome g = random_genome(problem_, rng_);
-      if (!config_.eliminate_duplicates || seen_.count(g) == 0) return g;
+      if (seen_.count(g) == 0) return g;
     }
     return random_genome(problem_, rng_);
   }
@@ -290,14 +270,10 @@ Genome SteadyStateNsga2::make_one_offspring() {
   const std::size_t n = population_.size();
   Genome child_a;
   Genome child_b;
-  for (int attempt = 0; attempt < std::max(1, config_.duplicate_retries); ++attempt) {
+  for (int attempt = 0; attempt < kDuplicateRetries; ++attempt) {
     const std::size_t p1 = tournament(population_, rng_.index(n), rng_.index(n), rng_);
     const std::size_t p2 = tournament(population_, rng_.index(n), rng_.index(n), rng_);
-    sbx_integer(problem_, population_[p1].genome, population_[p2].genome,
-                config_.crossover_eta, config_.crossover_prob_var, rng_, child_a, child_b);
-    mutate_genome(problem_, config_, child_a, rng_);
-    mutate_genome(problem_, config_, child_b, rng_);
-    if (!config_.eliminate_duplicates) return child_a;
+    mate(problem_, population_[p1].genome, population_[p2].genome, rng_, child_a, child_b);
     const bool a_fresh = seen_.count(child_a) == 0;
     const bool b_fresh = seen_.count(child_b) == 0;
     if (a_fresh && b_fresh) {
@@ -311,7 +287,7 @@ Genome SteadyStateNsga2::make_one_offspring() {
   // Mating keeps producing known genomes: random immigrant, and if even
   // those are exhausted (tiny space) accept the duplicate child to
   // guarantee forward progress, mirroring the generational engine.
-  for (int attempt = 0; attempt < std::max(1, config_.duplicate_retries); ++attempt) {
+  for (int attempt = 0; attempt < kDuplicateRetries; ++attempt) {
     Genome g = random_genome(problem_, rng_);
     if (seen_.count(g) == 0) return g;
   }
@@ -330,8 +306,7 @@ Genome SteadyStateNsga2::ask() {
     Genome g = std::move(pending_.front());
     pending_.pop_front();
     // A queued sibling may have been asked or reserved since it was mated.
-    if ((!config_.eliminate_duplicates || seen_.count(g) == 0) &&
-        reserved_.count(g) == 0) {
+    if (seen_.count(g) == 0 && reserved_.count(g) == 0) {
       seen_.insert(g);
       return g;
     }

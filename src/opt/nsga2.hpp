@@ -2,9 +2,10 @@
 //
 // This is the paper's DSE solver (Sec. III-B.1): elite-preserving, requires
 // no domain knowledge of the search space or metrics, and the sorting by
-// non-domination keeps the bookkeeping cheap. Configuration mirrors the
-// paper's Sec. IV setup: integer random sampling, integer SBX, duplicate
-// elimination, Gaussian-probability mutation.
+// non-domination keeps the bookkeeping cheap. The operators are the paper's
+// Sec. IV setup, fixed (constants in opt/operators.hpp): integer random
+// sampling, integer SBX, duplicate elimination, Gaussian-probability
+// mutation.
 #pragma once
 
 #include <deque>
@@ -19,35 +20,15 @@
 
 namespace dovado::opt {
 
-enum class MutationKind {
-  kGaussianProbability,  ///< the paper's setup (mean 0.5, tuned variance)
-  kPolynomial,           ///< pymoo's default, used in ablations
-};
-
 struct Nsga2Config {
   std::size_t population_size = 40;
   std::size_t max_generations = 50;
   std::uint64_t seed = 1;
 
-  double crossover_eta = 15.0;
-  double crossover_prob_var = 0.9;
-
   /// Genomes injected into the initial population before random sampling
   /// (repaired into the domain, deduplicated). Used to continue a previous
   /// exploration from its front instead of restarting cold.
   std::vector<Genome> initial_genomes;
-
-  MutationKind mutation = MutationKind::kGaussianProbability;
-  double mutation_gaussian_mean = 0.5;    ///< per-individual probability mean
-  double mutation_gaussian_sigma = 0.15;  ///< the hand-tuned variance knob
-  double mutation_step_fraction = 0.1;    ///< Gaussian step size vs domain
-  double mutation_polynomial_eta = 20.0;
-  /// Per-variable probability for polynomial mutation; <0 => 1/n_vars.
-  double mutation_polynomial_prob = -1.0;
-
-  bool eliminate_duplicates = true;
-  /// Max attempts to mate a non-duplicate offspring before accepting one.
-  int duplicate_retries = 10;
 
   /// Controlled elitism (Deb & Goel [25], the paper's other NSGA reference):
   /// cap the share of each front in the surviving population to a geometric
@@ -120,9 +101,9 @@ void assign_rank_crowding(std::vector<Individual>& population);
 /// (last non-dominated front, minimum crowding). With a deterministic
 /// completion order the whole trajectory is deterministic for a fixed seed.
 ///
-/// Reuses Nsga2Config: population_size, seed, operator knobs, duplicate
-/// elimination and initial_genomes behave as in the generational engine;
-/// max_generations / batch_evaluate / on_generation / controlled_elitism_r
+/// Reuses Nsga2Config: population_size, seed and initial_genomes behave as
+/// in the generational engine, and so do the fixed operators and duplicate
+/// elimination; max_generations / batch_evaluate / on_generation / controlled_elitism_r
 /// are ignored (budgeting and observation belong to the caller, and the
 /// controlled-elitism schedule is a whole-population survival rule that has
 /// no (mu+1) analogue).

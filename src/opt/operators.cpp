@@ -43,37 +43,6 @@ void sbx_integer(const Problem& problem, const Genome& parent_a, const Genome& p
   problem.repair(child_b);
 }
 
-void polynomial_mutation(const Problem& problem, Genome& genome, double eta, double prob_var,
-                         util::Rng& rng) {
-  for (std::size_t i = 0; i < genome.size(); ++i) {
-    if (!rng.chance(prob_var)) continue;
-    const double lo = 0.0;
-    const double hi = static_cast<double>(problem.cardinality(i) - 1);
-    if (hi <= lo) continue;
-    const double x = static_cast<double>(genome[i]);
-    const double u = rng.uniform();
-    double delta = 0.0;
-    if (u < 0.5) {
-      const double dl = (x - lo) / (hi - lo);
-      delta = std::pow(2.0 * u + (1.0 - 2.0 * u) * std::pow(1.0 - dl, eta + 1.0),
-                       1.0 / (eta + 1.0)) -
-              1.0;
-    } else {
-      const double dr = (hi - x) / (hi - lo);
-      delta = 1.0 - std::pow(2.0 * (1.0 - u) + 2.0 * (u - 0.5) * std::pow(1.0 - dr, eta + 1.0),
-                             1.0 / (eta + 1.0));
-    }
-    double mutated = x + delta * (hi - lo);
-    // Guarantee at least one integer step so mutation is never a no-op on
-    // coarse domains.
-    if (std::llround(mutated) == genome[i]) {
-      mutated += (delta >= 0.0) ? 1.0 : -1.0;
-    }
-    genome[i] = static_cast<std::int64_t>(std::llround(mutated));
-  }
-  problem.repair(genome);
-}
-
 void gaussian_mutation(const Problem& problem, Genome& genome, double mean, double sigma,
                        double step_fraction, util::Rng& rng) {
   const double prob = std::clamp(rng.gaussian(mean, sigma), 0.0, 1.0);

@@ -3,14 +3,25 @@
 // The paper's configuration (Sec. IV): integer random sampling, integer
 // simulated binary crossover [31], duplicate elimination, and a mutation
 // whose per-individual probability is approximately Gaussian with mean 0.5
-// and hand-tuned variance. Polynomial mutation is provided as well (pymoo's
-// default companion to SBX) and used by the ablation benches.
+// and hand-tuned variance. The constants below fix that setup; every
+// searcher uses it.
 #pragma once
 
 #include "src/opt/problem.hpp"
 #include "src/util/rng.hpp"
 
 namespace dovado::opt {
+
+inline constexpr double kCrossoverEta = 15.0;        ///< SBX distribution index
+inline constexpr double kCrossoverProbVar = 0.9;     ///< per-variable SBX probability
+inline constexpr double kMutationMean = 0.5;         ///< per-individual probability mean
+inline constexpr double kMutationSigma = 0.15;       ///< the hand-tuned variance knob
+inline constexpr double kMutationStepFraction = 0.1; ///< Gaussian step size vs domain
+
+/// Attempts to produce a genome not seen before (mating, re-asking a
+/// member, stepping a neighbour) before a searcher falls back to a random
+/// immigrant or accepts the duplicate.
+inline constexpr int kDuplicateRetries = 10;
 
 /// Uniform random genome within the problem's index domains.
 [[nodiscard]] Genome random_genome(const Problem& problem, util::Rng& rng);
@@ -22,11 +33,6 @@ namespace dovado::opt {
 void sbx_integer(const Problem& problem, const Genome& parent_a, const Genome& parent_b,
                  double eta, double prob_var, util::Rng& rng, Genome& child_a,
                  Genome& child_b);
-
-/// Polynomial mutation in integer space: each variable mutates with
-/// probability `prob_var`; `eta` is the distribution index.
-void polynomial_mutation(const Problem& problem, Genome& genome, double eta, double prob_var,
-                         util::Rng& rng);
 
 /// The paper's mutation: the per-individual mutation probability is drawn
 /// from N(mean, sigma) clamped to [0,1] (mean 0.5 per Sec. IV); each selected

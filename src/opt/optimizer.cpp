@@ -103,9 +103,7 @@ Genome RandomSearchOptimizer::propose() { return random_distinct(); }
 LocalSearchOptimizer::LocalSearchOptimizer(const OptimizerContext& ctx)
     : ArchiveOptimizer({/*name=*/"local", /*elitist=*/false, /*uses_seeds=*/true,
                         /*uses_surrogate=*/false, /*composite=*/false},
-                       ctx) {
-  retries_ = std::max(1, ctx.ga.duplicate_retries);
-}
+                       ctx) {}
 
 void LocalSearchOptimizer::tell(const Genome& genome, const Objectives& objectives,
                                 double cost_seconds) {
@@ -120,7 +118,7 @@ void LocalSearchOptimizer::tell(const Genome& genome, const Objectives& objectiv
 
 Genome LocalSearchOptimizer::propose() {
   if (climb_front_.empty() || problem_.n_vars() == 0) return random_distinct();
-  for (int attempt = 0; attempt < retries_; ++attempt) {
+  for (int attempt = 0; attempt < kDuplicateRetries; ++attempt) {
     const Individual& base = climb_front_[next_member_ % climb_front_.size()];
     ++next_member_;
     Genome g = base.genome;

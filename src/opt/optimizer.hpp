@@ -35,7 +35,7 @@
 namespace dovado::opt {
 
 /// Everything an optimizer factory may need. `problem` is required;
-/// `ga` carries the seed, population sizing, operator knobs and warm-start
+/// `ga` carries the seed, population sizing and warm-start
 /// genomes every searcher interprets as it sees fit.
 struct OptimizerContext {
   Problem* problem = nullptr;
@@ -110,7 +110,6 @@ class LocalSearchOptimizer final : public ArchiveOptimizer {
   /// climber walks from; round-robin over its members.
   std::vector<Individual> climb_front_;
   std::size_t next_member_ = 0;
-  int retries_ = 10;
 };
 
 /// Surrogate-guided sampler: draws a batch of random candidates and asks

@@ -13,6 +13,11 @@ namespace dovado::opt {
 
 namespace {
 
+/// UCB exploration constant (scales the sqrt(2 ln T / n) bonus).
+constexpr double kExploration = 0.5;
+/// Floor on a member's accumulated tool seconds in its gain-per-second rate.
+constexpr double kMinCostSeconds = 1.0;
+
 bool objectives_valid(const Objectives& objectives) {
   for (double v : objectives) {
     if (!std::isfinite(v) || std::abs(v) >= 1e17) return false;
@@ -22,9 +27,8 @@ bool objectives_valid(const Objectives& objectives) {
 
 }  // namespace
 
-Portfolio::Portfolio(std::vector<std::unique_ptr<Optimizer>> members,
-                     PortfolioConfig config)
-    : config_(config), members_(std::move(members)) {
+Portfolio::Portfolio(std::vector<std::unique_ptr<Optimizer>> members)
+    : members_(std::move(members)) {
   if (members_.empty()) {
     throw std::runtime_error("portfolio: needs at least one member optimizer");
   }
@@ -53,7 +57,7 @@ std::vector<double> Portfolio::scores() const {
   std::vector<double> rate(members_.size(), 0.0);
   double max_rate = 0.0;
   for (std::size_t i = 0; i < members_.size(); ++i) {
-    rate[i] = gain_[i] / std::max(cost_[i], config_.min_cost_seconds);
+    rate[i] = gain_[i] / std::max(cost_[i], kMinCostSeconds);
     max_rate = std::max(max_rate, rate[i]);
   }
   double total_asks = 0.0;
@@ -62,7 +66,7 @@ std::vector<double> Portfolio::scores() const {
   for (std::size_t i = 0; i < members_.size(); ++i) {
     const double exploit = max_rate > 0.0 ? rate[i] / max_rate : 0.0;
     const double explore =
-        config_.exploration *
+        kExploration *
         std::sqrt(2.0 * std::log(std::max(total_asks, 1.0)) /
                   static_cast<double>(std::max<std::size_t>(asks_[i], 1)));
     out[i] = exploit + explore;
@@ -93,7 +97,7 @@ Genome Portfolio::ask() {
   // owns. After the retry budget the duplicate is accepted (tiny or
   // exhausted spaces) — the broker answers it from cache anyway.
   for (int attempt = 0;
-       attempt < std::max(1, config_.duplicate_retries) && seen_.count(g) != 0;
+       attempt < kDuplicateRetries && seen_.count(g) != 0;
        ++attempt) {
     g = members_[member]->ask();
   }

@@ -11,6 +11,11 @@
 // idiom of weak predictors: run several cheap searchers, continuously
 // shift weight to whichever is currently earning.
 //
+// The bandit's constants are fixed: exploration weight 0.5, a 1 s floor on
+// a member's accumulated tool seconds (members answered mostly by estimates
+// or cache hits cannot claim an infinite rate), and kDuplicateRetries
+// re-asks when a member proposes a point another member already owns.
+//
 // Resume: the engine stamps each journal inflight record with
 // attributed_to(genome); on --resume it calls reserve_for(genome, member)
 // so the replayed tell() is routed back to the member that originally
@@ -27,24 +32,12 @@
 
 namespace dovado::opt {
 
-struct PortfolioConfig {
-  /// UCB exploration constant (scales the sqrt(2 ln T / n) bonus).
-  double exploration = 0.5;
-  /// Floor on a member's accumulated tool seconds when computing its
-  /// gain-per-second rate, so members answered mostly by estimates or
-  /// cache hits (zero cost) cannot claim an infinite rate.
-  double min_cost_seconds = 1.0;
-  /// Portfolio-level duplicate retries: how many times ask() re-asks the
-  /// chosen member when it proposes a point another member already owns.
-  int duplicate_retries = 10;
-};
-
 /// Registered as "portfolio" in opt::OptimizerRegistry.
 class Portfolio final : public Optimizer {
  public:
   /// Takes ownership of the members (at least one, all non-null, names
   /// unique — resume attribution is by member name).
-  Portfolio(std::vector<std::unique_ptr<Optimizer>> members, PortfolioConfig config = {});
+  explicit Portfolio(std::vector<std::unique_ptr<Optimizer>> members);
 
   [[nodiscard]] const OptimizerInfo& info() const override;
   [[nodiscard]] Genome ask() override;
@@ -78,7 +71,6 @@ class Portfolio final : public Optimizer {
   double credit_gain(const Genome& genome, const Objectives& objectives);
 
   OptimizerInfo info_;
-  PortfolioConfig config_;
   std::vector<std::unique_ptr<Optimizer>> members_;
 
   // Bandit state, indexed like members_.

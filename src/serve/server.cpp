@@ -349,6 +349,13 @@ Response Server::admit_and_enqueue_locked(const Request& request,
       return response;
     }
   }
+  // A parameter the module lacks would fail every ask at boxing.
+  if (std::string error = core::space_parameter_error(spec.space, broker_->module());
+      !error.empty()) {
+    response.status = ResponseStatus::kError;
+    response.error = std::move(error);
+    return response;
+  }
 
   auto campaign = std::make_shared<CampaignState>();
   campaign->tenant = request.tenant;

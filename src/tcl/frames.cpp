@@ -80,19 +80,19 @@ std::string generate_flow_script(const FrameConfig& config) {
     // Vivado reuses the previous run's checkpoint when present; the tool
     // simply warns and runs flat when it is missing, so the frame can
     // reference it unconditionally.
-    s += " -incremental {" + config.synth_checkpoint + "}";
+    s += std::string(" -incremental {") + kSynthCheckpoint + "}";
   }
   s += "\n";
-  s += "write_checkpoint -force {" + config.synth_checkpoint + "}\n";
+  s += std::string("write_checkpoint -force {") + kSynthCheckpoint + "}\n";
 
   if (config.run_implementation) {
     s += "opt_design\n";
     if (config.incremental_impl) {
-      s += "read_checkpoint -incremental {" + config.impl_checkpoint + "}\n";
+      s += std::string("read_checkpoint -incremental {") + kImplCheckpoint + "}\n";
     }
     s += "place_design -directive {" + config.place_directive + "}\n";
     s += "route_design -directive {" + config.route_directive + "}\n";
-    s += "write_checkpoint -force {" + config.impl_checkpoint + "}\n";
+    s += std::string("write_checkpoint -force {") + kImplCheckpoint + "}\n";
   }
 
   s += "report_utilization\n";

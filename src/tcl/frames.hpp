@@ -5,7 +5,8 @@
 // module generates the batch flow script the (simulated) Vivado executes:
 // source reading in the required order, the XDC constraint, synthesis,
 // optionally implementation (opt/place/route), the utilization and timing
-// reports, and checkpoint writes for the incremental flow.
+// reports, and checkpoint writes for the incremental flow (always to
+// kSynthCheckpoint and kImplCheckpoint).
 #pragma once
 
 #include <string>
@@ -14,6 +15,10 @@
 #include "src/hdl/ast.hpp"
 
 namespace dovado::tcl {
+
+/// Checkpoints the flow writes, and reads back in the incremental flow.
+inline constexpr const char* kSynthCheckpoint = "post_synth.dcp";
+inline constexpr const char* kImplCheckpoint = "post_route.dcp";
 
 /// One source file of the design (the box source is passed separately since
 /// it lives in memory, not on disk).
@@ -38,8 +43,6 @@ struct FrameConfig {
   bool run_implementation = true;            ///< false => synthesis-only flow
   bool incremental_synth = false;
   bool incremental_impl = false;
-  std::string synth_checkpoint = "post_synth.dcp";
-  std::string impl_checkpoint = "post_route.dcp";
 };
 
 /// Check the paper's naming constraints: a VHDL source assigned to a

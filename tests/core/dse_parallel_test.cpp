@@ -473,7 +473,6 @@ TEST(DseRobustness, QuarantinedPointsFallBackToApproximateScores) {
   config.breaker.enabled = false;
   config.use_approximation = true;
   config.pretrain_samples = 15;
-  config.approx_fallback_min_samples = 5;
   DseEngine engine(fifo_project(), config);
   const DseResult result = engine.run();
 

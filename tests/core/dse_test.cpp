@@ -169,7 +169,6 @@ TEST(DseEngine, VerifiedFrontHasNoEstimates) {
   DseConfig approx = fifo_dse(10, 8);
   approx.use_approximation = true;
   approx.pretrain_samples = 20;
-  approx.verify_estimated_front = true;
   DseEngine engine(fifo_project(), approx);
   const DseResult result = engine.run();
   for (const auto& p : result.pareto) {

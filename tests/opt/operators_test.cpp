@@ -105,37 +105,6 @@ TEST(SbxInteger, ZeroProbabilityCopiesParents) {
   EXPECT_EQ(cb, b);
 }
 
-TEST(PolynomialMutation, StaysInBoundsAndMoves) {
-  DomainsOnly problem({64});
-  util::Rng rng(11);
-  int moved = 0;
-  for (int i = 0; i < 500; ++i) {
-    Genome g{32};
-    polynomial_mutation(problem, g, 20.0, 1.0, rng);
-    EXPECT_GE(g[0], 0);
-    EXPECT_LT(g[0], 64);
-    moved += (g[0] != 32);
-  }
-  // The integer guarantee: a triggered mutation always moves at least 1.
-  EXPECT_EQ(moved, 500);
-}
-
-TEST(PolynomialMutation, ZeroProbabilityNoOp) {
-  DomainsOnly problem({64});
-  util::Rng rng(11);
-  Genome g{32};
-  polynomial_mutation(problem, g, 20.0, 0.0, rng);
-  EXPECT_EQ(g[0], 32);
-}
-
-TEST(PolynomialMutation, SingletonDomainUntouched) {
-  DomainsOnly problem({1});
-  util::Rng rng(4);
-  Genome g{0};
-  polynomial_mutation(problem, g, 20.0, 1.0, rng);
-  EXPECT_EQ(g[0], 0);
-}
-
 TEST(GaussianMutation, StaysInBounds) {
   DomainsOnly problem({128, 128});
   util::Rng rng(9);

@@ -236,6 +236,30 @@ TEST(Server, CampaignWithUnknownMetricIsRejectedWithAHint) {
   EXPECT_NE(response.error.find("lut"), std::string::npos);
 }
 
+TEST(Server, CampaignWithUnknownParameterIsRejected) {
+  auto clock_now = std::make_shared<double>(0.0);
+  Server server(base_config(clock_now));
+
+  Request request;
+  request.op = RequestOp::kCampaign;
+  request.tenant = "alice";
+  request.id = "c1";
+  request.campaign.space.params.push_back(
+      {"DEPTH", core::ParamDomain::range(8, 200)});
+  request.campaign.space.params.push_back(
+      {"WIDTH", core::ParamDomain::range(8, 64)});  // the FIFO has DATA_WIDTH
+  request.campaign.objectives = {{"lut", false}};
+  request.campaign.budget = 4;
+
+  Response response = server.execute(request);
+  ASSERT_EQ(response.status, ResponseStatus::kError);
+  EXPECT_EQ(response.error,
+            "design-space parameter 'WIDTH' is not a free parameter of module "
+            "'cv32e40p_fifo'");
+  EXPECT_TRUE(response.front.empty());
+  EXPECT_EQ(server.stats().campaigns_finished, 0u);
+}
+
 TEST(Server, CampaignWithUnknownOptimizerIsRejected) {
   auto clock_now = std::make_shared<double>(0.0);
   Server server(base_config(clock_now));
