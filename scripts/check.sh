@@ -20,6 +20,12 @@ cmake --preset default -DDOVADO_WERROR=ON
 cmake --build --preset default -j "$jobs"
 ctest --preset default -j "$jobs" --timeout 600
 
+echo "== perfbench: the benchmark driver (dovado_e2e) compiles =="
+# perfbench/ is a separate CMake project over ../src; nothing above builds
+# it, so an src/ API change that breaks the benchmark would pass otherwise.
+cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=Release
+cmake --build build-perfbench --target dovado_e2e -j "$jobs"
+
 echo "== lint: clang-tidy (skipped when not installed) =="
 scripts/lint.sh build
 

@@ -69,13 +69,11 @@ const std::vector<RuleInfo>& all_rules() {
       {"net-width-mismatch", Severity::kWarning, "net",
        "continuous assign connects nets of different widths"},
 
-      // TCL script rules (abstract interpretation of the mini-TCL AST).
+      // TCL script rules (a straight-line walk of the parsed script).
       {"tcl-parse-error", Severity::kError, "tcl", "script has unbalanced syntax"},
       {"tcl-unknown-command", Severity::kError, "tcl", "command is not registered"},
-      {"tcl-unset-var", Severity::kError, "tcl", "variable may be read before any set"},
-      {"tcl-dead-branch", Severity::kWarning, "tcl",
-       "branch condition is a constant; a branch can never run"},
-      {"tcl-wrong-arity", Severity::kError, "tcl", "builtin called with a bad word count"},
+      {"tcl-unset-var", Severity::kError, "tcl", "variable is read before any set"},
+      {"tcl-wrong-arity", Severity::kError, "tcl", "set called with a bad word count"},
       {"tcl-missing-arg", Severity::kError, "tcl",
        "synth_design lacks a required -top/-part argument"},
       {"tcl-unknown-flag", Severity::kError, "tcl",

@@ -1,26 +1,23 @@
-// TCL script lint: abstract interpretation of the mini-TCL dialect without
-// executing side effects.
+// TCL script lint: a check of the straight-line TCL subset Dovado emits
+// (see tcl/interp.hpp), without executing side effects.
 //
 // The linter parses a script into the structural AST (src/tcl/ast) and walks
-// it with a may-defined variable analysis: a variable counts as defined when
-// any path could have set it, so only reads that are impossible on every
-// path are reported. Tool commands (synth_design, place_design, ...) are
-// validated against flag tables mirroring the simulated Vivado backend, and
-// a flow-order state machine catches implementation steps issued before
-// synth_design.
+// its commands in order, each word's `$refs` and `[...]` left to right, as
+// the interpreter runs them: a variable read before any `set` of it is
+// reported. A command the session does not register (`set`, the tool
+// commands, get_ports / get_nets / set_property) is unknown. Tool commands
+// (synth_design, place_design, ...) are validated against flag tables
+// mirroring the simulated Vivado backend, and a flow-order state machine
+// catches implementation steps issued before synth_design.
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "src/analysis/diagnostic.hpp"
 
 namespace dovado::analysis {
 
 struct TclLintOptions {
-  /// Variables assumed defined before the first command (e.g. variables an
-  /// enclosing script sets before sourcing this one).
-  std::vector<std::string> predefined_vars;
   /// Validate synthesis/implementation ordering. Disable for constraint
   /// files (XDC), which run inside read_xdc mid-flow.
   bool check_flow_order = true;

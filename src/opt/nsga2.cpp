@@ -1,7 +1,7 @@
 #include "src/opt/nsga2.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <numeric>
 #include <set>
 
 namespace dovado::opt {
@@ -145,53 +145,17 @@ std::vector<Individual> Nsga2::survive(
   std::vector<Individual> next;
   next.reserve(capacity);
 
-  // Per-front crowding, and per-front orders by decreasing crowding.
-  std::vector<std::vector<double>> crowding(fronts.size());
-  std::vector<std::vector<std::size_t>> order(fronts.size());
-  for (std::size_t f = 0; f < fronts.size(); ++f) {
-    crowding[f] = crowding_distance(objs, fronts[f]);
-    order[f].resize(fronts[f].size());
-    for (std::size_t i = 0; i < order[f].size(); ++i) order[f][i] = i;
-    std::sort(order[f].begin(), order[f].end(), [&](std::size_t a, std::size_t b) {
-      return crowding[f][a] > crowding[f][b];
-    });
-  }
-
-  // Allowance per front: everything (standard NSGA-II) or the geometric
-  // schedule n_f = N (1-r) r^f / (1 - r^K) of controlled elitism.
-  std::vector<std::size_t> allowance(fronts.size());
-  const double r = config_.controlled_elitism_r;
-  if (r > 0.0 && r < 1.0 && fronts.size() > 1) {
-    const double k = static_cast<double>(fronts.size());
-    double geometric = (1.0 - r) / (1.0 - std::pow(r, k));
-    for (std::size_t f = 0; f < fronts.size(); ++f) {
-      allowance[f] = static_cast<std::size_t>(std::llround(
-          static_cast<double>(capacity) * geometric * std::pow(r, static_cast<double>(f))));
-    }
-  } else {
-    for (std::size_t f = 0; f < fronts.size(); ++f) allowance[f] = capacity;
-  }
-
-  // First pass: each front contributes up to its allowance, best-crowded
-  // first. Second pass: remaining capacity is filled front by front from
-  // the members passed over (Deb & Goel's overflow rule).
-  std::vector<std::vector<std::size_t>> leftovers(fronts.size());
+  // Fronts in rank order, each best-crowded first, until the population is
+  // full: the last front that fits only in part is truncated by crowding.
   for (std::size_t f = 0; f < fronts.size() && next.size() < capacity; ++f) {
-    std::size_t taken = 0;
-    for (std::size_t i : order[f]) {
-      if (taken >= allowance[f] || next.size() >= capacity) {
-        leftovers[f].push_back(i);
-        continue;
-      }
-      merged[fronts[f][i]].crowding = crowding[f][i];
-      next.push_back(merged[fronts[f][i]]);
-      ++taken;
-    }
-  }
-  for (std::size_t f = 0; f < fronts.size() && next.size() < capacity; ++f) {
-    for (std::size_t i : leftovers[f]) {
+    const std::vector<double> crowding = crowding_distance(objs, fronts[f]);
+    std::vector<std::size_t> order(fronts[f].size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::sort(order.begin(), order.end(),
+              [&](std::size_t a, std::size_t b) { return crowding[a] > crowding[b]; });
+    for (std::size_t i : order) {
       if (next.size() >= capacity) break;
-      merged[fronts[f][i]].crowding = crowding[f][i];
+      merged[fronts[f][i]].crowding = crowding[i];
       next.push_back(merged[fronts[f][i]]);
     }
   }

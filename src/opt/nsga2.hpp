@@ -30,13 +30,6 @@ struct Nsga2Config {
   /// exploration from its front instead of restarting cold.
   std::vector<Genome> initial_genomes;
 
-  /// Controlled elitism (Deb & Goel [25], the paper's other NSGA reference):
-  /// cap the share of each front in the surviving population to a geometric
-  /// schedule with ratio r in (0,1), keeping lateral diversity from worse
-  /// fronts for better convergence on multi-modal landscapes. 0 disables it
-  /// (standard NSGA-II survival).
-  double controlled_elitism_r = 0.0;
-
   /// Optional early-termination check, polled once per generation (used for
   /// the paper's wall-clock soft deadline on the genetic algorithm).
   std::function<bool()> should_stop;
@@ -76,8 +69,8 @@ class Nsga2 {
   [[nodiscard]] std::vector<Individual> make_offspring(
       const Problem& problem, const std::vector<Individual>& population, util::Rng& rng) const;
 
-  /// (mu + lambda) survival: standard elitist truncation, or the controlled
-  /// elitist geometric schedule when controlled_elitism_r > 0.
+  /// (mu + lambda) survival: standard elitist truncation by rank, then
+  /// crowding distance.
   [[nodiscard]] std::vector<Individual> survive(
       std::vector<Individual>& merged, const std::vector<Objectives>& objs,
       const std::vector<std::vector<std::size_t>>& fronts) const;
@@ -103,10 +96,8 @@ void assign_rank_crowding(std::vector<Individual>& population);
 ///
 /// Reuses Nsga2Config: population_size, seed and initial_genomes behave as
 /// in the generational engine, and so do the fixed operators and duplicate
-/// elimination; max_generations / batch_evaluate / on_generation / controlled_elitism_r
-/// are ignored (budgeting and observation belong to the caller, and the
-/// controlled-elitism schedule is a whole-population survival rule that has
-/// no (mu+1) analogue).
+/// elimination; max_generations / should_stop / batch_evaluate / on_generation
+/// are ignored (budgeting and observation belong to the caller).
 ///
 /// Registered as "nsga2" in opt::OptimizerRegistry (see opt/optimizer.hpp).
 class SteadyStateNsga2 final : public Optimizer {

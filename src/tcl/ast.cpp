@@ -49,25 +49,6 @@ class Parser {
     return std::move(out_);
   }
 
-  ScriptNode substitution() {
-    WordNode word;
-    word.line = line_;
-    while (!done() && out_.ok) {
-      if (peek() == '$') {
-        dollar(word);
-      } else if (peek() == '[') {
-        bracket(word, /*raw=*/true);
-      } else {
-        append(word, next());
-      }
-    }
-    CommandNode command;
-    command.line = word.line;
-    command.words.push_back(std::move(word));
-    out_.commands.push_back(std::move(command));
-    return std::move(out_);
-  }
-
  private:
   [[nodiscard]] bool done() const { return pos_ >= text_.size(); }
   [[nodiscard]] char peek(std::size_t ahead = 0) const {
@@ -96,18 +77,14 @@ class Parser {
   WordNode word() {
     WordNode word;
     word.line = line_;
-    const std::size_t start = pos_;
     if (peek() == '{') {
       word.kind = WordNode::Kind::kBraced;
       braced(word);
-      word.text = std::string(text_.substr(start + 1, pos_ - start - (out_.ok ? 2 : 1)));
     } else if (peek() == '"') {
       word.kind = WordNode::Kind::kQuoted;
       quoted(word);
-      word.text = std::string(text_.substr(start + 1, pos_ - start - (out_.ok ? 2 : 1)));
     } else {
       bare(word);
-      word.text = std::string(text_.substr(start, pos_ - start));
     }
     return word;
   }
@@ -146,7 +123,7 @@ class Parser {
       if (peek() == '$') {
         dollar(word);
       } else if (peek() == '[') {
-        bracket(word, /*raw=*/false);
+        bracket(word);
       } else if (peek() == '\\') {
         next();
         escape(word);
@@ -167,7 +144,7 @@ class Parser {
       if (peek() == '$') {
         dollar(word);
       } else if (peek() == '[') {
-        bracket(word, /*raw=*/false);
+        bracket(word);
       } else if (peek() == '\\') {
         next();
         if (peek() == '\n') {  // continuation ends the word
@@ -219,17 +196,16 @@ class Parser {
     word.parts.push_back({WordPart::Kind::kVar, std::move(name), nullptr});
   }
 
-  /// `[...]`: find the balancing `]` (in a script a backslash escapes the
-  /// next character; in raw substitution text it does not), then parse the
-  /// contents as a nested script.
-  void bracket(WordNode& word, bool raw) {
+  /// `[...]`: find the balancing `]` (a backslash escapes the next
+  /// character), then parse the contents as a nested script.
+  void bracket(WordNode& word) {
     const int open_line = line_;
     next();  // '['
     const std::size_t start = pos_;
     int depth = 1;
     while (!done()) {
       const char ch = next();
-      if (ch == '\\' && !raw && !done()) {
+      if (ch == '\\' && !done()) {
         next();
         continue;
       }
@@ -258,13 +234,8 @@ class Parser {
 
 }  // namespace
 
-ScriptNode parse_script(std::string_view text, int first_line) {
-  return Parser(text, first_line, 1).script();
-}
-
-ScriptNode parse_substitution(std::string_view text, int first_line) {
-  // The text itself is not a script: its brackets are the first level.
-  return Parser(text, first_line, 0).substitution();
+ScriptNode parse_script(std::string_view text) {
+  return Parser(text, /*first_line=*/1, /*level=*/1).script();
 }
 
 }  // namespace dovado::tcl

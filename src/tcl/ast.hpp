@@ -1,4 +1,4 @@
-// The one parser of the mini-TCL dialect (see interp.hpp).
+// The one parser of the TCL subset Dovado emits (see interp.hpp).
 //
 // parse_script turns script text into commands, words and word parts. The
 // interpreter executes that tree (compiling each distinct text once, see
@@ -14,8 +14,7 @@
 // bracket ends at the first `]` that balances the `[`s before it (only
 // backslashes escape), and its contents are parsed as a nested script where
 // it appears; nesting deeper than kMaxDepth is a syntax error (`too many
-// nested evaluations`). Braced words stay text: bodies of if/while/proc are
-// scripts only for the command that runs them, which parses them in turn.
+// nested evaluations`). Braced words stay text.
 //
 // A syntax error stops the parse where it is found. The commands before it
 // are complete; the last command holds the words (and the parts of a
@@ -56,7 +55,6 @@ struct WordNode {
     kBraced,  ///< {...} literal: one text part
   };
   Kind kind = Kind::kBare;
-  std::string text;  ///< raw source between the delimiters
   std::vector<WordPart> parts;  ///< adjacent text is merged into one part
   int line = 1;
 
@@ -88,14 +86,6 @@ struct ScriptNode {
 };
 
 /// Parse a script into commands without evaluating anything.
-[[nodiscard]] ScriptNode parse_script(std::string_view text, int first_line = 1);
-
-/// Parse text for one round of substitution, as expr/if/while/for apply it to
-/// their (already substituted) condition: the whole text is one bare word
-/// (its only command) with `$` and `[...]` parts. Unlike in a script,
-/// whitespace and separators are literal, backslashes are literal, and a
-/// bracket ends at the first balancing `]` even after a backslash. Errors are
-/// reported as for parse_script.
-[[nodiscard]] ScriptNode parse_substitution(std::string_view text, int first_line = 1);
+[[nodiscard]] ScriptNode parse_script(std::string_view text);
 
 }  // namespace dovado::tcl

@@ -1,7 +1,8 @@
-# Fixture: command substitution inside words -> no diagnostics, and the
-# interpreter runs it (x=a3, y=v=2, z=37, w="a btailc d").
-set x a[expr 1 + 2]
-set y "v=[string length "ab"]"
-set z [expr 1 + 2][expr 3 + 4]
-set w [list a b]tail[list c d]
-puts "$x $y $z $w"
+# Fixture: substitution inside words -> no diagnostics, and the interpreter
+# runs it (x=a3, y=v=3, z=33xc7k70t, w="a b c").
+set n 3
+set part xc7k70t
+set x a[set n]
+set y "v=[set m $n]"
+set z [set n][set m]${part}
+set w "a [set q b] c"

@@ -1,3 +1,3 @@
-# Fixture: $flow_dir is read but never set on any path -> tcl-unset-var.
+# Fixture: $flow_dir is read before any set of it -> tcl-unset-var.
 set part xc7k70t
-puts $flow_dir
+set out $flow_dir/$part

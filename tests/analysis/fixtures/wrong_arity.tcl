@@ -1,2 +1,2 @@
-# Fixture: foreach takes exactly var/list/body -> tcl-wrong-arity.
-foreach x {1 2}
+# Fixture: set takes a name and at most one value -> tcl-wrong-arity.
+set part xc7k70t xc7a35t

@@ -140,15 +140,14 @@ report_timing
 }
 
 TEST(VivadoSim, ReadXdcWithCrlfLineEndings) {
-  // A carriage return separates words like a space: the foreach below has
-  // three arguments, not a fourth "\r" after its body.
+  // A carriage return separates words like a space: `set period 3.125 \r`
+  // has two arguments, not a third "\r".
   VivadoSim sim;
   load_counter_files(sim);
   sim.add_virtual_file("crlf.xdc",
-                       "create_clock -name clk -period 3.125 [get_ports clk]\r\n"
-                       "foreach port {clk rst} {\r\n"
-                       "  set_property IOSTANDARD LVCMOS33 [get_ports $port]\r\n"
-                       "}\r\n");
+                       "set period 3.125 \r\n"
+                       "create_clock -name clk -period $period [get_ports clk]\r\n"
+                       "set_property IOSTANDARD LVCMOS33 [get_ports {clk rst}]\r\n");
   const auto r = sim.run_script("read_xdc {crlf.xdc}\r\n");
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(sim.period_ns(), 3.125);

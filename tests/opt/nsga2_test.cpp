@@ -325,65 +325,6 @@ TEST(Nsga2, SingleObjectiveDegeneratesToMinimum) {
   EXPECT_EQ(result.pareto_front[0].genome[0], 0);
 }
 
-TEST(Nsga2ControlledElitism, MaintainsPopulationSizeAndQuality) {
-  // Controlled elitism (Deb & Goel [25]) with r = 0.5: survival still fills
-  // the population exactly and the returned front is still non-dominated.
-  ConvexProblem problem(64, 64);
-  Nsga2Config config = small_config(41);
-  config.controlled_elitism_r = 0.5;
-  config.on_generation = [&](std::size_t, const std::vector<Individual>& pop) {
-    EXPECT_EQ(pop.size(), config.population_size);
-  };
-  Nsga2 solver(config);
-  const auto result = solver.run(problem);
-  ASSERT_FALSE(result.pareto_front.empty());
-  for (const auto& a : result.pareto_front) {
-    for (const auto& b : result.pareto_front) {
-      EXPECT_FALSE(dominates(a.objectives, b.objectives));
-    }
-  }
-}
-
-TEST(Nsga2ControlledElitism, KeepsLateralDiversity) {
-  // With r < 1 the surviving population must retain members beyond rank 0
-  // whenever more than one front exists in the merged pool; standard
-  // survival on a small front-0 landscape quickly fills with rank 0 only.
-  ConvexProblem problem(128, 128);
-  Nsga2Config config = small_config(4);
-  config.population_size = 30;
-  config.max_generations = 12;
-  config.controlled_elitism_r = 0.5;
-  int generations_with_diversity = 0;
-  int generations_total = 0;
-  config.on_generation = [&](std::size_t, const std::vector<Individual>& pop) {
-    ++generations_total;
-    for (const auto& ind : pop) {
-      if (ind.rank > 0) {
-        ++generations_with_diversity;
-        break;
-      }
-    }
-  };
-  Nsga2 solver(config);
-  (void)solver.run(problem);
-  EXPECT_GT(generations_with_diversity, generations_total / 2);
-}
-
-TEST(Nsga2ControlledElitism, ConvergesOnTheBenchmark) {
-  ConvexProblem problem(64, 64);
-  Nsga2Config config = small_config(19);
-  config.controlled_elitism_r = 0.6;
-  config.max_generations = 40;
-  Nsga2 solver(config);
-  const auto result = solver.run(problem);
-  double mean_y = 0.0;
-  for (const auto& ind : result.pareto_front) {
-    mean_y += static_cast<double>(ind.genome[1]);
-  }
-  mean_y /= static_cast<double>(result.pareto_front.size());
-  EXPECT_LT(mean_y, 4.0);
-}
-
 TEST(ParetoSubset, RemovesDuplicatesAndDominated) {
   std::vector<Individual> pop(4);
   pop[0].genome = {1};
