@@ -73,7 +73,7 @@ class VivadoSim {
   /// files shadow the filesystem.
   void add_virtual_file(const std::string& path, std::string content);
 
-  /// Run a flow script. Captured `puts`/report output is available via
+  /// Run a flow script. Captured tool/report output is available via
   /// interp().output(); the previous run's output is cleared first.
   [[nodiscard]] tcl::EvalResult run_script(const std::string& script);
 
