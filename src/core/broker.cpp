@@ -1,6 +1,7 @@
 #include "src/core/broker.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "src/util/logging.hpp"
@@ -299,10 +300,14 @@ EvalResult EvaluationBroker::tool_evaluate(const DesignPoint& point, bool probe,
 
 std::size_t EvaluationBroker::run_deadline_chunked(
     std::size_t n, const std::function<void(std::size_t)>& fn) {
-  // The caller participates in parallel_for, so a chunk of twice the lane
-  // count keeps every lane busy while bounding deadline overshoot to one
-  // chunk's worth of tool runs.
-  const std::size_t chunk = 2 * (pool_->worker_count() + 1);
+  // The caller participates in parallel_for, so with a deadline a chunk of
+  // twice the lane count keeps every lane busy while bounding deadline
+  // overshoot to one chunk's worth of tool runs. Without one there is
+  // nothing to check between chunks: the batch is a single dispatch, and
+  // the lanes meet at one barrier per batch instead of one per chunk.
+  const bool has_deadline =
+      config_.deadline_tool_seconds < std::numeric_limits<double>::infinity();
+  const std::size_t chunk = has_deadline ? 2 * (pool_->worker_count() + 1) : n;
   const double start_seconds = tool_seconds();
   std::size_t dispatched = 0;
   while (dispatched < n) {

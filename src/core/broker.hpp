@@ -168,10 +168,12 @@ class EvaluationBroker {
     return replayed_health_events_;
   }
 
-  /// Dispatch fn(i) for i in [0, n) over the pool in chunks, checking the
-  /// tool deadline between chunks; stops dispatching (and flags
-  /// deadline_hit) once the deadline is exceeded. Returns how many
-  /// iterations were dispatched, and accounts per-batch tool seconds.
+  /// Dispatch fn(i) for i in [0, n) over the pool. With a finite tool
+  /// deadline, dispatch goes in chunks of 2*(workers+1), checking the
+  /// deadline between chunks; it stops dispatching (and flags
+  /// deadline_hit) once the deadline is exceeded. Without one, the whole
+  /// batch is a single dispatch. Returns how many iterations were
+  /// dispatched, and accounts per-batch tool seconds.
   std::size_t run_deadline_chunked(std::size_t n,
                                    const std::function<void(std::size_t)>& fn);
 

@@ -8,8 +8,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -264,6 +266,36 @@ TEST(DseParallel, DeadlineEnforcedMidBatch) {
   const DseStats after = engine.stats();
   EXPECT_EQ(after.tool_runs, stats.tool_runs);
   EXPECT_EQ(after.deadline_skips, stats.deadline_skips + 3);
+}
+
+TEST(DseParallel, NoDeadlineDispatchesTheBatchAtOnce) {
+  // Without a deadline there is nothing to check between chunks, so the
+  // whole batch is one dispatch: iteration 2*(workers+1), past the first
+  // chunk, starts while iteration 0 is still running. Chunked dispatch
+  // would hold it until iteration 0 returned, and iteration 0 waits for it.
+  BrokerConfig config;
+  config.workers = 2;
+  EvaluationBroker broker(fifo_project(), config);
+  const std::size_t past_first_chunk = 2 * (config.workers + 1);
+
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool started = false;
+  bool seen_by_iteration_0 = false;
+  const std::size_t dispatched =
+      broker.run_deadline_chunked(past_first_chunk + 1, [&](std::size_t i) {
+        std::unique_lock<std::mutex> lock(mutex);
+        if (i == past_first_chunk) {
+          started = true;
+          cv.notify_all();
+        } else if (i == 0) {
+          seen_by_iteration_0 = cv.wait_for(lock, std::chrono::seconds(5), [&] { return started; });
+        }
+      });
+
+  EXPECT_EQ(dispatched, past_first_chunk + 1);
+  EXPECT_TRUE(seen_by_iteration_0);
+  EXPECT_FALSE(broker.stats().deadline_hit);
 }
 
 TEST(DseParallel, DeadlineEnforcedMidEvaluateSet) {
