@@ -22,6 +22,7 @@ std::vector<opt::Objectives> random_objectives(std::size_t n, std::size_t m,
   return objs;
 }
 
+// Three objectives take the general pairwise path: the O(N^2) baseline.
 void BM_FastNonDominatedSort(benchmark::State& state) {
   const auto objs = random_objectives(static_cast<std::size_t>(state.range(0)), 3, 1);
   for (auto _ : state) {
@@ -30,6 +31,25 @@ void BM_FastNonDominatedSort(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_FastNonDominatedSort)->Range(16, 1024)->Complexity(benchmark::oNSquared);
+
+// Two objectives (every paper campaign) take the O(N log N) sweep.
+void BM_FastNonDominatedSort2(benchmark::State& state) {
+  const auto objs = random_objectives(static_cast<std::size_t>(state.range(0)), 2, 1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(opt::fast_non_dominated_sort(objs));
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_FastNonDominatedSort2)->Range(16, 4096)->Complexity(benchmark::oNLogN);
+
+void BM_NonDominatedIndices2(benchmark::State& state) {
+  const auto objs = random_objectives(static_cast<std::size_t>(state.range(0)), 2, 4);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(opt::non_dominated_indices(objs));
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_NonDominatedIndices2)->Range(16, 4096)->Complexity(benchmark::oNLogN);
 
 void BM_CrowdingDistance(benchmark::State& state) {
   const auto objs = random_objectives(static_cast<std::size_t>(state.range(0)), 3, 2);

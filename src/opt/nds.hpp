@@ -9,7 +9,12 @@ namespace dovado::opt {
 
 /// Partition objective vectors into non-domination fronts. Returns fronts of
 /// indices into `objectives`: fronts[0] is the Pareto front; every solution
-/// appears in exactly one front. O(M*N^2) as in the paper [26].
+/// appears in exactly one front. Member order (crowding and survival break
+/// ties by it): front 0 in ascending index; front k+1 by the position in
+/// front k of the member's last-listed dominator there, then by index.
+/// When every vector is a NaN-free pair, an O(N log N) sweep (Jensen, IEEE
+/// TEC 2003); otherwise the O(M*N^2) pairwise peeling of the paper [26].
+/// Both paths emit the same fronts in the same order.
 [[nodiscard]] std::vector<std::vector<std::size_t>> fast_non_dominated_sort(
     const std::vector<Objectives>& objectives);
 
@@ -19,9 +24,10 @@ namespace dovado::opt {
 [[nodiscard]] std::vector<double> crowding_distance(const std::vector<Objectives>& objectives,
                                                     const std::vector<std::size_t>& front);
 
-/// Indices of the non-dominated subset of `objectives` (== front 0, but
-/// computed with a single O(N^2) pass; duplicates of a non-dominated point
-/// are all kept).
+/// Indices of the non-dominated subset of `objectives` in ascending order
+/// (== front 0; duplicates of a non-dominated point are all kept).
+/// O(N log N) when every vector is a NaN-free pair, otherwise one O(M*N^2)
+/// pass without building the other fronts.
 [[nodiscard]] std::vector<std::size_t> non_dominated_indices(
     const std::vector<Objectives>& objectives);
 
