@@ -211,10 +211,11 @@ explore options:
   --pretrain M            synthetic dataset size (default 100)
   --deadline-hours H      soft deadline on simulated tool time
   --workers N             parallel tool sessions (default 0 = inline)
-  --screen-ratio R        multi-fidelity screening: pre-rank each offspring
-                          batch on the analytic backend and send only the
-                          top fraction R to the full flow (default 1.0 =
-                          screening off)
+  --screen-ratio R        multi-fidelity screening: pre-rank each block of
+                          proposals (offspring batch, or a population of
+                          steady-state asks) on the analytic backend and
+                          send only the top fraction R to the full flow
+                          (default 1.0 = screening off)
   --steady-state          asynchronous steady-state engine: offspring are
                           submitted one at a time as evaluator lanes free
                           up (no generational barrier); survival runs per

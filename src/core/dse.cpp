@@ -679,60 +679,68 @@ std::vector<std::optional<EvalResult>> DseEngine::screen_batch(
   return settled;
 }
 
-std::size_t DseEngine::batch_evaluate(std::vector<opt::Individual>& individuals) {
-  std::size_t scored = 0;  ///< individuals that consumed a genuine evaluation
-  struct PendingTool {
-    std::size_t individual;
-    std::size_t unique_index;  ///< into unique_points
-  };
-  std::vector<PendingTool> queue;
-  // Identical genomes in one batch collapse onto a single tool run up
-  // front (deterministic single-flight); the cache-level single-flight
-  // additionally covers duplicates that only meet in flight (concurrent
-  // engine entry points sharing the evaluation cache).
+std::vector<DseEngine::Rung> DseEngine::ladder(const std::vector<DesignPoint>& block) {
+  std::vector<Rung> rungs(block.size());
+  // Identical points collapse onto their first occurrence: one screen, one
+  // forwarding verdict and (in the batch engine) one tool run, which the
+  // duplicates join.
   std::vector<DesignPoint> unique_points;
+  std::vector<std::size_t> leaders;  ///< per unique point: its first block index
+  std::vector<std::size_t> unique_of(block.size());
   std::map<DesignPoint, std::size_t> unique_index;
-
-  for (std::size_t i = 0; i < individuals.size(); ++i) {
-    auto& ind = individuals[i];
-    if (ind.evaluated) continue;
-    {
-      util::MutexLock lock(stats_mutex_);
-      ++stats_.ga_evaluations;
+  for (std::size_t i = 0; i < block.size(); ++i) {
+    rungs[i].estimate = try_estimate(block[i]);
+    if (rungs[i].estimate) continue;
+    const auto [it, inserted] = unique_index.try_emplace(block[i], unique_points.size());
+    if (inserted) {
+      unique_points.push_back(block[i]);
+      leaders.push_back(i);
     }
-    DesignPoint point = config_.space.decode(ind.genome);
-    if (auto estimate = try_estimate(point)) {
-      ind.objectives = std::move(*estimate);
-      ind.evaluated = true;
-      ++scored;
-      continue;
-    }
-    const auto [it, inserted] = unique_index.try_emplace(point, unique_points.size());
-    if (inserted) unique_points.push_back(std::move(point));
-    queue.push_back(PendingTool{i, it->second});
+    unique_of[i] = it->second;
+    rungs[i].leader = leaders[it->second];
   }
 
-  // Multi-fidelity screening: pre-rank the batch's fresh points on the
+  // Multi-fidelity screening: pre-rank the block's fresh points on the
   // low-fidelity broker; unpromising ones are settled with their screening
   // answer and never reach the high-fidelity tool. Skipped once the
-  // deadline passed — the batch is about to be cut anyway.
-  std::vector<std::optional<EvalResult>> screened(unique_points.size());
-  if (screening() && !broker_->deadline_exceeded()) {
-    screened = screen_batch(unique_points);
+  // deadline passed — the block is about to be cut anyway.
+  if (!screening() || broker_->deadline_exceeded()) return rungs;
+  const std::vector<std::optional<EvalResult>> screened = screen_batch(unique_points);
+  for (std::size_t i = 0; i < block.size(); ++i) {
+    if (!rungs[i].estimate) rungs[i].screen = screened[unique_of[i]];
   }
+  return rungs;
+}
+
+std::size_t DseEngine::batch_evaluate(std::vector<opt::Individual>& individuals) {
+  std::size_t scored = 0;  ///< individuals that consumed a genuine evaluation
+  std::vector<std::size_t> pending;  ///< unevaluated individuals, in batch order
+  std::vector<DesignPoint> block;
+  for (std::size_t i = 0; i < individuals.size(); ++i) {
+    if (individuals[i].evaluated) continue;
+    pending.push_back(i);
+    block.push_back(config_.space.decode(individuals[i].genome));
+  }
+  {
+    util::MutexLock lock(stats_mutex_);
+    stats_.ga_evaluations += pending.size();
+  }
+  std::vector<Rung> rungs = ladder(block);
+
+  // The forwarded leaders go to high fidelity; their duplicates join them.
   constexpr std::size_t kNotForwarded = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> forward;  ///< unique indices sent to high fidelity
-  std::vector<std::size_t> forward_pos(unique_points.size(), kNotForwarded);
-  for (std::size_t ui = 0; ui < unique_points.size(); ++ui) {
-    if (screened[ui]) continue;
-    forward_pos[ui] = forward.size();
-    forward.push_back(ui);
+  std::vector<std::size_t> forward;  ///< block indices sent to high fidelity
+  std::vector<std::size_t> forward_pos(block.size(), kNotForwarded);
+  for (std::size_t b = 0; b < block.size(); ++b) {
+    if (!rungs[b].forwarded() || rungs[b].leader != b) continue;
+    forward_pos[b] = forward.size();
+    forward.push_back(b);
   }
 
   std::vector<EvalResult> results(forward.size());
   const std::size_t dispatched =
       broker_->run_deadline_chunked(forward.size(), [&](std::size_t fi) {
-        results[fi] = broker_->tool_evaluate(unique_points[forward[fi]]);
+        results[fi] = broker_->tool_evaluate(block[forward[fi]]);
       });
 
   // Degraded rung of the availability ladder: points the open breaker
@@ -749,25 +757,25 @@ std::size_t DseEngine::batch_evaluate(std::vector<opt::Individual>& individuals)
     hedges.resize(forward.size());
     EvaluationBroker* hedger = analytic_broker();
     hedger->parallel_for(hedge_fi.size(), [&](std::size_t i) {
-      hedges[hedge_fi[i]] = hedger->tool_evaluate(unique_points[forward[hedge_fi[i]]]);
+      hedges[hedge_fi[i]] = hedger->tool_evaluate(block[forward[hedge_fi[i]]]);
     });
-    for (std::size_t fi : hedge_fi) enqueue_probe(unique_points[forward[fi]]);
+    for (std::size_t fi : hedge_fi) enqueue_probe(block[forward[fi]]);
   }
 
-  std::vector<bool> leader_done(unique_points.size(), false);
-  for (const auto& pending : queue) {
-    auto& ind = individuals[pending.individual];
-    const std::size_t ui = pending.unique_index;
-    const DesignPoint& point = unique_points[ui];
+  for (std::size_t b = 0; b < block.size(); ++b) {
+    auto& ind = individuals[pending[b]];
+    const std::size_t leader = rungs[b].leader;
+    const DesignPoint& point = block[b];
     ind.evaluated = true;
-
-    if (screened[ui]) {
-      // Screened out: the low-fidelity answer scores the individual.
-      ind.objectives = settle_screen(point, screened[ui]->metrics);
+    if (!rungs[b].forwarded()) {
+      // The NWM answered, or the point was screened out and its
+      // low-fidelity answer scores it.
+      ind.objectives = rungs[b].estimate ? std::move(*rungs[b].estimate)
+                                         : settle_screen(point, rungs[b].screen->metrics);
       ++scored;
       continue;
     }
-    if (forward_pos[ui] >= dispatched) {
+    if (forward_pos[leader] >= dispatched) {
       // The mid-batch deadline cut dispatch before this point ran. Penalize
       // the individual so the generation can still close (the GA's
       // should_stop sees the deadline right after), and leave it out of the
@@ -777,15 +785,14 @@ std::size_t DseEngine::batch_evaluate(std::vector<opt::Individual>& individuals)
       ++stats_.deadline_skips;
       continue;
     }
-    const std::size_t fi = forward_pos[ui];
+    const std::size_t fi = forward_pos[leader];
     EvalResult r = results[fi];
-    if (leader_done[ui] && !r.cache_hit) {
+    if (b != leader && !r.cache_hit) {
       // A duplicate of an earlier individual in this batch: it joins the
       // leader's run (or hedge) instead of paying for the tool again.
       r.joined = true;
       r.tool_seconds = 0.0;
     }
-    leader_done[ui] = true;
     Settled answer = settle(point, r, r.fast_failed ? &hedges[fi] : nullptr);
     ind.objectives = std::move(answer.objectives);
     if (answer.consumed) ++scored;
@@ -889,34 +896,49 @@ void DseEngine::run_steady_state(opt::Problem& problem, opt::Nsga2Config ga) {
       1, config_.max_inflight != 0 ? config_.max_inflight
                                    : broker_->virtual_lane_count());
 
-  // One submitted evaluation awaiting its broker answer. `result` is
-  // written by the pool task and read by the control loop only after the
-  // completion is published into `ready` under `mu`.
+  // One point forwarded to high fidelity: queued, then submitted and
+  // awaiting its broker answer. `result` is written by the pool task and
+  // read by the control loop only after the completion is published into
+  // `ready` under `mu`.
   struct Inflight {
-    std::size_t seq = 0;
     opt::Genome genome;
     DesignPoint point;
+    std::size_t seq = 0;
     EvalResult result;
   };
   util::Mutex mu("DseEngine.steady");
   util::CondVar cv;
   std::vector<std::shared_ptr<Inflight>> ready;  // guarded by mu (local: not annotatable)
 
-  // Per-completion sticky screening. The batch engine ranks a whole
-  // offspring batch and forwards its best keep_ratio fraction; with no
-  // batch to rank, each screen answer is compared against a sliding window
-  // of recent ones and forwarded iff fewer than keep_ratio of them
-  // dominate it — the same top-fraction intent, thresholded on domination
-  // count. Screen-outs stay sticky through the analytic-tier broker's cache
-  // exactly as in the batch path.
-  EvaluationBroker* const screener = screening() ? analytic_broker() : nullptr;
-  std::deque<opt::Objectives> screen_window;
-  const std::size_t window_cap = std::max<std::size_t>(4 * ga.population_size, 16);
+  // Asks run through ladder() a block at a time. Screening ranks a
+  // population of asks, as the batch engine ranks a generation, so
+  // ceil(keep x block) forwards about the intended fraction (a lane-sized
+  // block of 3 at keep 0.4 would forward 2). Without screening a block is
+  // one ask, submitted the moment it is asked.
+  const std::size_t block_size =
+      screening() ? std::max<std::size_t>(1, ga.population_size) : 1;
 
-  std::size_t submitted = 0;
+  std::deque<std::shared_ptr<Inflight>> forward;  ///< awaiting an inflight slot
+  auto enqueue = [&forward](opt::Genome genome, DesignPoint point) {
+    forward.push_back(
+        std::make_shared<Inflight>(Inflight{std::move(genome), std::move(point), 0, {}}));
+  };
+
+  std::size_t submitted = 0;  ///< asks plus replayed points, against the budget
   std::size_t completed = 0;
   std::size_t inflight = 0;
   std::size_t seq = 0;
+
+  // An asked point counts as an evaluation once dispatched or told (points
+  // still queued when submission stops never ran), as a completion once told.
+  auto count = [&](bool evaluation, bool completion) {
+    util::MutexLock lock(stats_mutex_);
+    if (evaluation) ++stats_.ga_evaluations;
+    if (completion) {
+      ++completed;
+      ++stats_.steady_completions;
+    }
+  };
 
   // Resolve one broker answer through the shared settle() path, hedging a
   // fast-fail on the analytic tier first, then (mu+1)-tell it. Runs on the
@@ -931,69 +953,40 @@ void DseEngine::run_steady_state(opt::Problem& problem, opt::Nsga2Config ga) {
     searcher.tell(c.genome, answer.objectives, answer.tell_cost);
   };
 
-  // Submit one genome. Returns true when the point went to the broker
-  // (occupies an inflight slot); estimates and screen settles resolve
-  // synchronously and are told back immediately. `direct` bypasses the
-  // estimate/screen ladder — replayed inflight points were already
-  // committed to high fidelity by the crashed campaign.
-  auto submit_one = [&](opt::Genome genome, bool direct) -> bool {
-    {
-      util::MutexLock lock(stats_mutex_);
-      ++stats_.ga_evaluations;
+  // Ask a block of `n` proposals and run it through the ladder. Estimates
+  // and screen-outs are told at once; forwarded points join the queue.
+  auto ask_block = [&](std::size_t n) {
+    std::vector<opt::Genome> genomes;
+    std::vector<DesignPoint> points;
+    for (std::size_t i = 0; i < n; ++i) {
+      genomes.push_back(searcher.ask());
+      points.push_back(config_.space.decode(genomes.back()));
     }
-    DesignPoint point = config_.space.decode(genome);
-    if (!direct) {
-      if (auto estimate = try_estimate(point)) {
-        searcher.tell(genome, *estimate);
-        return false;
+    submitted += n;
+    std::vector<Rung> rungs = ladder(points);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (rungs[i].forwarded()) {
+        enqueue(std::move(genomes[i]), std::move(points[i]));
+        continue;
       }
+      searcher.tell(genomes[i], rungs[i].estimate
+                                    ? std::move(*rungs[i].estimate)
+                                    : settle_screen(points[i], rungs[i].screen->metrics));
+      count(/*evaluation=*/true, /*completion=*/true);
     }
+  };
 
-    const bool hifi_cached = broker_->cached(point).has_value();
-    if (screener != nullptr && !direct && !hifi_cached && !broker_->deadline_exceeded()) {
-      // Sticky screen-outs: a cached screen answer means the point already
-      // lost the forwarding lottery; it settles again without re-entering.
-      const auto prior = screener->cached(point);
-      EvalResult screen;
-      bool settle = false;
-      if (prior && prior->ok) {
-        screen = *prior;
-        settle = true;
-      } else if (!prior) {
-        screen = screener->tool_evaluate(point);
-        if (screen.ok) {
-          const opt::Objectives sobj = to_objectives(screen.metrics);
-          if (screen_window.size() >= 4) {
-            std::size_t dominating = 0;
-            for (const auto& w : screen_window) {
-              if (opt::dominates(w, sobj)) ++dominating;
-            }
-            settle = static_cast<double>(dominating) >=
-                     config_.screen_keep_ratio *
-                         static_cast<double>(screen_window.size());
-          }
-          screen_window.push_back(sobj);
-          if (screen_window.size() > window_cap) screen_window.pop_front();
-        }
-        // Screen failures always forward — the high-fidelity tool has the
-        // authoritative verdict on buildability.
-      }
-      if (settle) {
-        searcher.tell(genome, settle_screen(point, screen.metrics));
-        return false;
-      }
+  // Submit one forwarded point to the high-fidelity broker. The inflight
+  // marker makes the submission crash-safe: a campaign that dies here
+  // re-submits the point exactly once on resume (the eval record
+  // supersedes it), and the optimizer attribution routes the replayed
+  // answer back to the member that asked for the point.
+  auto dispatch = [&](const std::shared_ptr<Inflight>& slot) {
+    count(/*evaluation=*/true, /*completion=*/false);
+    if (!broker_->cached(slot->point)) {
+      broker_->journal_inflight(slot->point, searcher.attributed_to(slot->genome));
     }
-
-    // Forwarded to the high-fidelity broker. The inflight marker makes the
-    // submission crash-safe: a campaign that dies here re-submits the
-    // point exactly once on resume (the eval record supersedes it), and the
-    // optimizer attribution routes the replayed answer back to the member
-    // that asked for the point.
-    if (!hifi_cached) broker_->journal_inflight(point, searcher.attributed_to(genome));
-    auto slot = std::make_shared<Inflight>();
     slot->seq = seq++;
-    slot->genome = std::move(genome);
-    slot->point = std::move(point);
     ++inflight;
     broker_->async([this, slot, &mu, &cv, &ready] {
       slot->result = broker_->tool_evaluate(slot->point);
@@ -1004,53 +997,48 @@ void DseEngine::run_steady_state(opt::Problem& problem, opt::Nsga2Config ga) {
       ready.push_back(slot);
       cv.notify_one();
     });
-    return true;
   };
 
   // Resume: inflight points journaled by a crashed campaign are submitted
-  // first, exactly once (reserve() keeps ask() from regenerating them).
-  // reserve_for restores the recorded attribution so the eventual tell()
-  // lands on the portfolio member that originally asked.
-  std::deque<opt::Genome> replay;
+  // first, exactly once, and directly — the crashed campaign already
+  // committed them to high fidelity, so they bypass the ladder (reserve()
+  // keeps ask() from regenerating them). reserve_for restores the recorded
+  // attribution so the eventual tell() lands on the portfolio member that
+  // originally asked.
+  std::size_t replayed = 0;
   for (const InflightMark& mark : broker_->replayed_inflight()) {
     auto genome = config_.space.encode(mark.params);
     if (!genome) continue;  // the space changed; the point is unreachable now
     searcher.reserve_for(*genome, mark.optimizer);
-    replay.push_back(std::move(*genome));
+    ++replayed;
+    if (forward.size() < budget) enqueue(std::move(*genome), mark.params);
   }
+  submitted = forward.size();
   {
     util::MutexLock lock(stats_mutex_);
-    stats_.inflight_replayed += replay.size();
+    stats_.inflight_replayed += replayed;
   }
 
   // The continuous submit/complete loop: keep up to max_inflight
   // evaluations in the air, and on every completion run survival, probe
   // scheduling and the next submission — no generational barrier anywhere.
+  // A new block is asked only once the forwarded queue is empty; stopping
+  // drops what is still queued.
   bool stop_submission = false;
   while (true) {
-    while (!stop_submission && inflight < max_inflight && submitted < budget) {
+    while (!stop_submission && inflight < max_inflight &&
+           (!forward.empty() || submitted < budget)) {
       if (should_stop()) {
         stop_submission = true;
         break;
       }
-      opt::Genome genome;
-      bool direct = false;
-      if (!replay.empty()) {
-        genome = std::move(replay.front());
-        replay.pop_front();
-        direct = true;
-      } else {
-        genome = searcher.ask();
-      }
-      ++submitted;
-      if (!submit_one(std::move(genome), direct)) {
-        ++completed;
-        util::MutexLock lock(stats_mutex_);
-        ++stats_.steady_completions;
-      }
+      if (forward.empty()) ask_block(std::min(block_size, budget - submitted));
+      if (forward.empty()) continue;  // the whole block was told already
+      dispatch(forward.front());
+      forward.pop_front();
     }
     if (inflight == 0) {
-      if (stop_submission || submitted >= budget) break;
+      if (stop_submission || (forward.empty() && submitted >= budget)) break;
       continue;  // everything so far resolved synchronously; submit more
     }
     std::shared_ptr<Inflight> next;
@@ -1075,11 +1063,7 @@ void DseEngine::run_steady_state(opt::Problem& problem, opt::Nsga2Config ga) {
     }
     --inflight;
     resolve(*next);
-    ++completed;
-    {
-      util::MutexLock lock(stats_mutex_);
-      ++stats_.steady_completions;
-    }
+    count(/*evaluation=*/false, /*completion=*/true);
     // Per-completion probe scheduling: breaker recovery is tested
     // continuously instead of once per generation.
     run_probe_queue();

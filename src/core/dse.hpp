@@ -14,7 +14,8 @@
 // deadline accounting — lives in EvaluationBroker (core/broker.hpp); the
 // engine owns the search logic. A second broker on the analytic tier serves
 // both low-fidelity uses: with multi-fidelity screening enabled
-// (screen_keep_ratio < 1) it pre-ranks each GA offspring batch and only the
+// (screen_keep_ratio < 1) it pre-ranks each block of proposals (a GA
+// offspring batch, or a population of steady-state asks) and only the
 // most promising fraction pays for a high-fidelity run, the rest being
 // recorded as estimated; and while the hi-fi breaker is open it hedges
 // fast-failed points.
@@ -79,18 +80,12 @@ struct DseConfig {
   std::string backend;
 
   /// Multi-fidelity screening on the analytic tier. 1.0 (default) disables
-  /// screening; must be in (0, 1]. Only points with no high-fidelity answer
-  /// yet are screened, and a point screened out once settles from its
-  /// cached screen answer ever after.
-  /// - Generational engine: each offspring batch is ranked on its screen
-  ///   answers (non-dominated sorting, crowding distance on the boundary
-  ///   front) and the best ceil(ratio x batch) first-seen points are
-  ///   forwarded; e.g. 0.5 halves the high-fidelity runs per batch.
-  /// - Steady-state engine: each screen answer is compared with a sliding
-  ///   window of the last max(4 x population, 16) screen answers and is
-  ///   forwarded iff fewer than ratio x window of them dominate it (every
-  ///   point is forwarded until the window holds 4 answers).
-  /// Screen failures are always forwarded.
+  /// screening; must be in (0, 1]. Both engines rank a block of screen
+  /// answers (an offspring batch, or a population of steady-state asks) by
+  /// non-dominated sorting and boundary crowding, and forward the best
+  /// ceil(ratio x block) first-seen points; e.g. 0.5 halves the hi-fi runs.
+  /// Points with a hi-fi answer are not screened, a screen-out settles from
+  /// its cached screen answer ever after, and screen failures forward.
   double screen_keep_ratio = 1.0;
 
   /// Fitness-approximation model (Sec. III-C). Disabled by default — the
@@ -118,8 +113,8 @@ struct DseConfig {
   /// Steady-state (mu+1, bounded-inflight) engine instead of generational
   /// lambda-batches (see DESIGN.md "Steady-state engine"): an ask/tell
   /// offspring generator feeds a continuous submit/complete loop over the
-  /// broker, and survival, sticky screening, hedging and probe scheduling
-  /// all happen per completion. The batch path stays available for A/B.
+  /// broker, and survival, hedging and probe scheduling all happen per
+  /// completion. The batch path stays available for A/B.
   bool steady_state = false;
 
   /// Searcher driving the steady-state engine, resolved through
@@ -373,13 +368,25 @@ class DseEngine {
   /// Raw-parameter-space coordinates of a point (Eq. 4's decision vars).
   [[nodiscard]] model::Point to_model_point(const DesignPoint& point) const;
 
-  /// Screen `unique_points` on the low-fidelity broker: returns, per point,
-  /// either the screening answer that settles it (the point stays
-  /// low-fidelity) or std::nullopt (the point must be forwarded to high
-  /// fidelity). Screen failures are forwarded — the high-fidelity tool has
-  /// the authoritative verdict on whether a point is buildable.
+  /// Screen `unique_points` on the low-fidelity broker: per point, the
+  /// screening answer that settles it, or std::nullopt to forward it to
+  /// high fidelity (screen failures too: the tool has the authoritative
+  /// verdict on whether a point is buildable).
   [[nodiscard]] std::vector<std::optional<EvalResult>> screen_batch(
       const std::vector<DesignPoint>& unique_points);
+
+  /// Where ladder() sent one point of a block: estimated, screened out, or
+  /// (neither) forwarded to high fidelity for the caller to dispatch.
+  struct Rung {
+    std::optional<opt::Objectives> estimate;  ///< the NWM answer
+    std::optional<EvalResult> screen;         ///< the screen answer that settles it
+    std::size_t leader = 0;  ///< first equal non-estimated point of the block
+    [[nodiscard]] bool forwarded() const { return !estimate && !screen; }
+  };
+
+  /// The one screening rule, for both engines: try_estimate each point of
+  /// the block, then screen_batch its distinct rest unless the deadline passed.
+  std::vector<Rung> ladder(const std::vector<DesignPoint>& block);
 
   /// The pre-flight gate: static lint of project + config before the first
   /// broker call (throws on error-severity diagnostics). No-op when
@@ -389,8 +396,8 @@ class DseEngine {
   void pretrain();
 
   /// The steady-state campaign (config_.steady_state): a bounded-inflight
-  /// submit/complete loop over the broker where survival, sticky
-  /// screening, hedging and probe scheduling happen per completion.
+  /// submit/complete loop over the broker where survival, hedging and
+  /// probe scheduling happen per completion; asks enter through ladder().
   /// Replayed inflight points are re-submitted first (exactly once). Fills
   /// stats_.generations/steady_completions; the caller assembles the
   /// front afterwards exactly as for the generational engine.

@@ -1,7 +1,9 @@
-// Multi-fidelity screening (DseConfig::screen_keep_ratio): pre-ranking GA
-// offspring on the analytic backend must cut high-fidelity tool runs
-// substantially without giving up front quality on the Corundum
-// completion-queue-manager study.
+// Multi-fidelity screening (DseConfig::screen_keep_ratio): pre-ranking each
+// block of proposals on the analytic backend must cut high-fidelity tool
+// runs substantially without giving up front quality on the Corundum
+// completion-queue-manager study — on both engines, which screen through
+// the same rule (a GA offspring batch, or a population of steady-state
+// asks).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -41,6 +43,11 @@ DseConfig corundum_config() {
   return config;
 }
 
+/// Both engines: generational (false) and steady-state (true).
+constexpr bool kEngines[] = {false, true};
+
+const char* engine_name(bool steady) { return steady ? "steady" : "generational"; }
+
 /// Objective vectors (minimized) of a front's non-failed members.
 std::vector<opt::Objectives> front_objectives(const DseEngine& engine,
                                               const std::vector<ExploredPoint>& front) {
@@ -52,69 +59,78 @@ std::vector<opt::Objectives> front_objectives(const DseEngine& engine,
 }
 
 TEST(Screening, CutsHighFidelityRunsAtEqualOrBetterHypervolume) {
-  // Baseline: every offspring pays for a high-fidelity run.
-  DseEngine baseline(corundum_project(), corundum_config());
-  const DseResult base = baseline.run();
-  ASSERT_FALSE(base.pareto.empty());
-  const std::size_t base_runs = base.stats.backend_runs.at("vivado-sim");
-  EXPECT_EQ(base.stats.screened_out, 0u);
-  EXPECT_EQ(base.stats.backend_runs.count("analytic"), 0u);
+  for (const bool steady : kEngines) {
+    SCOPED_TRACE(engine_name(steady));
+    // Baseline: every proposal pays for a high-fidelity run.
+    DseConfig config = corundum_config();
+    config.steady_state = steady;
+    DseEngine baseline(corundum_project(), config);
+    const DseResult base = baseline.run();
+    ASSERT_FALSE(base.pareto.empty());
+    const std::size_t base_runs = base.stats.backend_runs.at("vivado-sim");
+    EXPECT_EQ(base.stats.screened_out, 0u);
+    EXPECT_EQ(base.stats.backend_runs.count("analytic"), 0u);
 
-  // Screening on: each batch is pre-ranked on the analytic backend and
-  // only the most promising fraction goes to the tool. (The effective
-  // forward rate sits above the ratio: per-batch ceil() rounding plus the
-  // end-of-run verification of estimated survivors both add runs.)
-  DseConfig screened_config = corundum_config();
-  screened_config.screen_keep_ratio = 0.4;
-  DseEngine screened(corundum_project(), screened_config);
-  const DseResult scr = screened.run();
-  ASSERT_FALSE(scr.pareto.empty());
-  const std::size_t scr_runs = scr.stats.backend_runs.at("vivado-sim");
+    // Screening on: each block is pre-ranked on the analytic backend and
+    // only the most promising fraction goes to the tool. (The effective
+    // forward rate sits above the ratio: per-block ceil() rounding plus the
+    // end-of-run verification of estimated survivors both add runs.)
+    config.screen_keep_ratio = 0.4;
+    DseEngine screened(corundum_project(), config);
+    const DseResult scr = screened.run();
+    ASSERT_FALSE(scr.pareto.empty());
+    const std::size_t scr_runs = scr.stats.backend_runs.at("vivado-sim");
 
-  EXPECT_GT(scr.stats.screened_out, 0u);
-  EXPECT_GT(scr.stats.screen_runs, 0u);
-  EXPECT_GT(scr.stats.screen_tool_seconds, 0.0);
-  EXPECT_GT(scr.stats.backend_runs.at("analytic"), 0u);
-  // Screening runs are cheap: they must not dominate the tool bill.
-  EXPECT_LT(scr.stats.screen_tool_seconds, 0.01 * scr.stats.simulated_tool_seconds);
+    EXPECT_GT(scr.stats.screened_out, 0u);
+    EXPECT_GT(scr.stats.screen_runs, 0u);
+    EXPECT_GT(scr.stats.screen_tool_seconds, 0.0);
+    EXPECT_GT(scr.stats.backend_runs.at("analytic"), 0u);
+    // Screening runs are cheap: they must not dominate the tool bill.
+    EXPECT_LT(scr.stats.screen_tool_seconds, 0.01 * scr.stats.simulated_tool_seconds);
 
-  // The acceptance bar: >= 30% fewer high-fidelity runs...
-  EXPECT_LE(static_cast<double>(scr_runs), 0.7 * static_cast<double>(base_runs))
-      << "baseline " << base_runs << " vs screened " << scr_runs;
+    // The acceptance bar: >= 30% fewer high-fidelity runs...
+    EXPECT_LE(static_cast<double>(scr_runs), 0.7 * static_cast<double>(base_runs))
+        << "baseline " << base_runs << " vs screened " << scr_runs;
 
-  // ...at equal-or-better hypervolume. Both fronts are verified (every
-  // estimated survivor is re-evaluated by the tool), so the comparison is
-  // high-fidelity against high-fidelity. The reference point is the
-  // nadir of the union, nudged outward so every member contributes.
-  const auto base_front = front_objectives(baseline, base.pareto);
-  const auto scr_front = front_objectives(screened, scr.pareto);
-  ASSERT_FALSE(base_front.empty());
-  ASSERT_FALSE(scr_front.empty());
-  opt::Objectives reference = base_front.front();
-  for (const auto& v : base_front) {
-    for (std::size_t i = 0; i < v.size(); ++i) reference[i] = std::max(reference[i], v[i]);
+    // ...at equal-or-better hypervolume. Both fronts are verified (every
+    // estimated survivor is re-evaluated by the tool), so the comparison is
+    // high-fidelity against high-fidelity. The reference point is the
+    // nadir of the union, nudged outward so every member contributes.
+    const auto base_front = front_objectives(baseline, base.pareto);
+    const auto scr_front = front_objectives(screened, scr.pareto);
+    ASSERT_FALSE(base_front.empty());
+    ASSERT_FALSE(scr_front.empty());
+    opt::Objectives reference = base_front.front();
+    for (const auto& v : base_front) {
+      for (std::size_t i = 0; i < v.size(); ++i) reference[i] = std::max(reference[i], v[i]);
+    }
+    for (const auto& v : scr_front) {
+      for (std::size_t i = 0; i < v.size(); ++i) reference[i] = std::max(reference[i], v[i]);
+    }
+    for (auto& r : reference) r += 1.0 + 0.1 * std::abs(r);
+    const double base_hv = opt::hypervolume(base_front, reference);
+    const double scr_hv = opt::hypervolume(scr_front, reference);
+    EXPECT_GE(scr_hv, base_hv) << "screened front lost quality: " << scr_hv << " < "
+                               << base_hv;
   }
-  for (const auto& v : scr_front) {
-    for (std::size_t i = 0; i < v.size(); ++i) reference[i] = std::max(reference[i], v[i]);
-  }
-  for (auto& r : reference) r += 1.0 + 0.1 * std::abs(r);
-  const double base_hv = opt::hypervolume(base_front, reference);
-  const double scr_hv = opt::hypervolume(scr_front, reference);
-  EXPECT_GE(scr_hv, base_hv) << "screened front lost quality: " << scr_hv << " < "
-                             << base_hv;
 }
 
 TEST(Screening, VerifiedFrontHasNoEstimatedSurvivors) {
-  DseConfig config = corundum_config();
-  config.ga.population_size = 12;
-  config.ga.max_generations = 6;
-  config.screen_keep_ratio = 0.5;
-  config.workers = 4;
-  DseEngine engine(corundum_project(), config);
-  const DseResult result = engine.run();
-  ASSERT_FALSE(result.pareto.empty());
-  for (const auto& p : result.pareto) {
-    EXPECT_FALSE(p.estimated) << "unverified estimate survived in the pareto front";
+  for (const bool steady : kEngines) {
+    SCOPED_TRACE(engine_name(steady));
+    DseConfig config = corundum_config();
+    config.ga.population_size = 12;
+    config.ga.max_generations = 6;
+    config.screen_keep_ratio = 0.5;
+    config.workers = 4;
+    config.steady_state = steady;
+    DseEngine engine(corundum_project(), config);
+    const DseResult result = engine.run();
+    ASSERT_FALSE(result.pareto.empty());
+    EXPECT_GT(result.stats.screened_out, 0u);
+    for (const auto& p : result.pareto) {
+      EXPECT_FALSE(p.estimated) << "unverified estimate survived in the pareto front";
+    }
   }
 }
 
@@ -145,17 +161,41 @@ TEST(Screening, InvalidRatioRejected) {
 }
 
 TEST(Screening, WorksWithParallelWorkers) {
+  for (const bool steady : kEngines) {
+    SCOPED_TRACE(engine_name(steady));
+    DseConfig config = corundum_config();
+    config.ga.population_size = 12;
+    config.ga.max_generations = 5;
+    config.screen_keep_ratio = 0.4;
+    config.workers = 4;
+    config.steady_state = steady;
+    DseEngine engine(corundum_project(), config);
+    const DseResult result = engine.run();
+    ASSERT_FALSE(result.pareto.empty());
+    EXPECT_GT(result.stats.screened_out, 0u);
+    EXPECT_GT(result.stats.backend_runs.at("vivado-sim"), 0u);
+    EXPECT_GT(result.stats.backend_runs.at("analytic"), 0u);
+    if (steady) {
+      EXPECT_EQ(result.stats.ga_evaluations, result.stats.steady_completions);
+    }
+  }
+}
+
+TEST(Screening, SteadyDeadlineCountsOnlyDispatchedOrToldPoints) {
+  // A screened steady campaign cut by the tool deadline: forwarded points
+  // still queued when submission stops were never evaluated, so they must
+  // count neither as evaluations nor as completions.
   DseConfig config = corundum_config();
-  config.ga.population_size = 12;
-  config.ga.max_generations = 5;
+  config.steady_state = true;
   config.screen_keep_ratio = 0.4;
-  config.workers = 4;
+  config.deadline_tool_seconds = 3000.0;
   DseEngine engine(corundum_project(), config);
   const DseResult result = engine.run();
-  ASSERT_FALSE(result.pareto.empty());
+  EXPECT_TRUE(result.stats.deadline_hit);
   EXPECT_GT(result.stats.screened_out, 0u);
-  EXPECT_GT(result.stats.backend_runs.at("vivado-sim"), 0u);
-  EXPECT_GT(result.stats.backend_runs.at("analytic"), 0u);
+  EXPECT_LT(result.stats.steady_completions,
+            config.ga.population_size * (config.ga.max_generations + 1));
+  EXPECT_EQ(result.stats.ga_evaluations, result.stats.steady_completions);
 }
 
 }  // namespace

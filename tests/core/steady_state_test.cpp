@@ -425,11 +425,12 @@ TEST(SteadyStateJournal, ResumeRoutesReplayedTellToAttributedMember) {
 }
 
 TEST(SteadyState, StickyScreeningSettlesDominatedPoints) {
-  // With screening on, points dominated by >= keep_ratio of the recent
-  // screen window settle at low fidelity and never pay for a hi-fi run.
+  // With screening on, each block of population-size asks is ranked on
+  // its screen answers; points outside the best keep_ratio of a block
+  // settle at low fidelity and never pay for a hi-fi run.
   DseConfig config = steady_dse(0);
   config.screen_keep_ratio = 0.3;
-  config.steady_state_evaluations = 120;  // enough asks to fill the window
+  config.steady_state_evaluations = 120;  // twelve blocks of ten asks
   DseEngine engine(fifo_project(), config);
   const DseResult result = engine.run();
 
