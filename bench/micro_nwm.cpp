@@ -2,9 +2,13 @@
 // justifies the paper's control model (an NWM estimate must be orders of
 // magnitude cheaper than a tool run), plus LOO-CV training cost.
 //
-// BM_ControlGrow times the campaign's pattern: a pre-trained control model
-// growing through add_sample, each addition refreshing Γ and re-selecting
-// bandwidths. The binary exits non-zero when a grow did not reach its size.
+// The control model selects bandwidths on demand: add_sample refreshes Γ
+// and marks the fit stale, and the next estimate pays the LOO-CV pass.
+// BM_ControlGrow times the campaign's pattern, a pre-trained model growing
+// through add_sample with one estimate after each addition, so every
+// addition is refitted. BM_ControlPretrain times pre-training: 100
+// additions back to back, then one estimate (one fit). The binary exits
+// non-zero when a grow did not reach its size.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -82,29 +86,50 @@ void BM_SimilarityPhi(benchmark::State& state) {
 }
 BENCHMARK(BM_SimilarityPhi)->Range(32, 512);
 
-void BM_ControlGrow(benchmark::State& state) {
-  constexpr std::size_t kPretrain = 100;
-  constexpr std::size_t kFinal = 256;
+constexpr std::size_t kPretrain = 100;
+
+/// The grow stream: 2-D points and their two metrics.
+std::vector<model::Point> grow_points(std::size_t n) {
   util::Rng rng(11);
-  std::vector<model::Point> points(kFinal);
+  std::vector<model::Point> points(n);
   for (auto& p : points) p = {rng.uniform(0.0, 500.0), rng.uniform(0.0, 500.0)};
-  auto metrics = [](const model::Point& p) -> model::Values {
-    return {p[0] * 2.0 + p[1], 1000.0 - p[0]};
-  };
+  return points;
+}
+
+model::Values grow_metrics(const model::Point& p) { return {p[0] * 2.0 + p[1], 1000.0 - p[0]}; }
+
+void BM_ControlGrow(benchmark::State& state) {
+  constexpr std::size_t kFinal = 256;
+  const auto points = grow_points(kFinal);
+  const model::Point q = {123.0, 321.0};
   model::ControlModel pretrained;
-  for (std::size_t i = 0; i < kPretrain; ++i) pretrained.add_sample(points[i], metrics(points[i]));
+  for (std::size_t i = 0; i < kPretrain; ++i) {
+    pretrained.add_sample(points[i], grow_metrics(points[i]));
+  }
   for (auto _ : state) {
     state.PauseTiming();
     model::ControlModel control = pretrained;
     state.ResumeTiming();
     for (std::size_t i = kPretrain; i < kFinal; ++i) {
-      control.add_sample(points[i], metrics(points[i]));
+      control.add_sample(points[i], grow_metrics(points[i]));
+      benchmark::DoNotOptimize(control.estimate(q));
     }
     if (control.dataset().size() != kFinal) g_grow_short = true;
-    benchmark::DoNotOptimize(control.threshold());
   }
 }
 BENCHMARK(BM_ControlGrow)->Unit(benchmark::kMillisecond);
+
+void BM_ControlPretrain(benchmark::State& state) {
+  const auto points = grow_points(kPretrain);
+  const model::Point q = {123.0, 321.0};
+  for (auto _ : state) {
+    model::ControlModel control;
+    for (const auto& p : points) control.add_sample(p, grow_metrics(p));
+    benchmark::DoNotOptimize(control.estimate(q));
+    if (control.dataset().size() != kPretrain) g_grow_short = true;
+  }
+}
+BENCHMARK(BM_ControlPretrain)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
@@ -114,7 +139,7 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   if (g_grow_short) {
-    std::fprintf(stderr, "micro_nwm: BM_ControlGrow did not reach its dataset size\n");
+    std::fprintf(stderr, "micro_nwm: a control-model grow did not reach its dataset size\n");
     return 1;
   }
   return 0;

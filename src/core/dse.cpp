@@ -385,7 +385,7 @@ bool DseEngine::has_objectives(const EvalMetrics& metrics) const {
                      [&](const Objective& obj) { return metrics.values.count(obj.metric) != 0; });
 }
 
-EvalMetrics DseEngine::estimate_metrics(const DesignPoint& point) const {
+EvalMetrics DseEngine::estimate_metrics(const DesignPoint& point) {
   const model::Values est = control_->estimate(to_model_point(point));
   EvalMetrics metrics;
   for (std::size_t k = 0; k < config_.objectives.size(); ++k) {

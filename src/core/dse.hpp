@@ -437,8 +437,9 @@ class DseEngine {
   /// when the point must go to the tool (or approximation is off).
   std::optional<opt::Objectives> try_estimate(const DesignPoint& point);
 
-  /// The NWM estimate at `point`, as objective metrics.
-  [[nodiscard]] EvalMetrics estimate_metrics(const DesignPoint& point) const;
+  /// The NWM estimate at `point`, as objective metrics; refits the model
+  /// first when a sample was added since its last fit.
+  [[nodiscard]] EvalMetrics estimate_metrics(const DesignPoint& point);
 
   /// Add an exact answer to the approximation dataset when the point lies in
   /// the current space, carries every objective metric and its coordinates

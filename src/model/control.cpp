@@ -6,17 +6,15 @@
 
 namespace dovado::model {
 
-ControlModel::ControlModel(Config config) : config_(std::move(config)) {
+ControlModel::ControlModel(Config config) : config_(config) {
   if (!config_.adaptive_threshold) threshold_ = config_.fixed_threshold;
-  if (config_.revalidate_every == 0) config_.revalidate_every = 1;
 }
 
 Decision ControlModel::decide(const Point& x) const {
   dataset_.check_query(x);
   if (dataset_.find_exact(x).has_value()) return Decision::kCachedTool;
-  if (!dataset_.empty() && fitted()) {
-    const double phi = similarity_phi(dataset_, x, 1);
-    if (phi <= threshold_) return Decision::kEstimate;
+  if (!dataset_.empty() && similarity_phi(dataset_, x, 1) <= threshold_) {
+    return Decision::kEstimate;
   }
   return Decision::kToolAndAdd;
 }
@@ -31,19 +29,21 @@ Decision ControlModel::decide_and_count(const Point& x) {
   return d;
 }
 
-Values ControlModel::estimate(const Point& x) const {
-  if (!fitted()) throw std::logic_error("estimate() before any sample was added");
-  return nw_predict(dataset_, bandwidths_, x);
+Values ControlModel::estimate(const Point& x) {
+  if (dataset_.empty()) throw std::logic_error("estimate() before any sample was added");
+  return nw_predict(dataset_, bandwidths(), x);
 }
 
 void ControlModel::add_sample(Point point, Values values) {
   dataset_.add(std::move(point), std::move(values));
   if (config_.adaptive_threshold) threshold_ = adaptive_threshold(dataset_);
-  ++additions_since_validation_;
-  if (additions_since_validation_ >= config_.revalidate_every || !fitted()) {
-    bandwidths_ = select_bandwidths(dataset_, config_.bandwidth_grid);
-    additions_since_validation_ = 0;
-  }
+  stale_ = true;
+}
+
+const std::vector<double>& ControlModel::bandwidths() {
+  if (stale_) bandwidths_ = select_bandwidths(dataset_);
+  stale_ = false;
+  return bandwidths_;
 }
 
 }  // namespace dovado::model

@@ -11,6 +11,11 @@
 //
 // The threshold is adaptive by default: Γ = the average nearest-neighbour
 // Eq.-(4) distance over dataset points, updated after every addition.
+// Bandwidths are selected by LOO-CV on demand: an addition marks the fit
+// stale and the next estimate() or bandwidths() refits on the whole
+// dataset. The selection is a pure function of the dataset, so results
+// equal a refit after every addition, while a burst of additions
+// (pre-training, warm start, journal replay) costs one LOO-CV pass.
 // decide() and estimate() throw std::invalid_argument for a point whose
 // dimension differs from the dataset's.
 #pragma once
@@ -42,47 +47,39 @@ class ControlModel {
     /// Use the adaptive threshold Γ; when false, `fixed_threshold` applies.
     bool adaptive_threshold = true;
     double fixed_threshold = 0.0;
-    /// Bandwidth candidates for LOO-CV; empty => data-driven default grid.
-    std::vector<double> bandwidth_grid;
-    /// Re-select bandwidths every k additions (1 = every addition, as the
-    /// paper describes; larger values amortize LOO-CV cost).
-    std::size_t revalidate_every = 1;
   };
 
   ControlModel() : ControlModel(Config{}) {}
   explicit ControlModel(Config config);
 
-  /// Classify a design point (does not mutate state).
+  /// Classify a design point (does not mutate state; needs no fit).
   [[nodiscard]] Decision decide(const Point& x) const;
 
   /// Decide and record the decision in the statistics.
   Decision decide_and_count(const Point& x);
 
-  /// Model estimate at x (nw_predict over the model's own dataset). Only
-  /// valid once the dataset is non-empty.
-  [[nodiscard]] Values estimate(const Point& x) const;
+  /// Model estimate at x (nw_predict over the model's own dataset; fits
+  /// first if stale). Only valid once the dataset is non-empty.
+  [[nodiscard]] Values estimate(const Point& x);
 
-  /// Record a tool result (used both for pre-training and for kToolAndAdd
-  /// additions): adds the pair, refreshes Γ, and re-runs the LOO-CV
-  /// training/validation step per the revalidation cadence. Costs
-  /// O(N * dimension) bookkeeping plus, when it revalidates, one pass over
-  /// the sample pairs with one kernel per candidate bandwidth.
+  /// Record a tool result (pre-training and kToolAndAdd additions): adds
+  /// the pair, refreshes Γ and marks the fit stale, in O(N * dimension).
+  /// The next fit is one LOO-CV pass over the sample pairs.
   void add_sample(Point point, Values values);
 
   [[nodiscard]] const Dataset& dataset() const { return dataset_; }
-  /// The selected bandwidths, one per metric; empty before the first sample.
-  [[nodiscard]] const std::vector<double>& bandwidths() const { return bandwidths_; }
+  /// The selected bandwidths, one per metric, fitting first if stale;
+  /// empty before the first sample.
+  [[nodiscard]] const std::vector<double>& bandwidths();
   [[nodiscard]] double threshold() const { return threshold_; }
   [[nodiscard]] const ControlStats& stats() const { return stats_; }
 
  private:
-  [[nodiscard]] bool fitted() const { return !bandwidths_.empty(); }
-
   Config config_;
   Dataset dataset_;
   std::vector<double> bandwidths_;
+  bool stale_ = false;  ///< a sample was added since bandwidths_ was selected
   double threshold_ = 0.0;
-  std::size_t additions_since_validation_ = 0;
   ControlStats stats_;
 };
 

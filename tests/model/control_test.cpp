@@ -5,6 +5,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "src/model/nadaraya_watson.hpp"
 #include "src/util/rng.hpp"
 
 namespace dovado::model {
@@ -111,19 +112,17 @@ TEST(ControlModel, EstimateBeforeSamplesThrows) {
   EXPECT_THROW(control.estimate({1.0}), std::logic_error);
 }
 
-TEST(ControlModel, RevalidationCadence) {
-  ControlModel::Config config;
-  config.revalidate_every = 3;
-  ControlModel control(config);
+TEST(ControlModel, FitsOnDemandOverEverySample) {
+  ControlModel control;
+  EXPECT_TRUE(control.bandwidths().empty());
   control.add_sample({0.0}, {0.0});
-  const auto bw_after_first = control.bandwidths();
+  EXPECT_EQ(control.bandwidths(), select_bandwidths(control.dataset()));
   control.add_sample({1.0}, {2.0});
-  // Not revalidated yet (cadence 3): bandwidths unchanged.
-  EXPECT_EQ(control.bandwidths(), bw_after_first);
   control.add_sample({2.0}, {4.0});
-  control.add_sample({3.0}, {6.0});  // third addition since -> retrain
+  control.add_sample({3.0}, {6.0});
+  // Three additions since the last fit: the next query refits on all four.
   EXPECT_EQ(control.dataset().size(), 4u);
-  // Model must see all four samples regardless of cadence.
+  EXPECT_EQ(control.bandwidths(), select_bandwidths(control.dataset()));
   EXPECT_NEAR(control.estimate({3.0})[0], 6.0, 1.0);
 }
 

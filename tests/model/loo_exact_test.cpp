@@ -1,10 +1,11 @@
 // Bit-exact differential test of the incremental Nadaraya-Watson model.
 //
 // The nearest-neighbour state kept per Dataset::add, the shared LOO-CV pass
-// over sample pairs and the copy-free ControlModel must reproduce, with ==
-// and not NEAR, the direct evaluation in namespace `oracle` below: O(N^2)
-// nearest-neighbour scans, one LOO-CV sweep per metric and bandwidth, and a
-// control model that refits on a copy of its dataset after every addition.
+// over sample pairs and the copy-free ControlModel, which fits on demand,
+// must reproduce, with == and not NEAR, the direct evaluation in namespace
+// `oracle` below: O(N^2) nearest-neighbour scans, one LOO-CV sweep per
+// metric and bandwidth, and a control model that refits on a copy of its
+// dataset after every addition.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -162,9 +163,8 @@ double similarity_phi(const Dataset& dataset, const Point& x) {
 
 class Control {
  public:
-  explicit Control(ControlModel::Config config) : config_(std::move(config)) {
+  explicit Control(ControlModel::Config config) : config_(config) {
     if (!config_.adaptive_threshold) threshold_ = config_.fixed_threshold;
-    if (config_.revalidate_every == 0) config_.revalidate_every = 1;
   }
 
   [[nodiscard]] Decision decide(const Point& x) const {
@@ -180,13 +180,7 @@ class Control {
   void add_sample(Point point, Values values) {
     dataset_.add(std::move(point), std::move(values));
     if (config_.adaptive_threshold) threshold_ = oracle::adaptive_threshold(dataset_);
-    ++additions_since_validation_;
-    if (additions_since_validation_ >= config_.revalidate_every || !model_.fitted()) {
-      model_.fit(dataset_, oracle::select_bandwidths(dataset_, config_.bandwidth_grid));
-      additions_since_validation_ = 0;
-    } else {
-      model_.fit(dataset_, model_.bandwidths());
-    }
+    model_.fit(dataset_, oracle::select_bandwidths(dataset_, {}));
   }
 
   [[nodiscard]] bool fitted() const { return model_.fitted(); }
@@ -198,7 +192,6 @@ class Control {
   Dataset dataset_;
   Nwm model_;
   double threshold_ = 0.0;
-  std::size_t additions_since_validation_ = 0;
 };
 
 }  // namespace oracle
@@ -231,7 +224,7 @@ void expect_loo(const Dataset& d, const std::vector<double>& grid = {}) {
   EXPECT_EQ(select_bandwidths(d, grid), oracle::select_bandwidths(d, grid)) << "n=" << d.size();
 }
 
-void expect_same_control(const ControlModel& fast, const oracle::Control& slow,
+void expect_same_control(ControlModel& fast, const oracle::Control& slow,
                          const std::vector<Point>& queries) {
   const std::size_t n = fast.dataset().size();
   EXPECT_EQ(fast.threshold(), slow.threshold()) << "n=" << n;
@@ -347,13 +340,24 @@ TEST(LooExact, NonPositiveBandwidths) {
   expect_loo(d, {0.0});
   EXPECT_GT(oracle::underflow_fallbacks, 0u);
 
-  ControlModel::Config config;
-  config.bandwidth_grid = {0.0, -2.0};
-  std::vector<Point> stream;
+  // Predictions on a grid of zero kernels: the 1-NN fallback at every query.
+  const std::vector<double> grid = {0.0, -2.0};
   std::vector<Point> queries;
-  for (int i = 0; i < 30; ++i) stream.push_back(random_point(rng, 2, 50.0));
   for (int i = 0; i < 10; ++i) queries.push_back(random_point(rng, 2, 50.0));
-  grow_and_compare(stream, queries, 2, config);
+  Dataset grown;
+  for (int i = 0; i < 30; ++i) {
+    const Point p = random_point(rng, 2, 50.0);
+    grown.add(p, smooth_metrics(p, 2));
+    NadarayaWatson fast;
+    fast.fit(grown, select_bandwidths(grown, grid));
+    oracle::Nwm slow;
+    slow.fit(grown, oracle::select_bandwidths(grown, grid));
+    EXPECT_EQ(fast.bandwidths(), slow.bandwidths()) << "n=" << grown.size();
+    for (const Point& q : queries) {
+      EXPECT_EQ(fast.predict(q), slow.predict(q)) << "n=" << grown.size();
+    }
+    if (HasFailure()) return;
+  }
 }
 
 TEST(LooExact, ControlModelMatchesDirectRefit) {
@@ -377,17 +381,62 @@ TEST(LooExact, ControlModelMatchesDirectRefit) {
   }
   queries.push_back(stream[3]);          // exact hit once added
   queries.push_back({1e6, -1e6});        // far: estimate falls back to 1-NN
-  for (std::size_t every : {1u, 3u}) {
-    SCOPED_TRACE("revalidate_every=" + std::to_string(every));
-    ControlModel::Config config;
-    config.revalidate_every = every;
-    grow_and_compare(stream, queries, 2, config);
-  }
+  grow_and_compare(stream, queries, 2, ControlModel::Config{});
   ControlModel::Config fixed;
   fixed.adaptive_threshold = false;
   fixed.fixed_threshold = 4.0;
-  fixed.bandwidth_grid = {1.0, 4.0, 16.0};
   grow_and_compare(stream, queries, 3, fixed);
+}
+
+TEST(LooExact, OnDemandFitMatchesEagerOracle) {
+  // A 100-sample burst (pre-training), then bursts of 1-7 additions with 0,
+  // 1 or several queries between them: the model fits only when a query
+  // needs it, the oracle after every addition, and every query must agree.
+  util::Rng rng(47);
+  ControlModel fast;
+  oracle::Control slow(ControlModel::Config{});
+  auto add = [&](std::int64_t count) {
+    for (std::int64_t k = 0; k < count; ++k) {
+      const Point p = random_point(rng, 2, 200.0);
+      fast.add_sample(p, smooth_metrics(p, 2));
+      slow.add_sample(p, smooth_metrics(p, 2));
+    }
+  };
+  // Random points, points next to a sample (estimates) and exact hits.
+  auto query_point = [&]() -> Point {
+    const std::int64_t kind = rng.uniform_int(0, 2);
+    if (kind == 0) return random_point(rng, 2, 200.0);
+    Point p = fast.dataset().points()[rng.index(fast.dataset().size())];
+    if (kind == 1) p[1] += 0.5;
+    return p;
+  };
+  add(100);
+  std::size_t fit_queries = 0;
+  for (int burst = 0; burst < 40; ++burst) {
+    const std::int64_t queries = rng.chance(0.3) ? rng.uniform_int(2, 6) : rng.uniform_int(0, 1);
+    for (std::int64_t k = 0; k < queries; ++k) {
+      const Point q = query_point();
+      const std::size_t n = fast.dataset().size();
+      EXPECT_EQ(fast.threshold(), slow.threshold()) << "n=" << n;
+      switch (rng.uniform_int(0, 2)) {
+        case 0: EXPECT_EQ(fast.decide(q), slow.decide(q)) << "n=" << n; break;
+        case 1:
+          EXPECT_EQ(fast.estimate(q), slow.estimate(q)) << "n=" << n;
+          ++fit_queries;
+          break;
+        default:
+          EXPECT_EQ(fast.bandwidths(), slow.bandwidths()) << "n=" << n;
+          ++fit_queries;
+          break;
+      }
+    }
+    if (HasFailure()) return;
+    add(rng.uniform_int(1, 7));
+  }
+  EXPECT_GT(fit_queries, 20u);
+  std::vector<Point> last;
+  for (int i = 0; i < 8; ++i) last.push_back(query_point());
+  expect_same_control(fast, slow, last);
 }
 
 TEST(LooExact, Fig3FifoDataset) {
@@ -450,18 +499,13 @@ TEST(LooExact, Fig3FifoDataset) {
   // The same stream through the control model, as a campaign grows it.
   std::vector<Point> queries;
   for (std::int64_t depth : test_depths) queries.push_back({static_cast<double>(depth)});
-  for (std::size_t every : {1u, 3u}) {
-    SCOPED_TRACE("revalidate_every=" + std::to_string(every));
-    ControlModel::Config config;
-    config.revalidate_every = every;
-    ControlModel fast(config);
-    oracle::Control slow(config);
-    for (std::size_t i = 0; i < 100; ++i) {
-      fast.add_sample({static_cast<double>(pool[i])}, normalized(pool[i]));
-      slow.add_sample({static_cast<double>(pool[i])}, normalized(pool[i]));
-      expect_same_control(fast, slow, queries);
-      if (HasFailure()) return;
-    }
+  ControlModel fast;
+  oracle::Control slow(ControlModel::Config{});
+  for (std::size_t i = 0; i < 100; ++i) {
+    fast.add_sample({static_cast<double>(pool[i])}, normalized(pool[i]));
+    slow.add_sample({static_cast<double>(pool[i])}, normalized(pool[i]));
+    expect_same_control(fast, slow, queries);
+    if (HasFailure()) return;
   }
 }
 
