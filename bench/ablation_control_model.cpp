@@ -4,10 +4,16 @@
 // distance, updated after every dataset addition) against fixed thresholds,
 // measuring how many tool calls the DSE needs and how good the resulting
 // front is relative to a direct (no-approximation) run.
+//
+// Usage: ablation_control_model [--json FILE]
+//   --json FILE  also write every row to FILE (hypervolume with %.17g), so
+//                a golden copy (tests/golden/ablation_control_model.json)
+//                can be compared exactly.
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "bench/front_json.hpp"
 #include "src/core/dse.hpp"
 #include "src/opt/indicators.hpp"
 
@@ -50,9 +56,34 @@ double front_hypervolume(const core::DseEngine& engine, const core::DseResult& r
   return opt::hypervolume(objs, {8000.0, -100.0});
 }
 
+bool write_rows_json(const char* path, const std::vector<Row>& rows) {
+  std::FILE* out = std::fopen(path, "w");
+  if (out == nullptr) {
+    std::fprintf(stderr, "ablation_control_model: cannot write %s\n", path);
+    return false;
+  }
+  std::fprintf(out, "{\"figure\": \"ablation_control_model\", \"rows\": [\n");
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    std::fprintf(out,
+                 "  {\"policy\": \"%s\", \"tool_runs\": %zu, \"estimates\": %zu, "
+                 "\"hypervolume\": %.17g}%s\n",
+                 rows[r].policy.c_str(), rows[r].tool_runs, rows[r].estimates, rows[r].hv,
+                 r + 1 < rows.size() ? "," : "");
+  }
+  std::fprintf(out, "]}\n");
+  if (std::fclose(out) != 0) {
+    std::fprintf(stderr, "ablation_control_model: cannot write %s\n", path);
+    return false;
+  }
+  return true;
+}
+
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const char* json_path = nullptr;
+  if (!bench::parse_json_flag(argc, argv, "ablation_control_model", json_path)) return 2;
+
   std::vector<Row> rows;
 
   {
@@ -98,5 +129,6 @@ int main() {
       "run while keeping the front competitive; a too-small fixed threshold\n"
       "degenerates to the direct run, a too-large one floods the search with\n"
       "estimates of degrading quality.\n");
+  if (json_path != nullptr && !write_rows_json(json_path, rows)) return 1;
   return 0;
 }

@@ -4,18 +4,63 @@
 // parameter — by Leave-One-Out cross-validation. This bench compares the
 // LOO-CV choice against fixed bandwidths on tool data from the cv32e40p
 // FIFO, reporting test MSE per metric.
+//
+// Usage: ablation_nwm_bandwidth [--json FILE]
+//   --json FILE  also write every row's bandwidths and test MSEs to FILE
+//                with %.17g, so a golden copy
+//                (tests/golden/ablation_nwm_bandwidth.json) can be compared
+//                exactly.
 #include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "bench/front_json.hpp"
 #include "src/core/evaluator.hpp"
 #include "src/model/nadaraya_watson.hpp"
 #include "src/util/rng.hpp"
 
 using namespace dovado;
 
-int main() {
+namespace {
+
+/// One table row: a label, the bandwidth per metric and the test MSEs.
+struct Row {
+  std::string name;
+  std::vector<double> bandwidths;
+  std::vector<double> mse;
+};
+
+bool write_rows_json(const char* path, const std::vector<Row>& rows) {
+  std::FILE* out = std::fopen(path, "w");
+  if (out == nullptr) {
+    std::fprintf(stderr, "ablation_nwm_bandwidth: cannot write %s\n", path);
+    return false;
+  }
+  std::fprintf(out, "{\"figure\": \"ablation_nwm_bandwidth\", \"rows\": [\n");
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    const Row& row = rows[r];
+    std::fprintf(out,
+                 "  {\"bandwidth\": \"%s\", \"h_ff\": %.17g, \"h_lut\": %.17g, "
+                 "\"h_freq\": %.17g, \"mse_ff\": %.17g, \"mse_lut\": %.17g, "
+                 "\"mse_freq\": %.17g}%s\n",
+                 row.name.c_str(), row.bandwidths[0], row.bandwidths[1], row.bandwidths[2],
+                 row.mse[0], row.mse[1], row.mse[2], r + 1 < rows.size() ? "," : "");
+  }
+  std::fprintf(out, "]}\n");
+  if (std::fclose(out) != 0) {
+    std::fprintf(stderr, "ablation_nwm_bandwidth: cannot write %s\n", path);
+    return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const char* json_path = nullptr;
+  if (!bench::parse_json_flag(argc, argv, "ablation_nwm_bandwidth", json_path)) return 2;
+
   core::ProjectConfig project;
   project.sources.push_back({std::string(DOVADO_RTL_DIR) + "/cv32e40p_fifo.sv",
                              hdl::HdlLanguage::kSystemVerilog, "work", false});
@@ -61,14 +106,17 @@ int main() {
   std::printf("Ablation: NWM bandwidth selection (60 train / 40 test samples)\n\n");
   std::printf("%-24s %12s %12s %12s\n", "bandwidth", "MSE(FF)", "MSE(LUT)", "MSE(Freq)");
 
+  std::vector<Row> rows;
   const auto loo = model::select_bandwidths(train);
   const auto loo_mse = test_mse(loo);
+  rows.push_back({"LOO-CV selected", loo, loo_mse});
   std::printf("%-24s %12.2e %12.2e %12.2e   <- paper's choice\n",
               "LOO-CV selected", loo_mse[0], loo_mse[1], loo_mse[2]);
 
   double best_fixed_freq = 1e18;
   for (double h : {0.5, 2.0, 8.0, 32.0, 128.0, 512.0}) {
     const auto mse = test_mse({h, h, h});
+    rows.push_back({"fixed", {h, h, h}, mse});
     best_fixed_freq = std::min(best_fixed_freq, mse[2]);
     std::printf("fixed h = %-14.1f %12.2e %12.2e %12.2e\n", h, mse[0], mse[1], mse[2]);
   }
@@ -79,5 +127,6 @@ int main() {
               "hardest metric without any hand tuning (paper: bandwidth is the only\n"
               "free parameter; LOO-CV is cheap on the small synthetic dataset).\n",
               loo_mse[2] / best_fixed_freq);
+  if (json_path != nullptr && !write_rows_json(json_path, rows)) return 1;
   return 0;
 }

@@ -2,9 +2,15 @@
 
 #include <stdexcept>
 
-#include "src/model/nadaraya_watson.hpp"
-
 namespace dovado::model {
+
+namespace {
+/// The grid is rebuilt when Γ·√d rises above the scale it was built at
+/// times kRescaleFactor or falls below it divided by kRescaleFactor. 1.0
+/// rebuilds on every change of scale, which reproduces a refit on the
+/// default grid after every addition.
+constexpr double kRescaleFactor = 1.25;
+}  // namespace
 
 ControlModel::ControlModel(Config config) : config_(config) {
   if (!config_.adaptive_threshold) threshold_ = config_.fixed_threshold;
@@ -41,7 +47,15 @@ void ControlModel::add_sample(Point point, Values values) {
 }
 
 const std::vector<double>& ControlModel::bandwidths() {
-  if (stale_) bandwidths_ = select_bandwidths(dataset_);
+  if (!stale_) return bandwidths_;
+  const double scale = bandwidth_scale(dataset_);
+  if (grid().empty() || scale > grid_scale_ * kRescaleFactor ||
+      scale * kRescaleFactor < grid_scale_) {
+    fold_ = LooFold(bandwidth_grid(scale));
+    grid_scale_ = scale;
+  }
+  fold_.fold(dataset_);
+  bandwidths_ = fold_.select(dataset_);
   stale_ = false;
   return bandwidths_;
 }

@@ -12,10 +12,15 @@
 // The threshold is adaptive by default: Γ = the average nearest-neighbour
 // Eq.-(4) distance over dataset points, updated after every addition.
 // Bandwidths are selected by LOO-CV on demand: an addition marks the fit
-// stale and the next estimate() or bandwidths() refits on the whole
-// dataset. The selection is a pure function of the dataset, so results
-// equal a refit after every addition, while a burst of additions
-// (pre-training, warm start, journal replay) costs one LOO-CV pass.
+// stale and the next estimate() or bandwidths() refits. The candidate grid
+// is built at the first fit as Γ·√d × {0.25 … 8} and rebuilt only when
+// Γ·√d has moved by more than a fixed factor, in either direction, from the
+// scale it was built at. Between rebuilds the model keeps every row's LOO
+// sums (LooFold) and a refit folds in only the samples added since the
+// last one, so a fit after one addition costs G·N kernels instead of
+// G·N(N−1)/2. The selected bandwidths always equal
+// select_bandwidths(dataset(), grid()) bit for bit. The paper re-selects on
+// a grid that follows every change of Γ; this model follows it in steps.
 // decide() and estimate() throw std::invalid_argument for a point whose
 // dimension differs from the dataset's.
 #pragma once
@@ -24,6 +29,7 @@
 #include <vector>
 
 #include "src/model/dataset.hpp"
+#include "src/model/nadaraya_watson.hpp"
 
 namespace dovado::model {
 
@@ -64,19 +70,24 @@ class ControlModel {
 
   /// Record a tool result (pre-training and kToolAndAdd additions): adds
   /// the pair, refreshes Γ and marks the fit stale, in O(N * dimension).
-  /// The next fit is one LOO-CV pass over the sample pairs.
+  /// The next fit folds the new samples into the kept LOO sums, or rebuilds
+  /// them on a rescaled grid.
   void add_sample(Point point, Values values);
 
   [[nodiscard]] const Dataset& dataset() const { return dataset_; }
   /// The selected bandwidths, one per metric, fitting first if stale;
   /// empty before the first sample.
   [[nodiscard]] const std::vector<double>& bandwidths();
+  /// The candidate bandwidths of the last fit; empty before the first fit.
+  [[nodiscard]] const std::vector<double>& grid() const { return fold_.bandwidths(); }
   [[nodiscard]] double threshold() const { return threshold_; }
   [[nodiscard]] const ControlStats& stats() const { return stats_; }
 
  private:
   Config config_;
   Dataset dataset_;
+  LooFold fold_;             ///< LOO sums on grid() over the samples folded so far
+  double grid_scale_ = 0.0;  ///< Γ·√d when grid() was built
   std::vector<double> bandwidths_;
   bool stale_ = false;  ///< a sample was added since bandwidths_ was selected
   double threshold_ = 0.0;

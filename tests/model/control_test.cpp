@@ -115,14 +115,16 @@ TEST(ControlModel, EstimateBeforeSamplesThrows) {
 TEST(ControlModel, FitsOnDemandOverEverySample) {
   ControlModel control;
   EXPECT_TRUE(control.bandwidths().empty());
+  EXPECT_TRUE(control.grid().empty());
   control.add_sample({0.0}, {0.0});
-  EXPECT_EQ(control.bandwidths(), select_bandwidths(control.dataset()));
+  EXPECT_EQ(control.bandwidths(), select_bandwidths(control.dataset(), control.grid()));
+  EXPECT_EQ(control.grid(), default_bandwidth_grid(control.dataset()));
   control.add_sample({1.0}, {2.0});
   control.add_sample({2.0}, {4.0});
   control.add_sample({3.0}, {6.0});
   // Three additions since the last fit: the next query refits on all four.
   EXPECT_EQ(control.dataset().size(), 4u);
-  EXPECT_EQ(control.bandwidths(), select_bandwidths(control.dataset()));
+  EXPECT_EQ(control.bandwidths(), select_bandwidths(control.dataset(), control.grid()));
   EXPECT_NEAR(control.estimate({3.0})[0], 6.0, 1.0);
 }
 

@@ -1,11 +1,12 @@
 // Bit-exact differential test of the incremental Nadaraya-Watson model.
 //
-// The nearest-neighbour state kept per Dataset::add, the shared LOO-CV pass
-// over sample pairs and the copy-free ControlModel, which fits on demand,
-// must reproduce, with == and not NEAR, the direct evaluation in namespace
-// `oracle` below: O(N^2) nearest-neighbour scans, one LOO-CV sweep per
-// metric and bandwidth, and a control model that refits on a copy of its
-// dataset after every addition.
+// The nearest-neighbour state kept per Dataset::add, the LOO-CV fold and
+// the copy-free ControlModel, which fits on demand and keeps its LOO sums
+// between grid rescales, must reproduce, with == and not NEAR, the direct
+// evaluation in namespace `oracle` below: O(N^2) nearest-neighbour scans,
+// one LOO-CV sweep per metric and bandwidth, the i<j pair loop the fold
+// replaced, and a control model that refits from scratch on a copy of its
+// dataset at every query, on a grid it rescales by the same rule.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -120,13 +121,70 @@ double loo_cv_error(const Dataset& dataset, std::size_t metric, double h) {
   return total / static_cast<double>(dataset.size());
 }
 
-std::vector<double> default_bandwidth_grid(const Dataset& dataset) {
+/// The shared pass over sample pairs i < j that LooFold replaced: one
+/// distance per pair, one kernel per pair and bandwidth, fed to both rows.
+/// With i outside and j inside, row r receives its terms from pairs (k, r),
+/// k < r, before those from pairs (r, j), j > r: ascending sample index.
+std::vector<std::vector<double>> pair_loop_errors(const Dataset& dataset,
+                                                  const std::vector<double>& bandwidths) {
+  const std::size_t n = dataset.size();
+  const std::size_t metrics = dataset.metric_count();
+  const std::size_t grid = bandwidths.size();
+  std::vector<std::vector<double>> errors(
+      grid, std::vector<double>(metrics, std::numeric_limits<double>::infinity()));
+  if (n < 2) return errors;
+  const auto& points = dataset.points();
+  const auto& values = dataset.values();
+  const std::size_t stride = metrics + 1;
+  std::vector<double> acc(n * grid * stride, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const double d2 = squared_distance(points[i], points[j]);
+      double* row_i = &acc[i * grid * stride];
+      double* row_j = &acc[j * grid * stride];
+      for (std::size_t g = 0; g < grid; ++g, row_i += stride, row_j += stride) {
+        const double w = gaussian_kernel(d2, bandwidths[g]);
+        for (std::size_t m = 0; m < metrics; ++m) {
+          row_i[m] += w * values[j][m];
+          row_j[m] += w * values[i][m];
+        }
+        row_i[metrics] += w;
+        row_j[metrics] += w;
+      }
+    }
+  }
+  for (std::size_t g = 0; g < grid; ++g) {
+    for (std::size_t m = 0; m < metrics; ++m) {
+      double total = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        const double* row = &acc[(i * grid + g) * stride];
+        const double predicted = row[metrics] <= std::numeric_limits<double>::min()
+                                     ? values[oracle::nearest_other(dataset, i)][m]
+                                     : row[m] / row[metrics];
+        const double err = predicted - values[i][m];
+        total += err * err;
+      }
+      errors[g][m] = total / static_cast<double>(n);
+    }
+  }
+  return errors;
+}
+
+double grid_scale(const Dataset& dataset) {
   double scale = oracle::adaptive_threshold(dataset) *
                  std::sqrt(static_cast<double>(std::max<std::size_t>(1, dataset.dimension())));
   if (scale <= 0.0) scale = 1.0;
+  return scale;
+}
+
+std::vector<double> bandwidth_grid(double scale) {
   std::vector<double> grid;
   for (double f : {0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0}) grid.push_back(scale * f);
   return grid;
+}
+
+std::vector<double> default_bandwidth_grid(const Dataset& dataset) {
+  return oracle::bandwidth_grid(oracle::grid_scale(dataset));
 }
 
 std::vector<double> select_bandwidths(const Dataset& dataset,
@@ -161,6 +219,10 @@ double similarity_phi(const Dataset& dataset, const Point& x) {
   return std::sqrt(squared_distance(x, z) / static_cast<double>(m));
 }
 
+/// ControlModel's rescale factor (control.cpp): the grid is rebuilt when
+/// the scale leaves [built / factor, built * factor].
+constexpr double kRescaleFactor = 1.25;
+
 class Control {
  public:
   explicit Control(ControlModel::Config config) : config_(config) {
@@ -169,28 +231,60 @@ class Control {
 
   [[nodiscard]] Decision decide(const Point& x) const {
     if (dataset_.find_exact(x).has_value()) return Decision::kCachedTool;
-    if (!dataset_.empty() && model_.fitted() && oracle::similarity_phi(dataset_, x) <= threshold_) {
+    if (!dataset_.empty() && oracle::similarity_phi(dataset_, x) <= threshold_) {
       return Decision::kEstimate;
     }
     return Decision::kToolAndAdd;
   }
 
-  [[nodiscard]] Values estimate(const Point& x) const { return model_.predict(x); }
+  [[nodiscard]] Values estimate(const Point& x) {
+    fit();
+    return model_.predict(x);
+  }
 
   void add_sample(Point point, Values values) {
     dataset_.add(std::move(point), std::move(values));
     if (config_.adaptive_threshold) threshold_ = oracle::adaptive_threshold(dataset_);
-    model_.fit(dataset_, oracle::select_bandwidths(dataset_, {}));
   }
 
-  [[nodiscard]] bool fitted() const { return model_.fitted(); }
-  [[nodiscard]] const std::vector<double>& bandwidths() const { return model_.bandwidths(); }
+  const std::vector<double>& bandwidths() {
+    fit();
+    return model_.bandwidths();
+  }
+
+  [[nodiscard]] const std::vector<double>& grid() const { return grid_; }
   [[nodiscard]] double threshold() const { return threshold_; }
+  [[nodiscard]] std::size_t rescales() const { return rescales_; }
+  /// Fits whose scale differed from the grid's without a rebuild.
+  [[nodiscard]] std::size_t kept_grid_fits() const { return kept_grid_fits_; }
 
  private:
+  /// Refit from scratch when samples were added since the last fit, first
+  /// rebuilding the grid when the scale has left the factor's band around
+  /// the scale the grid was built at.
+  void fit() {
+    if (dataset_.size() == fitted_size_) return;
+    fitted_size_ = dataset_.size();
+    const double scale = oracle::grid_scale(dataset_);
+    if (grid_.empty() || scale > grid_built_at_ * kRescaleFactor ||
+        scale * kRescaleFactor < grid_built_at_) {
+      grid_ = oracle::bandwidth_grid(scale);
+      grid_built_at_ = scale;
+      ++rescales_;
+    } else if (scale != grid_built_at_) {
+      ++kept_grid_fits_;
+    }
+    model_.fit(dataset_, oracle::select_bandwidths(dataset_, grid_));
+  }
+
   ControlModel::Config config_;
   Dataset dataset_;
   Nwm model_;
+  std::vector<double> grid_;
+  double grid_built_at_ = 0.0;
+  std::size_t rescales_ = 0;
+  std::size_t kept_grid_fits_ = 0;
+  std::size_t fitted_size_ = 0;
   double threshold_ = 0.0;
 };
 
@@ -212,6 +306,7 @@ void expect_loo(const Dataset& d, const std::vector<double>& grid = {}) {
     EXPECT_EQ(used, oracle::default_bandwidth_grid(d)) << "n=" << d.size();
   }
   const auto errors = loo_cv_errors(d, used);
+  EXPECT_EQ(errors, oracle::pair_loop_errors(d, used)) << "n=" << d.size();
   ASSERT_EQ(errors.size(), used.size());
   for (std::size_t g = 0; g < used.size(); ++g) {
     ASSERT_EQ(errors[g].size(), d.metric_count());
@@ -224,14 +319,24 @@ void expect_loo(const Dataset& d, const std::vector<double>& grid = {}) {
   EXPECT_EQ(select_bandwidths(d, grid), oracle::select_bandwidths(d, grid)) << "n=" << d.size();
 }
 
-void expect_same_control(ControlModel& fast, const oracle::Control& slow,
+/// After a query that fitted both models: the same grid, and the model's
+/// bandwidths equal a fresh selection on that grid.
+void expect_fit(ControlModel& fast, const oracle::Control& slow) {
+  const std::size_t n = fast.dataset().size();
+  EXPECT_EQ(fast.grid(), slow.grid()) << "n=" << n;
+  EXPECT_EQ(fast.bandwidths(), select_bandwidths(fast.dataset(), fast.grid())) << "n=" << n;
+}
+
+/// Γ, the fit (grid and bandwidths) and every query's decision and estimate.
+void expect_same_control(ControlModel& fast, oracle::Control& slow,
                          const std::vector<Point>& queries) {
   const std::size_t n = fast.dataset().size();
   EXPECT_EQ(fast.threshold(), slow.threshold()) << "n=" << n;
   EXPECT_EQ(fast.bandwidths(), slow.bandwidths()) << "n=" << n;
+  expect_fit(fast, slow);
   for (const Point& q : queries) {
     EXPECT_EQ(fast.decide(q), slow.decide(q)) << "n=" << n;
-    if (slow.fitted()) {
+    if (n > 0) {
       EXPECT_EQ(fast.estimate(q), slow.estimate(q)) << "n=" << n;
     }
   }
@@ -390,8 +495,9 @@ TEST(LooExact, ControlModelMatchesDirectRefit) {
 
 TEST(LooExact, OnDemandFitMatchesEagerOracle) {
   // A 100-sample burst (pre-training), then bursts of 1-7 additions with 0,
-  // 1 or several queries between them: the model fits only when a query
-  // needs it, the oracle after every addition, and every query must agree.
+  // 1 or several queries between them: the model folds the new samples into
+  // its kept sums when a query needs a fit, the oracle refits from scratch,
+  // and every query must agree.
   util::Rng rng(47);
   ControlModel fast;
   oracle::Control slow(ControlModel::Config{});
@@ -422,10 +528,12 @@ TEST(LooExact, OnDemandFitMatchesEagerOracle) {
         case 0: EXPECT_EQ(fast.decide(q), slow.decide(q)) << "n=" << n; break;
         case 1:
           EXPECT_EQ(fast.estimate(q), slow.estimate(q)) << "n=" << n;
+          expect_fit(fast, slow);
           ++fit_queries;
           break;
         default:
           EXPECT_EQ(fast.bandwidths(), slow.bandwidths()) << "n=" << n;
+          expect_fit(fast, slow);
           ++fit_queries;
           break;
       }
@@ -437,6 +545,79 @@ TEST(LooExact, OnDemandFitMatchesEagerOracle) {
   std::vector<Point> last;
   for (int i = 0; i < 8; ++i) last.push_back(query_point());
   expect_same_control(fast, slow, last);
+}
+
+TEST(LooExact, KeptFoldEqualsFreshFold) {
+  // A LooFold grown in chunks of 1-9 samples must equal a fresh fold over
+  // the same dataset (loo_cv_errors) and the pair loop at every size: on
+  // random points, on a tied lattice with duplicates, and on far clusters
+  // whose rows take the underflow fallback.
+  util::Rng rng(61);
+  std::vector<Point> random_stream;
+  for (int i = 0; i < 120; ++i) random_stream.push_back(random_point(rng, 3, 100.0));
+  std::vector<Point> lattice;
+  for (int x = 0; x < 7; ++x) {
+    for (int y = 0; y < 7; ++y) lattice.push_back({3.0 * x, 3.0 * y});
+  }
+  rng.shuffle(lattice);
+  for (std::size_t i = 0; i < 10; ++i) lattice.push_back(lattice[i * 4]);
+  std::vector<Point> clusters;
+  for (int k = 0; k < 6; ++k) {
+    clusters.push_back({-1.0 * k});
+    clusters.push_back({3e4 + k});
+  }
+  clusters.push_back({1.5e4});
+  const std::vector<double> grid = {0.5, 1.0, 2.0, 6.0, 40.0};
+  for (const auto* stream : {&random_stream, &lattice, &clusters}) {
+    const std::size_t dims = stream->front().size();
+    SCOPED_TRACE("dims=" + std::to_string(dims) + " samples=" + std::to_string(stream->size()));
+    Dataset d;
+    LooFold fold(grid);
+    std::size_t next = 0;
+    while (next < stream->size()) {
+      const std::size_t chunk = std::min<std::size_t>(
+          stream->size() - next, static_cast<std::size_t>(rng.uniform_int(1, 9)));
+      for (std::size_t k = 0; k < chunk; ++k, ++next) {
+        const Point& p = (*stream)[next];
+        d.add(p, smooth_metrics(p, 2));
+      }
+      fold.fold(d);
+      const auto kept = fold.errors(d);
+      EXPECT_EQ(kept, loo_cv_errors(d, grid)) << "n=" << d.size();
+      EXPECT_EQ(kept, oracle::pair_loop_errors(d, grid)) << "n=" << d.size();
+      if (HasFailure()) return;
+    }
+  }
+}
+
+TEST(LooExact, ScaleDriftRebuildsTheGrid) {
+  // A dense cloud makes Γ fall as it fills, then widely spaced points make
+  // it rise: the grid must be rebuilt in both directions, exactly when the
+  // scale leaves the factor's band, and kept while it stays inside.
+  util::Rng rng(73);
+  std::vector<Point> stream;
+  for (int i = 0; i < 80; ++i) stream.push_back(random_point(rng, 2, 100.0));
+  for (int i = 0; i < 40; ++i) stream.push_back({2000.0 + 400.0 * i, -500.0 * (i % 3)});
+  std::vector<Point> queries = {{50.0, 50.0}, {50.5, 49.0}, {4000.0, 0.0}};
+  ControlModel fast;
+  oracle::Control slow(ControlModel::Config{});
+  std::size_t rises = 0;
+  std::size_t falls = 0;
+  double last_front = 0.0;
+  for (const Point& p : stream) {
+    fast.add_sample(p, smooth_metrics(p, 2));
+    slow.add_sample(p, smooth_metrics(p, 2));
+    expect_same_control(fast, slow, queries);
+    if (HasFailure()) return;
+    const double front = fast.grid().front();
+    if (last_front > 0.0 && front > last_front) ++rises;
+    if (last_front > 0.0 && front < last_front) ++falls;
+    last_front = front;
+  }
+  EXPECT_GT(rises, 0u);
+  EXPECT_GT(falls, 0u);
+  EXPECT_EQ(slow.rescales(), 1 + rises + falls);
+  EXPECT_GT(slow.kept_grid_fits(), slow.rescales());
 }
 
 TEST(LooExact, Fig3FifoDataset) {
