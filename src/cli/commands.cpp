@@ -569,27 +569,7 @@ int run_db(const Options& options, std::ostream& out, std::ostream& err) {
 
   // export: the full record set as JSON (machine-readable) or CSV.
   util::JsonArray records;
-  for (const auto& rec : selected) {
-    util::JsonObject obj;
-    util::JsonObject params;
-    for (const auto& [name, value] : rec.params) {
-      params[name] = util::Json(static_cast<std::int64_t>(value));
-    }
-    obj["params"] = util::Json(std::move(params));
-    obj["backend"] = util::Json(rec.backend);
-    obj["tier"] = util::Json(rec.tier);
-    if (!rec.campaign.empty()) obj["campaign"] = util::Json(rec.campaign);
-    util::JsonObject metrics;
-    for (const auto& [name, value] : rec.metrics) metrics[name] = util::Json(value);
-    obj["metrics"] = util::Json(std::move(metrics));
-    obj["ok"] = util::Json(rec.ok);
-    if (rec.failure != "none") obj["failure"] = util::Json(rec.failure);
-    if (rec.approximate) obj["approximate"] = util::Json(true);
-    if (rec.quarantined) obj["quarantined"] = util::Json(true);
-    obj["tool_seconds"] = util::Json(rec.tool_seconds);
-    obj["timestamp"] = util::Json(static_cast<std::int64_t>(rec.timestamp));
-    records.push_back(util::Json(std::move(obj)));
-  }
+  for (const auto& rec : selected) records.push_back(store::record_to_json(rec));
   util::JsonObject root;
   root["store"] = util::Json(options.store_path);
   root["records"] = util::Json(std::move(records));

@@ -31,17 +31,76 @@ std::string header_line() {
   return util::Json(std::move(obj)).dump();
 }
 
+/// Parse one line as a JSON object; null on malformed input.
+std::optional<util::JsonObject> parse_object(const std::string& line) {
+  util::Json parsed;
+  if (!util::Json::parse(line, parsed) || !parsed.is_object()) return std::nullopt;
+  return std::move(parsed.as_object());
+}
+
+/// The record's design point: required, non-empty, every value an integer.
+bool read_params(const util::JsonObject& obj, DesignPoint& out) {
+  const util::Json* params = util::find_field(obj, "params");
+  return params != nullptr && util::decode_point(*params, out) && !out.empty();
+}
+
+std::optional<JournalRecord> eval_from_object(const util::JsonObject& obj) {
+  JournalRecord record;
+  if (!read_params(obj, record.params) || !util::read_bool(obj, "ok", record.ok)) {
+    return std::nullopt;
+  }
+  if (const util::Json* metrics = util::find_field(obj, "metrics");
+      metrics != nullptr && metrics->is_object() &&
+      !util::decode_metrics(*metrics, record.metrics.values)) {
+    return std::nullopt;
+  }
+  (void)util::read_string(obj, "error", record.error);
+  if (std::string name; util::read_string(obj, "failure", name)) {
+    auto cls = failure_class_from_name(name);
+    if (!cls) return std::nullopt;
+    record.failure = *cls;
+  }
+  if (util::read_integer(obj, "attempts", record.attempts) == util::IntField::kBad) {
+    return std::nullopt;
+  }
+  (void)util::read_bool(obj, "quarantined", record.quarantined);
+  (void)util::read_number(obj, "tool_seconds", record.tool_seconds);
+  return record;
+}
+
+std::optional<InflightMark> inflight_from_object(const util::JsonObject& obj) {
+  InflightMark mark;
+  if (!read_params(obj, mark.params)) return std::nullopt;
+  (void)util::read_string(obj, "optimizer", mark.optimizer);
+  return mark;
+}
+
+std::optional<HealthEvent> health_from_object(const util::JsonObject& obj) {
+  HealthEvent event;
+  std::string kind_name;
+  if (!util::read_string(obj, "backend", event.backend) ||
+      !util::read_string(obj, "event", kind_name)) {
+    return std::nullopt;
+  }
+  const auto kind = health_event_kind_from_name(kind_name);
+  if (!kind) return std::nullopt;
+  event.kind = *kind;
+  (void)util::read_string(obj, "cause", event.cause);
+  if (util::read_integer(obj, "window_failures", event.window_failures) ==
+          util::IntField::kBad ||
+      util::read_integer(obj, "window_size", event.window_size) == util::IntField::kBad) {
+    return std::nullopt;
+  }
+  return event;
+}
+
 }  // namespace
 
 std::string journal_record_to_json(const JournalRecord& record) {
   util::JsonObject obj;
   obj["kind"] = util::Json(std::string("eval"));
-  util::JsonObject params;
-  for (const auto& [name, value] : record.params) params[name] = util::Json(value);
-  util::JsonObject metrics;
-  for (const auto& [name, value] : record.metrics.values) metrics[name] = util::Json(value);
-  obj["params"] = util::Json(std::move(params));
-  obj["metrics"] = util::Json(std::move(metrics));
+  obj["params"] = util::encode_point(record.params);
+  obj["metrics"] = util::encode_metrics(record.metrics.values);
   obj["ok"] = util::Json(record.ok);
   if (!record.error.empty()) obj["error"] = util::Json(record.error);
   obj["failure"] = util::Json(failure_class_name(record.failure));
@@ -52,76 +111,22 @@ std::string journal_record_to_json(const JournalRecord& record) {
 }
 
 std::optional<JournalRecord> journal_record_from_json(const std::string& line) {
-  util::Json parsed;
-  if (!util::Json::parse(line, parsed) || !parsed.is_object()) return std::nullopt;
-  const auto& obj = parsed.as_object();
-
-  auto params_it = obj.find("params");
-  auto ok_it = obj.find("ok");
-  if (params_it == obj.end() || !params_it->second.is_object() || ok_it == obj.end() ||
-      !ok_it->second.is_bool()) {
-    return std::nullopt;
-  }
-  JournalRecord record;
-  for (const auto& [name, value] : params_it->second.as_object()) {
-    if (!value.is_number()) return std::nullopt;
-    record.params[name] = static_cast<std::int64_t>(value.as_number());
-  }
-  if (record.params.empty()) return std::nullopt;
-  record.ok = ok_it->second.as_bool();
-  if (auto it = obj.find("metrics"); it != obj.end() && it->second.is_object()) {
-    for (const auto& [name, value] : it->second.as_object()) {
-      if (!value.is_number()) return std::nullopt;
-      record.metrics.values[name] = value.as_number();
-    }
-  }
-  if (auto it = obj.find("error"); it != obj.end() && it->second.is_string()) {
-    record.error = it->second.as_string();
-  }
-  if (auto it = obj.find("failure"); it != obj.end() && it->second.is_string()) {
-    auto cls = failure_class_from_name(it->second.as_string());
-    if (!cls) return std::nullopt;
-    record.failure = *cls;
-  }
-  if (auto it = obj.find("attempts"); it != obj.end() && it->second.is_number()) {
-    record.attempts = static_cast<int>(it->second.as_number());
-  }
-  if (auto it = obj.find("quarantined"); it != obj.end() && it->second.is_bool()) {
-    record.quarantined = it->second.as_bool();
-  }
-  if (auto it = obj.find("tool_seconds"); it != obj.end() && it->second.is_number()) {
-    record.tool_seconds = it->second.as_number();
-  }
-  return record;
+  const auto obj = parse_object(line);
+  return obj ? eval_from_object(*obj) : std::nullopt;
 }
 
 std::string inflight_record_to_json(const DesignPoint& point,
                                     const std::string& optimizer) {
   util::JsonObject obj;
   obj["kind"] = util::Json(std::string("inflight"));
-  util::JsonObject params;
-  for (const auto& [name, value] : point) params[name] = util::Json(value);
-  obj["params"] = util::Json(std::move(params));
+  obj["params"] = util::encode_point(point);
   if (!optimizer.empty()) obj["optimizer"] = util::Json(optimizer);
   return util::Json(std::move(obj)).dump();
 }
 
 std::optional<InflightMark> inflight_record_from_json(const std::string& line) {
-  util::Json parsed;
-  if (!util::Json::parse(line, parsed) || !parsed.is_object()) return std::nullopt;
-  const auto& obj = parsed.as_object();
-  auto params_it = obj.find("params");
-  if (params_it == obj.end() || !params_it->second.is_object()) return std::nullopt;
-  InflightMark mark;
-  for (const auto& [name, value] : params_it->second.as_object()) {
-    if (!value.is_number()) return std::nullopt;
-    mark.params[name] = static_cast<std::int64_t>(value.as_number());
-  }
-  if (mark.params.empty()) return std::nullopt;
-  if (auto it = obj.find("optimizer"); it != obj.end() && it->second.is_string()) {
-    mark.optimizer = it->second.as_string();
-  }
-  return mark;
+  const auto obj = parse_object(line);
+  return obj ? inflight_from_object(*obj) : std::nullopt;
 }
 
 std::string health_event_to_json(const HealthEvent& event) {
@@ -136,30 +141,8 @@ std::string health_event_to_json(const HealthEvent& event) {
 }
 
 std::optional<HealthEvent> health_event_from_json(const std::string& line) {
-  util::Json parsed;
-  if (!util::Json::parse(line, parsed) || !parsed.is_object()) return std::nullopt;
-  const auto& obj = parsed.as_object();
-  auto backend_it = obj.find("backend");
-  auto event_it = obj.find("event");
-  if (backend_it == obj.end() || !backend_it->second.is_string() ||
-      event_it == obj.end() || !event_it->second.is_string()) {
-    return std::nullopt;
-  }
-  const auto kind = health_event_kind_from_name(event_it->second.as_string());
-  if (!kind) return std::nullopt;
-  HealthEvent event;
-  event.backend = backend_it->second.as_string();
-  event.kind = *kind;
-  if (auto it = obj.find("cause"); it != obj.end() && it->second.is_string()) {
-    event.cause = it->second.as_string();
-  }
-  if (auto it = obj.find("window_failures"); it != obj.end() && it->second.is_number()) {
-    event.window_failures = static_cast<std::size_t>(it->second.as_number());
-  }
-  if (auto it = obj.find("window_size"); it != obj.end() && it->second.is_number()) {
-    event.window_size = static_cast<std::size_t>(it->second.as_number());
-  }
-  return event;
+  const auto obj = parse_object(line);
+  return obj ? health_from_object(*obj) : std::nullopt;
 }
 
 std::unique_ptr<SessionJournal> SessionJournal::open(const std::string& path,
@@ -189,16 +172,11 @@ std::unique_ptr<SessionJournal> SessionJournal::open(const std::string& path,
         // only a *tail* may be torn (the writer died mid-append); a bad
         // line with intact content after it is a damaged file.
         bool parsed_ok = false;
-        util::Json parsed;
-        std::string kind;
-        if (util::Json::parse(line, parsed) && parsed.is_object()) {
-          const auto& obj = parsed.as_object();
-          if (auto it = obj.find("kind"); it != obj.end() && it->second.is_string()) {
-            kind = it->second.as_string();
-          }
+        if (const auto obj = parse_object(line)) {
+          std::string kind;
+          (void)util::read_string(*obj, "kind", kind);
           if (kind == "header") {
-            if (auto it = obj.find("version"); it != obj.end() && it->second.is_number()) {
-              replay->version = static_cast<int>(it->second.as_number());
+            if (util::read_integer(*obj, "version", replay->version) == util::IntField::kOk) {
               if (replay->version > kJournalVersion) {
                 error = "journal '" + path + "' was written by a newer dovado (format version " +
                         std::to_string(replay->version) + "; this build reads up to " +
@@ -208,18 +186,18 @@ std::unique_ptr<SessionJournal> SessionJournal::open(const std::string& path,
               parsed_ok = true;
             }
           } else if (kind == "health") {
-            if (auto event = health_event_from_json(line)) {
+            if (auto event = health_from_object(*obj)) {
               replay->health_events.push_back(std::move(*event));
               parsed_ok = true;
             }
           } else if (kind == "inflight") {
-            if (auto mark = inflight_record_from_json(line)) {
+            if (auto mark = inflight_from_object(*obj)) {
               inflight_marks.push_back(std::move(*mark));
               parsed_ok = true;
             }
           } else if (kind == "eval" || kind.empty()) {
             // No "kind" = a legacy version-1 eval record.
-            if (auto record = journal_record_from_json(line)) {
+            if (auto record = eval_from_object(*obj)) {
               replay->records.push_back(std::move(*record));
               parsed_ok = true;
             }

@@ -3,51 +3,25 @@
 #include <fstream>
 #include <sstream>
 
-#include "src/util/json.hpp"
+#include "src/core/writers.hpp"
 
 namespace dovado::core {
 
 namespace {
 
-util::Json point_to_json(const ExploredPoint& p) {
-  util::JsonObject obj;
-  util::JsonObject params;
-  for (const auto& [name, value] : p.params) params[name] = util::Json(value);
-  util::JsonObject metrics;
-  for (const auto& [name, value] : p.metrics.values) metrics[name] = util::Json(value);
-  obj["params"] = util::Json(std::move(params));
-  obj["metrics"] = util::Json(std::move(metrics));
-  obj["estimated"] = util::Json(p.estimated);
-  obj["failed"] = util::Json(p.failed);
-  obj["approximate"] = util::Json(p.approximate);
-  return util::Json(std::move(obj));
-}
-
-std::optional<ExploredPoint> point_from_json(const util::Json& json) {
+std::optional<ExploredPoint> explored_point_from_json(const util::Json& json) {
   if (!json.is_object()) return std::nullopt;
   const auto& obj = json.as_object();
-  auto params_it = obj.find("params");
-  auto metrics_it = obj.find("metrics");
-  if (params_it == obj.end() || !params_it->second.is_object() ||
-      metrics_it == obj.end() || !metrics_it->second.is_object()) {
+  const util::Json* params = util::find_field(obj, "params");
+  const util::Json* metrics = util::find_field(obj, "metrics");
+  ExploredPoint point;
+  if (params == nullptr || metrics == nullptr || !util::decode_point(*params, point.params) ||
+      !util::decode_metrics(*metrics, point.metrics.values)) {
     return std::nullopt;
   }
-  ExploredPoint point;
-  for (const auto& [name, value] : params_it->second.as_object()) {
-    if (!value.is_number()) return std::nullopt;
-    point.params[name] = static_cast<std::int64_t>(value.as_number());
-  }
-  for (const auto& [name, value] : metrics_it->second.as_object()) {
-    if (!value.is_number()) return std::nullopt;
-    point.metrics.values[name] = value.as_number();
-  }
-  auto flag = [&](const char* key) {
-    auto it = obj.find(key);
-    return it != obj.end() && it->second.is_bool() && it->second.as_bool();
-  };
-  point.estimated = flag("estimated");
-  point.failed = flag("failed");
-  point.approximate = flag("approximate");
+  (void)util::read_bool(obj, "estimated", point.estimated);
+  (void)util::read_bool(obj, "failed", point.failed);
+  (void)util::read_bool(obj, "approximate", point.approximate);
   return point;
 }
 
@@ -58,7 +32,7 @@ std::string session_to_json(const std::vector<ExploredPoint>& explored, int inde
   root["format"] = util::Json("dovado-session");
   root["version"] = util::Json(1);
   util::JsonArray points;
-  for (const auto& p : explored) points.push_back(point_to_json(p));
+  for (const auto& p : explored) points.push_back(explored_point_to_json(p));
   root["explored"] = util::Json(std::move(points));
   return util::Json(std::move(root)).dump(indent);
 }
@@ -66,12 +40,11 @@ std::string session_to_json(const std::vector<ExploredPoint>& explored, int inde
 std::optional<std::vector<ExploredPoint>> session_from_json(const std::string& text) {
   util::Json parsed;
   if (!util::Json::parse(text, parsed) || !parsed.is_object()) return std::nullopt;
-  const auto& root = parsed.as_object();
-  auto it = root.find("explored");
-  if (it == root.end() || !it->second.is_array()) return std::nullopt;
+  const util::Json* explored = util::find_field(parsed.as_object(), "explored");
+  if (explored == nullptr || !explored->is_array()) return std::nullopt;
   std::vector<ExploredPoint> points;
-  for (const auto& item : it->second.as_array()) {
-    auto point = point_from_json(item);
+  for (const auto& item : explored->as_array()) {
+    auto point = explored_point_from_json(item);
     if (!point) return std::nullopt;
     points.push_back(std::move(*point));
   }

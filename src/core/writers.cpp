@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "src/util/csv.hpp"
-#include "src/util/json.hpp"
 #include "src/util/strings.hpp"
 
 namespace dovado::core {
@@ -68,26 +67,22 @@ void write_csv(std::ostream& out, const std::vector<ExploredPoint>& points) {
   }
 }
 
-std::string to_json(const DseResult& result, int indent) {
-  auto point_to_json = [](const ExploredPoint& p) {
-    util::JsonObject obj;
-    util::JsonObject params;
-    for (const auto& [name, value] : p.params) params[name] = util::Json(value);
-    util::JsonObject metrics;
-    for (const auto& [name, value] : p.metrics.values) metrics[name] = util::Json(value);
-    obj["params"] = util::Json(std::move(params));
-    obj["metrics"] = util::Json(std::move(metrics));
-    obj["estimated"] = util::Json(p.estimated);
-    obj["failed"] = util::Json(p.failed);
-    obj["approximate"] = util::Json(p.approximate);
-    return util::Json(std::move(obj));
-  };
+util::Json explored_point_to_json(const ExploredPoint& point) {
+  util::JsonObject obj;
+  obj["params"] = util::encode_point(point.params);
+  obj["metrics"] = util::encode_metrics(point.metrics.values);
+  obj["estimated"] = util::Json(point.estimated);
+  obj["failed"] = util::Json(point.failed);
+  obj["approximate"] = util::Json(point.approximate);
+  return util::Json(std::move(obj));
+}
 
+std::string to_json(const DseResult& result, int indent) {
   util::JsonObject root;
   util::JsonArray pareto;
-  for (const auto& p : result.pareto) pareto.push_back(point_to_json(p));
+  for (const auto& p : result.pareto) pareto.push_back(explored_point_to_json(p));
   util::JsonArray explored;
-  for (const auto& p : result.explored) explored.push_back(point_to_json(p));
+  for (const auto& p : result.explored) explored.push_back(explored_point_to_json(p));
 
   util::JsonObject stats;
   stats["ga_evaluations"] = util::Json(result.stats.ga_evaluations);

@@ -1,5 +1,6 @@
 #include "src/edatool/faults.hpp"
 
+#include "src/util/json.hpp"
 #include "src/util/rng.hpp"
 #include "src/util/strings.hpp"
 
@@ -58,6 +59,15 @@ std::optional<FaultPlan> FaultPlan::parse(const std::string& spec, std::string& 
       error = "fault-plan value for '" + key + "' is not a number: '" + value + "'";
       return std::nullopt;
     }
+    // Seeds and attempt ordinals: integral, below 2^53 (util::exact_integer)
+    // and non-negative. A plain cast of an out-of-range double is undefined.
+    std::int64_t whole = 0;
+    const bool is_count = util::exact_integer(num, whole) && whole >= 0;
+    auto count = [&](std::uint64_t& field) {
+      if (is_count) field = static_cast<std::uint64_t>(whole);
+      else error = "fault-plan '" + key + "' must be a non-negative integer below 2^53";
+      return is_count;
+    };
     auto rate = [&](double& field) {
       if (num < 0.0 || num > 1.0) {
         error = "fault-plan rate '" + key + "' must be in [0,1]";
@@ -67,7 +77,7 @@ std::optional<FaultPlan> FaultPlan::parse(const std::string& spec, std::string& 
       return true;
     };
     if (key == "seed") {
-      plan.seed = static_cast<std::uint64_t>(num);
+      if (!count(plan.seed)) return std::nullopt;
     } else if (key == "crash") {
       if (!rate(plan.crash_rate)) return std::nullopt;
     } else if (key == "hang") {
@@ -83,13 +93,13 @@ std::optional<FaultPlan> FaultPlan::parse(const std::string& spec, std::string& 
       }
       plan.hang_factor = num;
     } else if (key == "outage_start") {
-      plan.outage_start = static_cast<std::uint64_t>(num);
+      if (!count(plan.outage_start)) return std::nullopt;
     } else if (key == "outage_len") {
-      plan.outage_len = static_cast<std::uint64_t>(num);
+      if (!count(plan.outage_len)) return std::nullopt;
     } else if (key == "flap_up") {
-      plan.flap_up = static_cast<std::uint64_t>(num);
+      if (!count(plan.flap_up)) return std::nullopt;
     } else if (key == "flap_down") {
-      plan.flap_down = static_cast<std::uint64_t>(num);
+      if (!count(plan.flap_down)) return std::nullopt;
     } else {
       error = "unknown fault-plan key '" + key + "'";
       return std::nullopt;

@@ -3,7 +3,6 @@
 #include <array>
 #include <cstring>
 
-#include "src/util/json.hpp"
 #include "src/util/rng.hpp"
 
 namespace dovado::store {
@@ -101,74 +100,51 @@ StoreKey key_of(const StoreRecord& record) {
   return StoreKey{design_key(record.params), record.backend, record.tier};
 }
 
-std::string encode_payload(const StoreRecord& record) {
+util::Json record_to_json(const StoreRecord& record) {
   util::JsonObject obj;
-  util::JsonObject params;
-  for (const auto& [name, value] : record.params) params[name] = util::Json(value);
-  obj["params"] = util::Json(std::move(params));
+  obj["params"] = util::encode_point(record.params);
   obj["backend"] = util::Json(record.backend);
   obj["tier"] = util::Json(record.tier);
   if (!record.campaign.empty()) obj["campaign"] = util::Json(record.campaign);
-  util::JsonObject metrics;
-  for (const auto& [name, value] : record.metrics) metrics[name] = util::Json(value);
-  obj["metrics"] = util::Json(std::move(metrics));
+  obj["metrics"] = util::encode_metrics(record.metrics);
   obj["ok"] = util::Json(record.ok);
   if (record.failure != "none") obj["failure"] = util::Json(record.failure);
   if (record.approximate) obj["approximate"] = util::Json(true);
   if (record.quarantined) obj["quarantined"] = util::Json(true);
   obj["tool_seconds"] = util::Json(record.tool_seconds);
   obj["timestamp"] = util::Json(record.timestamp);
-  return util::Json(std::move(obj)).dump();
+  return util::Json(std::move(obj));
+}
+
+std::string encode_payload(const StoreRecord& record) {
+  return record_to_json(record).dump();
 }
 
 std::optional<StoreRecord> decode_payload(std::string_view payload) {
   util::Json parsed;
   if (!util::Json::parse(payload, parsed) || !parsed.is_object()) return std::nullopt;
   const auto& obj = parsed.as_object();
-
-  const auto params_it = obj.find("params");
-  const auto backend_it = obj.find("backend");
-  const auto tier_it = obj.find("tier");
-  if (params_it == obj.end() || !params_it->second.is_object() ||
-      backend_it == obj.end() || !backend_it->second.is_string() ||
-      tier_it == obj.end() || !tier_it->second.is_string()) {
+  StoreRecord record;
+  const util::Json* params = util::find_field(obj, "params");
+  if (params == nullptr || !util::decode_point(*params, record.params) ||
+      record.params.empty() || !util::read_string(obj, "backend", record.backend) ||
+      !util::read_string(obj, "tier", record.tier) || record.backend.empty() ||
+      record.tier.empty()) {
     return std::nullopt;
   }
-  StoreRecord record;
-  for (const auto& [name, value] : params_it->second.as_object()) {
-    if (!value.is_number()) return std::nullopt;
-    record.params[name] = static_cast<std::int64_t>(value.as_number());
+  (void)util::read_string(obj, "campaign", record.campaign);
+  if (const util::Json* metrics = util::find_field(obj, "metrics");
+      metrics != nullptr && metrics->is_object() &&
+      !util::decode_metrics(*metrics, record.metrics)) {
+    return std::nullopt;
   }
-  if (record.params.empty()) return std::nullopt;
-  record.backend = backend_it->second.as_string();
-  record.tier = tier_it->second.as_string();
-  if (record.backend.empty() || record.tier.empty()) return std::nullopt;
-  if (auto it = obj.find("campaign"); it != obj.end() && it->second.is_string()) {
-    record.campaign = it->second.as_string();
-  }
-  if (auto it = obj.find("metrics"); it != obj.end() && it->second.is_object()) {
-    for (const auto& [name, value] : it->second.as_object()) {
-      if (!value.is_number()) return std::nullopt;
-      record.metrics[name] = value.as_number();
-    }
-  }
-  if (auto it = obj.find("ok"); it != obj.end() && it->second.is_bool()) {
-    record.ok = it->second.as_bool();
-  }
-  if (auto it = obj.find("failure"); it != obj.end() && it->second.is_string()) {
-    record.failure = it->second.as_string();
-  }
-  if (auto it = obj.find("approximate"); it != obj.end() && it->second.is_bool()) {
-    record.approximate = it->second.as_bool();
-  }
-  if (auto it = obj.find("quarantined"); it != obj.end() && it->second.is_bool()) {
-    record.quarantined = it->second.as_bool();
-  }
-  if (auto it = obj.find("tool_seconds"); it != obj.end() && it->second.is_number()) {
-    record.tool_seconds = it->second.as_number();
-  }
-  if (auto it = obj.find("timestamp"); it != obj.end() && it->second.is_number()) {
-    record.timestamp = static_cast<std::int64_t>(it->second.as_number());
+  (void)util::read_bool(obj, "ok", record.ok);
+  (void)util::read_string(obj, "failure", record.failure);
+  (void)util::read_bool(obj, "approximate", record.approximate);
+  (void)util::read_bool(obj, "quarantined", record.quarantined);
+  (void)util::read_number(obj, "tool_seconds", record.tool_seconds);
+  if (util::read_integer(obj, "timestamp", record.timestamp) == util::IntField::kBad) {
+    return std::nullopt;
   }
   return record;
 }

@@ -25,6 +25,7 @@
 #include <string_view>
 
 #include "src/core/param_domain.hpp"
+#include "src/util/json.hpp"
 
 namespace dovado::store {
 
@@ -91,10 +92,15 @@ struct StoreKey {
 
 [[nodiscard]] StoreKey key_of(const StoreRecord& record);
 
+/// A record as JSON: the store payload and each `dovado db export` record.
+[[nodiscard]] util::Json record_to_json(const StoreRecord& record);
+
 /// Serialize one record payload (JSON, no frame).
 [[nodiscard]] std::string encode_payload(const StoreRecord& record);
 
-/// Parse one payload back; nullopt on malformed or incomplete JSON.
+/// Parse one payload back; nullopt on malformed or incomplete JSON,
+/// including a parameter or timestamp that breaks the integer rule
+/// (util/json.hpp).
 [[nodiscard]] std::optional<StoreRecord> decode_payload(std::string_view payload);
 
 /// Frame a payload: marker + length + CRC32C + payload bytes.

@@ -47,6 +47,13 @@ void append_number(std::string& out, double d) {
   }
 }
 
+template <typename Map>
+Json encode_object(const Map& map) {
+  JsonObject obj;
+  for (const auto& [name, value] : map) obj.emplace_hint(obj.end(), name, Json(value));
+  return Json(std::move(obj));
+}
+
 void newline_indent(std::string& out, int indent, int depth) {
   if (indent <= 0) return;
   out.push_back('\n');
@@ -276,6 +283,73 @@ bool Json::parse(std::string_view text, Json& out) {
   Json result;
   if (!parser.parse(result)) return false;
   out = std::move(result);
+  return true;
+}
+
+bool exact_integer(double v, std::int64_t& out) {
+  // 2^53: the first magnitude at which distinct integers share a double.
+  constexpr double kLimit = 9007199254740992.0;
+  if (!(std::fabs(v) < kLimit) || v != std::trunc(v)) return false;  // NaN fails too
+  out = static_cast<std::int64_t>(v);
+  return true;
+}
+
+const Json* find_field(const JsonObject& obj, const std::string& key) {
+  const auto it = obj.find(key);
+  return it == obj.end() ? nullptr : &it->second;
+}
+
+bool read_bool(const JsonObject& obj, const std::string& key, bool& out) {
+  const Json* value = find_field(obj, key);
+  if (value == nullptr || !value->is_bool()) return false;
+  out = value->as_bool();
+  return true;
+}
+
+bool read_number(const JsonObject& obj, const std::string& key, double& out) {
+  const Json* value = find_field(obj, key);
+  if (value == nullptr || !value->is_number()) return false;
+  out = value->as_number();
+  return true;
+}
+
+bool read_string(const JsonObject& obj, const std::string& key, std::string& out) {
+  const Json* value = find_field(obj, key);
+  if (value == nullptr || !value->is_string()) return false;
+  out = value->as_string();
+  return true;
+}
+
+Json encode_point(const JsonPoint& point) { return encode_object(point); }
+
+Json encode_metrics(const JsonMetrics& metrics) { return encode_object(metrics); }
+
+bool decode_point(const Json& json, JsonPoint& out, std::string* error) {
+  if (!json.is_object()) {
+    if (error != nullptr) *error = "a design point must be an object of parameter -> integer";
+    return false;
+  }
+  out.clear();
+  for (const auto& [name, value] : json.as_object()) {
+    std::int64_t v = 0;
+    if (!value.is_number() || !exact_integer(value.as_number(), v)) {
+      if (error != nullptr) {
+        *error = "parameter '" + name + "' must be an integer of magnitude below 2^53";
+      }
+      return false;
+    }
+    out.emplace_hint(out.end(), name, v);
+  }
+  return true;
+}
+
+bool decode_metrics(const Json& json, JsonMetrics& out) {
+  if (!json.is_object()) return false;
+  out.clear();
+  for (const auto& [name, value] : json.as_object()) {
+    if (!value.is_number()) return false;
+    out.emplace_hint(out.end(), name, value.as_number());
+  }
   return true;
 }
 

@@ -1,8 +1,13 @@
-// Minimal JSON value + serializer.
+// Minimal JSON value + serializer, and the one codec for what an evaluation
+// record carries: design points, metrics maps and typed scalar fields. The
+// store payload, the journal, the session file, `dovado db export` and the
+// serve protocol all spell records with it, so they agree on what is valid.
 //
-// Used to persist DSE sessions (configuration, Pareto set, model dataset) in
-// a machine-readable form. Writing is complete; parsing covers the subset we
-// emit (objects, arrays, strings, numbers, booleans, null).
+// The integer rule: a number decodes as an integer only if it is integral,
+// |v| < 2^53 and it fits the field's type. At 2^53 two integers share a
+// double (the text 9007199254740993 reads as 2^53), so such a value, or a
+// fraction, is rejected rather than truncated, rounded or cast with
+// undefined behaviour. Parsing covers the subset we emit.
 #pragma once
 
 #include <cstdint>
@@ -10,6 +15,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -19,8 +25,8 @@ class Json;
 using JsonArray = std::vector<Json>;
 using JsonObject = std::map<std::string, Json>;
 
-/// A JSON value. Numbers are stored as double (sufficient for the integer
-/// parameter magnitudes Dovado handles, < 2^53).
+/// A JSON value. Numbers are stored as double (exact for integers of
+/// magnitude < 2^53, the range the integer rule admits).
 class Json {
  public:
   Json() : value_(nullptr) {}
@@ -61,5 +67,55 @@ class Json {
   void dump_to(std::string& out, int indent, int depth) const;
   std::variant<std::nullptr_t, bool, double, std::string, JsonArray, JsonObject> value_;
 };
+
+/// The integer rule on a bare number: true (with `out` set) iff `v` is
+/// integral and |v| < 2^53.
+[[nodiscard]] bool exact_integer(double v, std::int64_t& out);
+
+/// The member `key` of `obj`, or null when absent.
+[[nodiscard]] const Json* find_field(const JsonObject& obj, const std::string& key);
+
+/// Typed field readers: true (with `out` set) when `key` is present with
+/// that type; false, with `out` untouched, when it is absent or of another
+/// type.
+[[nodiscard]] bool read_bool(const JsonObject& obj, const std::string& key, bool& out);
+[[nodiscard]] bool read_number(const JsonObject& obj, const std::string& key, double& out);
+[[nodiscard]] bool read_string(const JsonObject& obj, const std::string& key,
+                               std::string& out);
+
+/// Outcome of reading an integer field. kAbsent covers a missing key and a
+/// value that is not a number (callers treat both as "not given"); kBad is a
+/// number that breaks the integer rule or does not fit the field's type.
+enum class IntField { kAbsent, kOk, kBad };
+
+/// Checked integer field reader; `out` is set only on kOk.
+template <typename Int>
+[[nodiscard]] IntField read_integer(const JsonObject& obj, const std::string& key, Int& out) {
+  const Json* value = find_field(obj, key);
+  if (value == nullptr || !value->is_number()) return IntField::kAbsent;
+  std::int64_t v = 0;
+  if (!exact_integer(value->as_number(), v) || !std::in_range<Int>(v)) return IntField::kBad;
+  out = static_cast<Int>(v);
+  return IntField::kOk;
+}
+
+/// A design point: parameter name -> integer value.
+using JsonPoint = std::map<std::string, std::int64_t>;
+/// A metrics map: metric name -> value.
+using JsonMetrics = std::map<std::string, double>;
+
+[[nodiscard]] Json encode_point(const JsonPoint& point);
+[[nodiscard]] Json encode_metrics(const JsonMetrics& metrics);
+
+/// Decode a design point: an object whose every value obeys the integer
+/// rule. False on anything else, with `error` (when non-null) saying which
+/// entry; `out` is then unspecified. An empty object decodes to an empty
+/// point — callers that need a parameter check for that themselves.
+[[nodiscard]] bool decode_point(const Json& json, JsonPoint& out,
+                                std::string* error = nullptr);
+
+/// Decode a metrics map: an object whose every value is a number. False on
+/// anything else; `out` is then unspecified.
+[[nodiscard]] bool decode_metrics(const Json& json, JsonMetrics& out);
 
 }  // namespace dovado::util

@@ -741,5 +741,50 @@ TEST(SessionJournalRecord, JsonRoundTrip) {
   EXPECT_FALSE(journal_record_from_json("").has_value());
 }
 
+// The integer rule (util/json.hpp) on every integer field of the journal:
+// a value that is not an integer of magnitude below 2^53, or does not fit
+// the field's type, makes the line malformed.
+TEST(SessionJournalRecord, RejectsNonIntegralOrOutOfRangeIntegers) {
+  const auto eval = [](const std::string& depth, const std::string& attempts) {
+    return R"({"attempts":)" + attempts + R"(,"kind":"eval","ok":true,"params":{"DEPTH":)" +
+           depth + "}}";
+  };
+  const auto health = [](const std::string& failures, const std::string& size) {
+    return R"({"backend":"b","event":"trip","kind":"health","window_failures":)" + failures +
+           R"(,"window_size":)" + size + "}";
+  };
+  ASSERT_TRUE(journal_record_from_json(eval("16", "1")).has_value());
+  ASSERT_TRUE(inflight_record_from_json(R"({"kind":"inflight","params":{"DEPTH":16}})"));
+  ASSERT_TRUE(health_event_from_json(health("5", "8")).has_value());
+  for (const std::string bad : {"16.7", "1e30", "-1e30", "9007199254740993"}) {
+    EXPECT_FALSE(journal_record_from_json(eval(bad, "1")).has_value()) << bad;
+    EXPECT_FALSE(journal_record_from_json(eval("16", bad)).has_value()) << bad;
+    EXPECT_FALSE(
+        inflight_record_from_json(R"({"kind":"inflight","params":{"DEPTH":)" + bad + "}}"))
+        << bad;
+    EXPECT_FALSE(health_event_from_json(health(bad, "8")).has_value()) << bad;
+    EXPECT_FALSE(health_event_from_json(health("5", bad)).has_value()) << bad;
+  }
+  // In the rule's range but not the field's type: int attempts, size_t
+  // window counts.
+  EXPECT_FALSE(journal_record_from_json(eval("16", "2147483648")).has_value());
+  EXPECT_FALSE(health_event_from_json(health("-1", "8")).has_value());
+
+  // A header whose version breaks the rule is a damaged line: with an
+  // intact record after it, the journal does not open.
+  const std::string path = ::testing::TempDir() + "/journal_bad_version.jsonl";
+  for (const std::string bad : {"16.7", "1e30", "-1e30", "9007199254740993", "2.5"}) {
+    {
+      std::ofstream out(path, std::ios::trunc);
+      out << R"({"kind":"header","version":)" << bad << "}\n" << eval("16", "1") << "\n";
+    }
+    SessionJournal::Replay replay;
+    std::string error;
+    EXPECT_EQ(SessionJournal::open(path, &replay, error), nullptr) << bad;
+    EXPECT_NE(error.find("corrupt"), std::string::npos) << bad << ": " << error;
+  }
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace dovado::core

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 
 #include "src/core/writers.hpp"
 
@@ -70,6 +71,25 @@ TEST(Session, RejectsMalformed) {
   EXPECT_FALSE(
       session_from_json(R"({"explored": [{"params": {"A": "x"}, "metrics": {}}]})")
           .has_value());
+}
+
+// The integer rule (util/json.hpp): a parameter that is not an integer of
+// magnitude below 2^53 makes the session file corrupt.
+TEST(Session, RejectsNonIntegralOrOutOfRangeParams) {
+  const auto session = [](const std::string& depth) {
+    return R"({"explored":[{"metrics":{"lut":1},"params":{"DEPTH":)" + depth + "}}]}";
+  };
+  ASSERT_TRUE(session_from_json(session("16")).has_value());
+  for (const std::string bad : {"16.7", "1e30", "-1e30", "9007199254740993"}) {
+    EXPECT_FALSE(session_from_json(session(bad)).has_value()) << bad;
+  }
+  const std::string path = ::testing::TempDir() + "/session_bad_param.json";
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << session("16.7");
+  }
+  EXPECT_EQ(load_session_ex(path).status, SessionLoadStatus::kCorrupt);
+  std::remove(path.c_str());
 }
 
 TEST(Session, FileRoundTrip) {

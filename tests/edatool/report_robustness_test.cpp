@@ -292,6 +292,19 @@ TEST(FaultPlanParse, RejectsBadSpecs) {
   // Transient rates competing for the same roll must fit in one unit range.
   EXPECT_FALSE(FaultPlan::parse("crash=0.6,hang=0.3,corrupt=0.2", error).has_value());
   EXPECT_TRUE(util::contains(error, "sum")) << error;
+  // Seeds and attempt ordinals are non-negative integers below 2^53; a
+  // cast of anything else to uint64_t would be undefined.
+  for (const char* key : {"seed", "outage_start", "outage_len", "flap_up"}) {
+    for (const char* bad : {"16.7", "1e30", "-1e30", "9007199254740993", "-1"}) {
+      const std::string spec = std::string(key) + "=" + bad + ",flap_down=2,outage_start=1";
+      EXPECT_FALSE(FaultPlan::parse(spec, error).has_value()) << spec;
+      EXPECT_TRUE(util::contains(error, "integer")) << spec << ": " << error;
+    }
+  }
+  const auto whole = FaultPlan::parse("seed=9007199254740991,flap_up=4.0,flap_down=2", error);
+  ASSERT_TRUE(whole.has_value()) << error;
+  EXPECT_EQ(whole->seed, 9007199254740991u);
+  EXPECT_EQ(whole->flap_up, 4u);
 }
 
 TEST(FaultInjector, DecisionsAreDeterministic) {

@@ -194,5 +194,57 @@ TEST(Protocol, CampaignRequestValidatesSpaceShape) {
   EXPECT_FALSE(error.empty());
 }
 
+// The integer rule (util/json.hpp) on every integer field of the wire
+// protocol: a value that is not an integer of magnitude below 2^53, or does
+// not fit the field's type, fails the frame with a diagnostic (the daemon
+// answers `error`) instead of being rounded.
+TEST(Protocol, NonIntegralOrOutOfRangeIntegersAreErrors) {
+  const auto eval = [](const std::string& depth) {
+    return R"({"op":"eval","tenant":"a","id":"x","point":{"DEPTH":)" + depth + "}}";
+  };
+  const auto campaign = [](const std::string& range, const std::string& values,
+                           const std::string& tail) {
+    return R"({"op":"campaign","tenant":"a","id":"c","objectives":[{"metric":"lut"}],)"
+           R"("space":[{"name":"D","kind":"range",)" + range +
+           R"(},{"name":"W","kind":"values","values":[8,)" + values + "]}]," + tail + "}";
+  };
+  const std::string range = R"("lo":8,"hi":64,"step":8)";
+  const std::string tail = R"("budget":4,"population":8,"seed":3)";
+  Request request;
+  std::string error;
+  ASSERT_TRUE(parse_request(eval("16"), request, error)) << error;
+  ASSERT_TRUE(parse_request(campaign(range, "16", tail), request, error)) << error;
+  EXPECT_EQ(request.campaign.seed, 3u);
+
+  for (const std::string bad : {"16.7", "1e30", "-1e30", "9007199254740993"}) {
+    error.clear();
+    EXPECT_FALSE(parse_request(eval(bad), request, error)) << bad;
+    EXPECT_NE(error.find("DEPTH"), std::string::npos) << bad << ": " << error;
+    for (const std::string& frame :
+         {campaign(R"("lo":)" + bad + R"(,"hi":64,"step":8)", "16", tail),
+          campaign(R"("lo":8,"hi":)" + bad + R"(,"step":8)", "16", tail),
+          campaign(R"("lo":8,"hi":64,"step":)" + bad, "16", tail),
+          campaign(range, bad, tail),
+          campaign(range, "16", R"("budget":)" + bad + R"(,"population":8,"seed":3)"),
+          campaign(range, "16", R"("budget":4,"population":)" + bad + R"(,"seed":3)"),
+          campaign(range, "16", R"("budget":4,"population":8,"seed":)" + bad)}) {
+      error.clear();
+      EXPECT_FALSE(parse_request(frame, request, error)) << frame;
+      EXPECT_FALSE(error.empty()) << frame;
+    }
+    Response response;
+    for (const std::string& frame :
+         {R"({"status":"ok","id":"x","attempts":)" + bad + "}",
+          R"({"status":"shed","id":"x","retry_after_ms":)" + bad + "}",
+          R"({"status":"ok","id":"x","front":[],"evaluations":)" + bad + "}"}) {
+      error.clear();
+      EXPECT_FALSE(parse_response(frame, response, error)) << frame;
+      EXPECT_FALSE(error.empty()) << frame;
+    }
+  }
+  // In the rule's range but not the field's type: a negative seed.
+  EXPECT_FALSE(parse_request(campaign(range, "16", R"("budget":4,"seed":-1)"), request, error));
+}
+
 }  // namespace
 }  // namespace dovado::serve

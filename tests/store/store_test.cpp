@@ -97,6 +97,33 @@ TEST(StoreFormat, DecodeRejectsIncompletePayloads) {
       decode_payload(R"({"params":{"D":1},"backend":"b"})").has_value());
 }
 
+// The integer rule (util/json.hpp): a parameter or timestamp that is not an
+// integer of magnitude below 2^53 makes the record corrupt, so the scan
+// skips it like any other damaged record.
+TEST(StoreFormat, DecodeRejectsNonIntegralOrOutOfRangeIntegers) {
+  const auto payload = [](const std::string& depth, const std::string& timestamp) {
+    return R"({"backend":"vivado-sim","metrics":{"lut":1},"ok":true,"params":{"DEPTH":)" +
+           depth + R"(},"tier":"hifi","timestamp":)" + timestamp + "}";
+  };
+  ASSERT_TRUE(decode_payload(payload("16", "1")).has_value());
+  EXPECT_EQ(decode_payload(payload("9007199254740991", "-4.0"))->params.at("DEPTH"),
+            9007199254740991);
+  for (const std::string bad : {"16.7", "1e30", "-1e30", "9007199254740993"}) {
+    EXPECT_FALSE(decode_payload(payload(bad, "1")).has_value()) << bad;
+    EXPECT_FALSE(decode_payload(payload("16", bad)).has_value()) << bad;
+
+    std::string image(kStoreMagic, sizeof(kStoreMagic));
+    image += frame_payload(encode_payload(make_record(1)));
+    image += frame_payload(payload(bad, "1"));
+    image += frame_payload(encode_payload(make_record(2)));
+    std::vector<std::int64_t> depths;
+    const ScanStats stats = scan_store(
+        image, [&](StoreRecord&& rec) { depths.push_back(rec.params.at("DEPTH")); });
+    EXPECT_EQ(depths, (std::vector<std::int64_t>{1, 2})) << bad;
+    EXPECT_EQ(stats.quarantined, 1u) << bad;
+  }
+}
+
 TEST(StoreFormat, ScanRecoversAfterMidFileCorruption) {
   std::string image(kStoreMagic, sizeof(kStoreMagic));
   const std::string first = frame_payload(encode_payload(make_record(1)));
