@@ -268,10 +268,9 @@ int run_explore(const Options& options, std::ostream& out, std::ostream& err) {
     // the partial front below is printed before exiting with a distinct
     // code. A second signal still kills the process the hard way.
     ScopedSignalHandlers signals;
-    config.ga.should_stop = [] { return ScopedSignalHandlers::delivered() != 0; };
-
     core::DseEngine engine(project_from(options), config);
-    const core::DseResult result = engine.run();
+    const core::DseResult result =
+        engine.run([] { return ScopedSignalHandlers::delivered() != 0; });
 
     out << "explored " << result.explored.size() << " design points ("
         << result.stats.tool_runs << " tool runs, " << result.stats.estimates
@@ -310,11 +309,8 @@ int run_explore(const Options& options, std::ostream& out, std::ostream& err) {
         }
       }
     }
-    out << "parallel dispatch: " << result.stats.batches << " batches, "
-        << result.stats.lease_waits << " lease waits, "
-        << result.stats.deadline_skips << " deadline skips, peak batch "
-        << util::format("%.0f", result.stats.max_batch_tool_seconds)
-        << " tool seconds\n";
+    out << "parallel dispatch: " << result.stats.lease_waits << " lease waits, "
+        << result.stats.deadline_skips << " deadline skips\n";
     out << "robustness: " << result.stats.retries << " retries, "
         << result.stats.transient_failures << " transient / "
         << result.stats.deterministic_failures << " deterministic / "
@@ -548,8 +544,8 @@ int run_db(const Options& options, std::ostream& out, std::ostream& err) {
   for (const auto& rec : db.live_records()) {
     if (matches(rec)) selected.push_back(rec);
   }
-
-  if (options.db_action == "query") {
+  // The table and CSV views of the selection.
+  const auto explored_points = [&selected] {
     std::vector<core::ExploredPoint> points;
     for (const auto& rec : selected) {
       core::ExploredPoint p;
@@ -559,6 +555,11 @@ int run_db(const Options& options, std::ostream& out, std::ostream& err) {
       p.approximate = rec.approximate;
       points.push_back(std::move(p));
     }
+    return points;
+  };
+
+  if (options.db_action == "query") {
+    const std::vector<core::ExploredPoint> points = explored_points();
     out << selected.size() << " live record(s)";
     if (!options.db_tier.empty()) out << ", tier " << options.db_tier;
     if (!options.db_backend.empty()) out << ", backend " << options.db_backend;
@@ -576,14 +577,7 @@ int run_db(const Options& options, std::ostream& out, std::ostream& err) {
   const std::string json = util::Json(std::move(root)).dump(2) + "\n";
 
   if (!options.csv_path.empty()) {
-    std::vector<core::ExploredPoint> points;
-    for (const auto& rec : selected) {
-      core::ExploredPoint p;
-      p.params = rec.params;
-      p.metrics.values = rec.metrics;
-      p.failed = !rec.ok;
-      points.push_back(std::move(p));
-    }
+    const std::vector<core::ExploredPoint> points = explored_points();
     std::ofstream csv(options.csv_path);
     if (!csv) {
       err << "cannot write " << options.csv_path << "\n";

@@ -212,16 +212,17 @@ explore options:
   --deadline-hours H      soft deadline on simulated tool time
   --workers N             parallel tool sessions (default 0 = inline)
   --screen-ratio R        multi-fidelity screening: pre-rank each block of
-                          proposals (offspring batch, or a population of
+                          proposals (a generation, or a population of
                           steady-state asks) on the analytic backend and
                           send only the top fraction R to the full flow
                           (default 1.0 = screening off)
-  --steady-state          asynchronous steady-state engine: offspring are
-                          submitted one at a time as evaluator lanes free
-                          up (no generational barrier); survival runs per
+  --steady-state          steady-state searcher: offspring are submitted
+                          one at a time as evaluator lanes free up (no
+                          generational barrier); survival runs per
                           completion
-  --max-inflight N        steady-state only: evaluations in flight at once
-                          (default 0 = one per evaluator lane)
+  --max-inflight N        evaluations in flight at once (default 0 = a
+                          generation, two per lane under a deadline; one
+                          per lane with --steady-state)
   --optimizer NAME        steady-state searcher: nsga2 (default), random,
                           local, surrogate, exhaustive, or portfolio (a
                           UCB bandit routing each ask to whichever member
@@ -779,15 +780,10 @@ ParseOutcome parse_args(const std::vector<std::string>& args) {
       return outcome;
     }
   }
-  if (opt.max_inflight != 0) {
-    if (opt.command == Command::kExplore && !opt.steady_state) {
-      outcome.error =
-          "--max-inflight bounds the steady-state submit loop; it requires "
-          "--steady-state (the generational engine evaluates in batches)";
-      return outcome;
-    }
-    // One virtual lane per worker (one lane total when inline): a bound
-    // above that only deepens the queue without adding concurrency.
+  if (opt.max_inflight != 0 && opt.steady_state) {
+    // One virtual lane per worker (one lane total when inline): for a
+    // steady searcher a bound above that only deepens the queue without
+    // adding concurrency.
     const std::size_t lanes = std::max<std::size_t>(1, opt.workers);
     if (opt.max_inflight > lanes) {
       outcome.warnings.push_back(util::format(

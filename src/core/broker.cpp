@@ -1,7 +1,6 @@
 #include "src/core/broker.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 
 #include "src/util/logging.hpp"
@@ -91,11 +90,6 @@ void EvaluationBroker::lane_barrier() {
   util::MutexLock lock(stats_mutex_);
   const double makespan = *std::max_element(lane_free_.begin(), lane_free_.end());
   for (double& t : lane_free_) t = makespan;
-}
-
-double EvaluationBroker::virtual_makespan() const {
-  util::MutexLock lock(stats_mutex_);
-  return *std::max_element(lane_free_.begin(), lane_free_.end());
 }
 
 void EvaluationBroker::async(std::function<void()> fn) {
@@ -298,34 +292,6 @@ EvalResult EvaluationBroker::tool_evaluate(const DesignPoint& point, bool probe,
   return result;
 }
 
-std::size_t EvaluationBroker::run_deadline_chunked(
-    std::size_t n, const std::function<void(std::size_t)>& fn) {
-  // The caller participates in parallel_for, so with a deadline a chunk of
-  // twice the lane count keeps every lane busy while bounding deadline
-  // overshoot to one chunk's worth of tool runs. Without one there is
-  // nothing to check between chunks: the batch is a single dispatch, and
-  // the lanes meet at one barrier per batch instead of one per chunk.
-  const bool has_deadline =
-      config_.deadline_tool_seconds < std::numeric_limits<double>::infinity();
-  const std::size_t chunk = has_deadline ? 2 * (pool_->worker_count() + 1) : n;
-  const double start_seconds = tool_seconds();
-  std::size_t dispatched = 0;
-  while (dispatched < n) {
-    if (deadline_exceeded()) {
-      mark_deadline_hit();
-      break;
-    }
-    const std::size_t end = std::min(n, dispatched + chunk);
-    pool_->parallel_for(dispatched, end, fn);
-    dispatched = end;
-  }
-  util::MutexLock lock(stats_mutex_);
-  ++batches_;
-  last_batch_tool_seconds_ = tool_seconds_accum_ - start_seconds;
-  max_batch_tool_seconds_ = std::max(max_batch_tool_seconds_, last_batch_tool_seconds_);
-  return dispatched;
-}
-
 void EvaluationBroker::parallel_for(std::size_t n,
                                     const std::function<void(std::size_t)>& fn) {
   pool_->parallel_for(n, fn);
@@ -352,9 +318,6 @@ BrokerStats EvaluationBroker::stats() const {
     snapshot.fresh_runs = fresh_runs_;
     snapshot.tool_seconds = tool_seconds_accum_;
     snapshot.deadline_hit = deadline_hit_;
-    snapshot.batches = batches_;
-    snapshot.last_batch_tool_seconds = last_batch_tool_seconds_;
-    snapshot.max_batch_tool_seconds = max_batch_tool_seconds_;
     snapshot.journal_replays = journal_replays_;
     snapshot.journal_skipped_records = journal_skipped_records_;
     snapshot.store_hits = store_hits_;

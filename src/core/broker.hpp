@@ -94,9 +94,6 @@ struct BrokerStats {
   double tool_seconds = 0.0;
   bool deadline_hit = false;
   std::size_t lease_waits = 0;
-  std::size_t batches = 0;
-  double last_batch_tool_seconds = 0.0;
-  double max_batch_tool_seconds = 0.0;
   std::size_t journal_replays = 0;
   /// Journal records of unknown kind skipped tolerantly during replay
   /// (written by a newer dovado; see core/journal.hpp).
@@ -168,22 +165,14 @@ class EvaluationBroker {
     return replayed_health_events_;
   }
 
-  /// Dispatch fn(i) for i in [0, n) over the pool. With a finite tool
-  /// deadline, dispatch goes in chunks of 2*(workers+1), checking the
-  /// deadline between chunks; it stops dispatching (and flags
-  /// deadline_hit) once the deadline is exceeded. Without one, the whole
-  /// batch is a single dispatch. Returns how many iterations were
-  /// dispatched, and accounts per-batch tool seconds.
-  std::size_t run_deadline_chunked(std::size_t n,
-                                   const std::function<void(std::size_t)>& fn);
-
-  /// Plain parallel dispatch with no deadline check (front verification,
-  /// screening sweeps).
+  /// Dispatch fn(i) for i in [0, n) over the pool; the caller is a lane
+  /// too (pre-training, evaluate_set, front verification, screening
+  /// sweeps). Deadline checks are the caller's.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// Fire-and-forget submission onto the broker's pool (inline when
   /// workers == 0, so inline submission completes before returning). The
-  /// steady-state engine uses this for its continuous submit/complete
+  /// engine's campaign loop uses this for its continuous submit/complete
   /// loop; exceptions escaping `fn` are logged, not propagated — the
   /// caller observes failures through the EvalResult it receives.
   void async(std::function<void()> fn);
@@ -193,9 +182,9 @@ class EvaluationBroker {
   // report simulated tool seconds, so "utilization" is meaningless in wall
   // time. The broker therefore keeps a virtual fleet of `virtual_lanes`
   // evaluator lanes and list-schedules every lane-occupying run onto the
-  // earliest-free lane. The batch engine calls lane_barrier() at each
-  // generational sync point (all lanes wait for the slowest); the
-  // steady-state engine never barriers. utilization = busy_seconds /
+  // earliest-free lane. The campaign loop calls lane_barrier() at each
+  // generational sync point (all lanes wait for the slowest); a
+  // steady-state searcher never waits, so it never barriers. utilization = busy_seconds /
   // (makespan * lanes) then measures exactly the idle time the barrier
   // causes. tool_evaluate() stamps EvalResult::virtual_finish for fresh
   // runs automatically.
@@ -208,11 +197,8 @@ class EvaluationBroker {
   /// barrier, where idle lanes wait for the slowest in-flight run.
   void lane_barrier();
 
-  /// Virtual time at which the last lane goes idle.
-  [[nodiscard]] double virtual_makespan() const;
-
   /// Append an inflight marker for `point` to the journal (no-op without a
-  /// journal). Called by the steady-state engine at submission; the eval
+  /// journal). Called by the campaign loop at submission; the eval
   /// record appended when the answer lands supersedes it. A non-empty
   /// `optimizer` attributes the point to the searcher that asked for it.
   void journal_inflight(const DesignPoint& point, const std::string& optimizer = "");
@@ -289,9 +275,6 @@ class EvaluationBroker {
   double lane_busy_seconds_ DOVADO_GUARDED_BY(stats_mutex_) = 0.0;
   double tool_seconds_accum_ DOVADO_GUARDED_BY(stats_mutex_) = 0.0;
   std::size_t fresh_runs_ DOVADO_GUARDED_BY(stats_mutex_) = 0;
-  std::size_t batches_ DOVADO_GUARDED_BY(stats_mutex_) = 0;
-  double last_batch_tool_seconds_ DOVADO_GUARDED_BY(stats_mutex_) = 0.0;
-  double max_batch_tool_seconds_ DOVADO_GUARDED_BY(stats_mutex_) = 0.0;
   bool deadline_hit_ DOVADO_GUARDED_BY(stats_mutex_) = false;
   std::size_t journal_replays_ DOVADO_GUARDED_BY(stats_mutex_) = 0;
   /// Captured at open, before replay clears it.

@@ -97,9 +97,6 @@ std::string to_json(const DseResult& result, int indent) {
   stats["single_flight_joins"] = util::Json(result.stats.single_flight_joins);
   stats["lease_waits"] = util::Json(result.stats.lease_waits);
   stats["deadline_skips"] = util::Json(result.stats.deadline_skips);
-  stats["batches"] = util::Json(result.stats.batches);
-  stats["last_batch_tool_seconds"] = util::Json(result.stats.last_batch_tool_seconds);
-  stats["max_batch_tool_seconds"] = util::Json(result.stats.max_batch_tool_seconds);
   stats["screened_out"] = util::Json(result.stats.screened_out);
   stats["screen_runs"] = util::Json(result.stats.screen_runs);
   stats["screen_tool_seconds"] = util::Json(result.stats.screen_tool_seconds);

@@ -10,10 +10,12 @@
 // testable without a flaky real tool.
 //
 // The FaultInjector makes VivadoSim exhibit each failure mode on demand.
-// Decisions are *stateless*: a fault is a pure function of
+// Point faults are *stateless*: a fault is a pure function of
 // (plan seed, design-point hash, attempt number), so
 //   - two evaluators with the same plan inject identical faults,
-//   - parallel dispatch order cannot change which runs fail,
+//   - parallel dispatch order cannot change which runs fail (the sequence
+//     faults below, keyed on a fleet-wide attempt ordinal, are the
+//     exception),
 //   - a journal replay re-encounters exactly the faults the original run
 //     saw on points it has to re-evaluate, and
 //   - a retry (attempt+1) of a *transient* fault re-rolls the dice while a

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <set>
+#include <stdexcept>
 
 namespace dovado::opt {
 
@@ -52,26 +53,15 @@ std::vector<Genome> sample_initial(Problem& problem, const Nsga2Config& config,
   return initial;
 }
 
-}  // namespace
-
-void Nsga2::evaluate_all(Problem& problem, std::vector<Individual>& individuals,
-                         std::size_t& evaluations) {
-  if (config_.batch_evaluate) {
-    // Count what the engine says it actually evaluated, not what we handed
-    // it: deadline-cut and fast-failed points receive penalty objectives
-    // without consuming an evaluation and must not inflate the tally.
-    evaluations += config_.batch_evaluate(problem, individuals);
-    for (auto& ind : individuals) ind.evaluated = true;
-    return;
-  }
-  for (auto& ind : individuals) {
-    if (!ind.evaluated) {
-      ind.objectives = problem.evaluate(ind.genome);
-      ind.evaluated = true;
-      ++evaluations;
-    }
-  }
+/// Both NSGA-II searchers answer to the same name and capabilities.
+const OptimizerInfo& nsga2_info() {
+  static const OptimizerInfo kInfo{/*name=*/"nsga2", /*elitist=*/true,
+                                   /*uses_seeds=*/true, /*uses_surrogate=*/false,
+                                   /*composite=*/false};
+  return kInfo;
 }
+
+}  // namespace
 
 void assign_rank_crowding(std::vector<Individual>& population) {
   std::vector<Objectives> objs;
@@ -87,17 +77,21 @@ void assign_rank_crowding(std::vector<Individual>& population) {
   }
 }
 
-std::vector<Individual> Nsga2::make_offspring(const Problem& problem,
-                                              const std::vector<Individual>& population,
-                                              util::Rng& rng) const {
+namespace {
+
+/// One offspring batch of `size` members: binary tournaments, SBX and
+/// mutation, eliminating duplicates of the population and of each other.
+std::vector<Individual> make_offspring(const Problem& problem,
+                                       const std::vector<Individual>& population,
+                                       std::size_t size, util::Rng& rng) {
   GenomeSet existing;
   for (const auto& ind : population) existing.insert(ind.genome);
 
   const std::size_t n = population.size();
   std::vector<Individual> offspring;
-  offspring.reserve(config_.population_size);
+  offspring.reserve(size);
 
-  while (offspring.size() < config_.population_size) {
+  while (offspring.size() < size) {
     const std::size_t before = offspring.size();
     Genome child_a;
     Genome child_b;
@@ -120,7 +114,7 @@ std::vector<Individual> Nsga2::make_offspring(const Problem& problem,
       child_b = random_genome(problem, rng);
     }
     for (Genome* g : {&child_a, &child_b}) {
-      if (offspring.size() >= config_.population_size) break;
+      if (offspring.size() >= size) break;
       if (!existing.insert(*g).second) continue;
       Individual ind;
       ind.genome = *g;
@@ -138,10 +132,12 @@ std::vector<Individual> Nsga2::make_offspring(const Problem& problem,
   return offspring;
 }
 
-std::vector<Individual> Nsga2::survive(
-    std::vector<Individual>& merged, const std::vector<Objectives>& objs,
-    const std::vector<std::vector<std::size_t>>& fronts) const {
-  const std::size_t capacity = config_.population_size;
+/// (mu + lambda) survival: standard elitist truncation by rank, then
+/// crowding distance.
+std::vector<Individual> survive(std::vector<Individual>& merged,
+                                const std::vector<Objectives>& objs,
+                                const std::vector<std::vector<std::size_t>>& fronts,
+                                std::size_t capacity) {
   std::vector<Individual> next;
   next.reserve(capacity);
 
@@ -162,47 +158,82 @@ std::vector<Individual> Nsga2::survive(
   return next;
 }
 
-Nsga2Result Nsga2::run(Problem& problem) {
-  Nsga2Result result;
-  util::Rng rng(config_.seed);
+}  // namespace
 
+GenerationalNsga2::GenerationalNsga2(Nsga2Config config, Problem& problem)
+    : config_(std::move(config)), problem_(problem), rng_(config_.seed) {
   GenomeSet seen;
-  std::vector<Individual> population;
-  population.reserve(config_.population_size);
-  for (Genome& g : sample_initial(problem, config_, rng, seen)) {
+  for (Genome& g : sample_initial(problem_, config_, rng_, seen)) {
     Individual ind;
     ind.genome = std::move(g);
-    population.push_back(std::move(ind));
+    batch_.push_back(std::move(ind));
   }
+}
 
-  evaluate_all(problem, population, result.evaluations);
-  assign_rank_crowding(population);
+const OptimizerInfo& GenerationalNsga2::info() const { return nsga2_info(); }
 
-  for (std::size_t gen = 0; gen < config_.max_generations; ++gen) {
-    if (config_.should_stop && config_.should_stop()) break;
+Genome GenerationalNsga2::ask() {
+  if (waiting()) {
+    throw std::logic_error("GenerationalNsga2::ask() while waiting for tells");
+  }
+  return batch_[asked_++].genome;
+}
 
-    std::vector<Individual> offspring = make_offspring(problem, population, rng);
-    evaluate_all(problem, offspring, result.evaluations);
+void GenerationalNsga2::tell(const Genome& genome, const Objectives& objectives,
+                             double /*cost_seconds*/) {
+  ++told_;
+  for (std::size_t i = 0; i < asked_; ++i) {
+    Individual& member = batch_[i];
+    if (member.evaluated || member.genome != genome) continue;
+    member.objectives = objectives;
+    member.evaluated = true;
+    if (++answered_ == batch_.size()) close_generation();
+    return;
+  }
+}
 
-    // (mu + lambda) elitist survival.
+void GenerationalNsga2::close_generation() {
+  if (population_.empty()) {
+    population_ = std::move(batch_);  // the initial population
+  } else {
+    // (mu + lambda) elitist survival over the population and the offspring
+    // in ask order.
     std::vector<Individual> merged;
-    merged.reserve(population.size() + offspring.size());
-    for (auto& ind : population) merged.push_back(std::move(ind));
-    for (auto& ind : offspring) merged.push_back(std::move(ind));
+    merged.reserve(population_.size() + batch_.size());
+    for (auto& ind : population_) merged.push_back(std::move(ind));
+    for (auto& ind : batch_) merged.push_back(std::move(ind));
 
     std::vector<Objectives> objs;
     objs.reserve(merged.size());
     for (const auto& ind : merged) objs.push_back(ind.objectives);
     const auto fronts = fast_non_dominated_sort(objs);
-
-    population = survive(merged, objs, fronts);
-    assign_rank_crowding(population);
-    ++result.generations_run;
-    if (config_.on_generation) config_.on_generation(gen, population);
+    population_ = survive(merged, objs, fronts, config_.population_size);
+    ++generations_;
   }
+  assign_rank_crowding(population_);
+  batch_.clear();
+  if (generations_ < config_.max_generations) {
+    batch_ = make_offspring(problem_, population_, config_.population_size, rng_);
+  }
+  asked_ = 0;
+  answered_ = 0;
+}
 
-  result.pareto_front = pareto_subset(population);
-  result.population = std::move(population);
+Nsga2Result Nsga2::run(Problem& problem) {
+  GenerationalNsga2 searcher(config_, problem);
+  Nsga2Result result;
+  std::vector<Genome> generation;
+  while (!searcher.waiting()) {
+    generation.clear();
+    while (!searcher.waiting()) generation.push_back(searcher.ask());
+    for (const Genome& g : generation) {
+      searcher.tell(g, problem.evaluate(g));
+      ++result.evaluations;
+    }
+  }
+  result.population = searcher.population();
+  result.pareto_front = pareto_subset(result.population);
+  result.generations_run = searcher.generations();
   return result;
 }
 
@@ -212,12 +243,7 @@ SteadyStateNsga2::SteadyStateNsga2(Nsga2Config config, Problem& problem)
   population_.reserve(config_.population_size + 1);
 }
 
-const OptimizerInfo& SteadyStateNsga2::info() const {
-  static const OptimizerInfo kInfo{/*name=*/"nsga2", /*elitist=*/true,
-                                   /*uses_seeds=*/true, /*uses_surrogate=*/false,
-                                   /*composite=*/false};
-  return kInfo;
-}
+const OptimizerInfo& SteadyStateNsga2::info() const { return nsga2_info(); }
 
 Genome SteadyStateNsga2::make_one_offspring() {
   // Mating needs parents; until at least two individuals have been told

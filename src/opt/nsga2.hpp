@@ -9,8 +9,6 @@
 #pragma once
 
 #include <deque>
-#include <functional>
-#include <optional>
 #include <set>
 
 #include "src/opt/nds.hpp"
@@ -29,23 +27,6 @@ struct Nsga2Config {
   /// (repaired into the domain, deduplicated). Used to continue a previous
   /// exploration from its front instead of restarting cold.
   std::vector<Genome> initial_genomes;
-
-  /// Optional early-termination check, polled once per generation (used for
-  /// the paper's wall-clock soft deadline on the genetic algorithm).
-  std::function<bool()> should_stop;
-
-  /// Optional batch evaluator: evaluate all unevaluated individuals in the
-  /// span (e.g. in parallel, or through the approximation control model) and
-  /// return how many of them actually received a genuine score from some
-  /// evaluation source. Individuals the engine only penalty-scored without
-  /// consuming an evaluation (deadline cuts, unhedged fast-fails) must not
-  /// be counted — Nsga2Result::evaluations sums exactly these return values.
-  /// Defaults to sequentially calling Problem::evaluate.
-  std::function<std::size_t(Problem&, std::vector<Individual>&)> batch_evaluate;
-
-  /// Optional per-generation observer (generation index, population after
-  /// survival).
-  std::function<void(std::size_t, const std::vector<Individual>&)> on_generation;
 };
 
 /// Result of one NSGA-II run.
@@ -56,6 +37,68 @@ struct Nsga2Result {
   std::size_t evaluations = 0;              ///< Problem::evaluate calls issued
 };
 
+/// Generational (mu + lambda) NSGA-II as an ask/tell searcher: the paper's
+/// solver (DseEngine builds it directly when steady_state is off).
+///
+/// ask() hands out one generation at a time: the initial population
+/// (seeded genomes repaired and deduplicated, then random sampling), then
+/// each offspring batch of population_size (tournament + SBX + mutation
+/// with duplicate elimination). waiting() is true from a generation's last
+/// ask to its last tell, which closes it with elitist survival (truncation
+/// by rank, then crowding). Survival merges population and offspring in ask
+/// order, so tell order cannot change the result. After max_generations
+/// survivals waiting() stays true: the search is over.
+class GenerationalNsga2 final : public Optimizer {
+ public:
+  GenerationalNsga2(Nsga2Config config, Problem& problem);
+
+  [[nodiscard]] const OptimizerInfo& info() const override;
+
+  /// Next member of the current generation. Precondition: !waiting().
+  [[nodiscard]] Genome ask() override;
+
+  /// Score the first untold asked member with this genome. A genome this
+  /// generation did not ask (a journaled point replayed on resume) is
+  /// counted but does not enter the population.
+  void tell(const Genome& genome, const Objectives& objectives,
+            double cost_seconds = 0.0) override;
+
+  /// No-op: a replayed genome asked again is answered by the caller's cache.
+  void reserve(const Genome& genome) override { (void)genome; }
+
+  [[nodiscard]] bool waiting() const override { return asked_ == batch_.size(); }
+
+  [[nodiscard]] std::vector<Individual> front() const override {
+    return pareto_subset(population_);
+  }
+
+  /// Population after the latest closed generation, ranked.
+  [[nodiscard]] const std::vector<Individual>& population() const noexcept {
+    return population_;
+  }
+
+  /// Survivals so far (the initial population is not a generation).
+  [[nodiscard]] std::size_t generations() const noexcept { return generations_; }
+
+  [[nodiscard]] std::size_t told() const noexcept override { return told_; }
+
+ private:
+  void close_generation();
+
+  Nsga2Config config_;
+  Problem& problem_;
+  util::Rng rng_;
+  std::vector<Individual> population_;
+  std::vector<Individual> batch_;  ///< the current generation, in ask order
+  std::size_t asked_ = 0;          ///< members of batch_ handed out
+  std::size_t answered_ = 0;       ///< members of batch_ told
+  std::size_t generations_ = 0;
+  std::size_t told_ = 0;
+};
+
+/// Sequential driver for in-memory problems (benches, tests): asks each
+/// generation of a GenerationalNsga2, evaluates it in ask order with
+/// Problem::evaluate and tells it back.
 class Nsga2 {
  public:
   explicit Nsga2(Nsga2Config config) : config_(std::move(config)) {}
@@ -64,46 +107,35 @@ class Nsga2 {
   [[nodiscard]] Nsga2Result run(Problem& problem);
 
  private:
-  void evaluate_all(Problem& problem, std::vector<Individual>& individuals,
-                    std::size_t& evaluations);
-  [[nodiscard]] std::vector<Individual> make_offspring(
-      const Problem& problem, const std::vector<Individual>& population, util::Rng& rng) const;
-
-  /// (mu + lambda) survival: standard elitist truncation by rank, then
-  /// crowding distance.
-  [[nodiscard]] std::vector<Individual> survive(
-      std::vector<Individual>& merged, const std::vector<Objectives>& objs,
-      const std::vector<std::vector<std::size_t>>& fronts) const;
-
   Nsga2Config config_;
 };
 
 /// Recompute rank and crowding distance for every member of `population`
-/// via one fast non-dominated sort (shared by the generational and the
-/// steady-state engines).
+/// via one fast non-dominated sort (shared by both NSGA-II searchers).
 void assign_rank_crowding(std::vector<Individual>& population);
 
 /// Steady-state (mu+1) NSGA-II as an ask/tell searcher.
 ///
-/// The generational `Nsga2` evaluates offspring in lambda-sized barriers —
-/// one slow point stalls the whole batch. This class inverts control: the
-/// caller pulls candidate genomes with ask() (as many as it wants inflight),
-/// evaluates them at its own pace, and pushes results back with tell().
+/// GenerationalNsga2 proposes nothing between a generation's last ask and
+/// its last tell — one slow point stalls the whole generation. This class
+/// never waits: the caller pulls candidate genomes with ask() (as many as it
+/// wants inflight), evaluates them at its own pace, and pushes results back
+/// with tell().
 /// Survival is per-completion: each tell() inserts the individual and, once
 /// the population exceeds `population_size`, drops the single worst member
 /// (last non-dominated front, minimum crowding). With a deterministic
 /// completion order the whole trajectory is deterministic for a fixed seed.
 ///
 /// Reuses Nsga2Config: population_size, seed and initial_genomes behave as
-/// in the generational engine, and so do the fixed operators and duplicate
-/// elimination; max_generations / should_stop / batch_evaluate / on_generation
-/// are ignored (budgeting and observation belong to the caller).
+/// in the generational searcher, and so do the fixed operators and
+/// duplicate elimination; max_generations is ignored (budgeting belongs to
+/// the caller).
 ///
 /// Registered as "nsga2" in opt::OptimizerRegistry (see opt/optimizer.hpp).
 class SteadyStateNsga2 final : public Optimizer {
  public:
   /// Builds the initial candidate list (seeded genomes repaired and
-  /// deduplicated, then random sampling) exactly as Nsga2::run does.
+  /// deduplicated, then random sampling) exactly as GenerationalNsga2 does.
   SteadyStateNsga2(Nsga2Config config, Problem& problem);
 
   [[nodiscard]] const OptimizerInfo& info() const override;

@@ -2,8 +2,8 @@
 // registry, the context struct and the shipped implementations).
 //
 // Split from optimizer.hpp so concrete searchers declared alongside their
-// algorithm (e.g. SteadyStateNsga2 in nsga2.hpp) can derive from Optimizer
-// without pulling in the whole optimizer layer.
+// algorithm (SteadyStateNsga2 and GenerationalNsga2 in nsga2.hpp) can
+// derive from Optimizer without pulling in the whole optimizer layer.
 #pragma once
 
 #include <functional>
@@ -43,7 +43,8 @@ using SurrogateFn = std::function<std::optional<Objectives>(const Genome&)>;
 /// Pure-virtual ask/tell searcher. Implementations must be deterministic
 /// for a fixed seed and tell() order, and ask() must never block: it always
 /// returns a genome, accepting a duplicate only when the space is
-/// exhausted.
+/// exhausted. The one exception is a searcher that reports waiting():
+/// it is not asked until it stops waiting.
 class Optimizer {
  public:
   virtual ~Optimizer() = default;
@@ -78,6 +79,12 @@ class Optimizer {
     (void)genome;
     return info().name;
   }
+
+  /// True while the searcher has nothing to propose until outstanding
+  /// asks are told (a generational searcher between generations). The
+  /// engine then only completes what is in flight, and ends the run when
+  /// nothing is. Steady searchers never wait.
+  [[nodiscard]] virtual bool waiting() const { return false; }
 
   /// Duplicate-free non-dominated subset of everything told so far.
   [[nodiscard]] virtual std::vector<Individual> front() const = 0;

@@ -48,9 +48,8 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
-                              const std::function<void(std::size_t)>& fn) {
-  if (end <= begin) return;
+void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
+  if (n == 0) return;
   // Inline paths: no workers, a single iteration, or a *reentrant* call from
   // inside one of this pool's own tasks. In the reentrant case the submitted
   // helper tasks would queue behind the enqueuing task (which is occupying a
@@ -59,10 +58,10 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   // itself. Exceptions still follow the first-thrown/suppressed-count rule.
   const bool reentrant = inside_pool_task();
   if (reentrant) reentrant_inline_.fetch_add(1, std::memory_order_relaxed);
-  if (workers_.empty() || end - begin == 1 || reentrant) {
+  if (workers_.empty() || n == 1 || reentrant) {
     std::exception_ptr first_error;
     std::size_t suppressed = 0;
-    for (std::size_t i = begin; i < end; ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
       try {
         fn(i);
       } catch (...) {
@@ -81,14 +80,14 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
     if (first_error) std::rethrow_exception(first_error);
     return;
   }
-  std::atomic<std::size_t> next{begin};
+  std::atomic<std::size_t> next{0};
   std::exception_ptr first_error;
   std::size_t suppressed = 0;
   Mutex error_mutex("ThreadPool.parallel_for.error");
   auto body = [&] {
     while (true) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= end) return;
+      if (i >= n) return;
       try {
         fn(i);
       } catch (...) {

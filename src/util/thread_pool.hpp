@@ -54,7 +54,7 @@ class ThreadPool {
     return fut;
   }
 
-  /// Run fn(i) for i in [begin, end), blocking until all iterations finish.
+  /// Run fn(i) for i in [0, n), blocking until all iterations finish.
   /// Iterations are distributed one-at-a-time (tool calls dominate cost, so
   /// chunking would only hurt load balance). The caller participates as an
   /// extra lane, so up to worker_count() + 1 iterations run concurrently.
@@ -69,15 +69,7 @@ class ThreadPool {
   /// later exceptions in the same dispatch are counted in
   /// suppressed_exceptions() and logged, so a multi-point failure is not
   /// silently collapsed into a single-point one.
-  /// The range form lets callers dispatch a batch in slices (e.g. to check
-  /// a deadline between slices) without rebasing their indices.
-  void parallel_for(std::size_t begin, std::size_t end,
-                    const std::function<void(std::size_t)>& fn);
-
-  /// Run fn(i) for i in [0, n).
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
-    parallel_for(0, n, fn);
-  }
+  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// parallel_for calls that were detected as reentrant (issued from inside
   /// a pool task) and ran inline instead of fanning out.

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <string>
 
+#include "src/store/store.hpp"
 #include "src/util/json.hpp"
 #include "src/util/strings.hpp"
 
@@ -263,6 +264,44 @@ TEST(CliStore, ExploreBanksEvaluationsAndDbInspectsThem) {
 
   std::remove(store.c_str());
   std::remove((store + ".lock").c_str());
+}
+
+TEST(CliStore, CsvExportKeepsTheApproximateFlag) {
+  const std::string store_path = ::testing::TempDir() + "/cli_store_approximate.dvstor";
+  const std::string csv_path = ::testing::TempDir() + "/cli_store_approximate.csv";
+  std::remove(store_path.c_str());
+  std::remove((store_path + ".lock").c_str());
+  {
+    auto opened = store::EvalStore::open_writer(store_path);
+    ASSERT_TRUE(opened.store) << opened.error;
+    store::StoreRecord rec;
+    rec.params = {{"DEPTH", 16}};
+    rec.backend = "vivado-sim";
+    rec.tier = store::EvalStore::kTierHifi;
+    rec.metrics = {{"lut", 10.0}};
+    rec.ok = true;
+    rec.approximate = true;  // a hedged answer
+    std::string error;
+    ASSERT_TRUE(opened.store->append(std::move(rec), &error)) << error;
+  }
+
+  const auto exported =
+      run_cli({"db", "export", "--store", store_path.c_str(), "--csv", csv_path.c_str()});
+  EXPECT_EQ(exported.code, 0) << exported.err;
+  std::ifstream csv(csv_path);
+  std::string header;
+  std::string row;
+  ASSERT_TRUE(std::getline(csv, header));
+  ASSERT_TRUE(std::getline(csv, row));
+  const std::vector<std::string> columns = util::split(header, ',');
+  const std::vector<std::string> values = util::split(row, ',');
+  ASSERT_EQ(columns.size(), values.size()) << header << " / " << row;
+  ASSERT_EQ(columns.back(), "approximate");
+  EXPECT_EQ(values.back(), "1") << row;
+
+  std::remove(csv_path.c_str());
+  std::remove(store_path.c_str());
+  std::remove((store_path + ".lock").c_str());
 }
 
 TEST(CliStore, DbOnAMissingStoreFails) {

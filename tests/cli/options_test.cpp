@@ -410,12 +410,14 @@ TEST(ParseArgs, MaxInflightRejectsZeroAndNegatives) {
   }
 }
 
-TEST(ParseArgs, MaxInflightRequiresSteadyState) {
+TEST(ParseArgs, MaxInflightAppliesToTheGenerationalSearcher) {
   const auto r = parse({"explore", "--source", "a.sv", "--top", "m", "--part", "p",
                         "--param", "D=1:4", "--objective", "lut:min",
-                        "--max-inflight", "4"});
-  EXPECT_FALSE(r.ok);
-  EXPECT_NE(r.error.find("--steady-state"), std::string::npos) << r.error;
+                        "--workers", "4", "--max-inflight", "4"});
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_FALSE(r.options.steady_state);
+  EXPECT_EQ(r.options.max_inflight, 4u);
+  EXPECT_TRUE(r.warnings.empty());
 }
 
 TEST(ParseArgs, MaxInflightBeyondTheLanesWarnsButParses) {

@@ -459,18 +459,23 @@ TEST(SteadyState, DeadlineStopsSubmissionAndClosesCleanly) {
   EXPECT_GE(result.stats.steady_completions, 1u);
 }
 
-TEST(SteadyState, MaxInflightWithoutSteadyStateIsRejectedAtConstruction) {
-  // max_inflight only bounds the steady-state submit loop; silently
-  // ignoring it on the generational engine hid misconfigurations. The CLI
-  // rejects the combination at parse time and the engine mirrors it here
-  // for programmatic callers.
+TEST(SteadyState, MaxInflightBoundsTheGenerationalSearcherToo) {
+  // Both searchers run through the one campaign loop, so max_inflight
+  // bounds the generational campaign as well. Which points it evaluates
+  // does not depend on the bound: its answers are settled in ask order.
   DseConfig config = steady_dse(0);
   config.steady_state = false;
-  config.max_inflight = 4;
-  EXPECT_THROW(DseEngine(fifo_project(), config), std::runtime_error);
-
-  config.steady_state = true;
-  EXPECT_NO_THROW(DseEngine(fifo_project(), config));
+  config.virtual_lanes = 4;
+  const DseResult unbounded = DseEngine(fifo_project(), config).run();
+  config.max_inflight = 2;
+  const DseResult bounded = DseEngine(fifo_project(), config).run();
+  ASSERT_EQ(bounded.explored.size(), unbounded.explored.size());
+  for (std::size_t i = 0; i < bounded.explored.size(); ++i) {
+    EXPECT_EQ(bounded.explored[i].params, unbounded.explored[i].params);
+  }
+  EXPECT_EQ(bounded.stats.tool_runs, unbounded.stats.tool_runs);
+  EXPECT_EQ(bounded.stats.ga_evaluations,
+            config.ga.population_size * (config.ga.max_generations + 1));
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // both engines.
 //
 // Runs small inline (workers = 0) campaigns on the cv32e40p FIFO, once with
-// the generational engine and once with the steady-state engine, in seven
+// the generational searcher and once with the steady-state one, in seven
 // scenarios that between them reach every scoring path:
 //   nwm         NWM estimates after pretraining, plus front verification
 //               (the steady run uses the portfolio, whose surrogate member
@@ -18,9 +18,9 @@
 //               campaign resumes the journal (with one orphaned inflight
 //               marker), seeds from the store; a third warm-starts from the
 //               donor's explored points;
-//   duplicates  batch_evaluate called directly with duplicate genomes in one
-//               batch (single-flight joins), clean and under a permanent
-//               outage (duplicates of a hedged point), before run().
+//   duplicates  a generational campaign on a five-point space, whose
+//               generations repeat genomes (cache hits), clean and under a
+//               permanent outage (repeats of hedged points).
 //
 // Usage: engine_paths [--json FILE]
 //   --json FILE  write every explored point (in engine order), the front and
@@ -91,12 +91,10 @@ class JsonWriter {
   void end() { std::fprintf(out_, "\n]}\n"); }
 
   void run(const std::string& scenario, const core::DseConfig& config,
-           const core::DseEngine& engine, const core::DseResult& result,
-           const std::vector<std::vector<opt::Individual>>& batches = {}) {
+           const core::DseEngine& engine, const core::DseResult& result) {
     std::fprintf(out_, "%s{\"scenario\": \"%s\", \"engine\": \"%s\",\n", first_run_ ? "" : ",\n",
                  scenario.c_str(), config.steady_state ? "steady" : "generational");
     first_run_ = false;
-    if (!batches.empty()) individuals(batches);
     const auto* model = engine.control_model();
     std::fprintf(out_, " \"model_samples\": %s,\n",
                  num(model != nullptr ? static_cast<double>(model->dataset().size()) : -1.0)
@@ -134,9 +132,6 @@ class JsonWriter {
     field("single_flight_joins", num(s.single_flight_joins));
     field("lease_waits", num(s.lease_waits));
     field("deadline_skips", num(s.deadline_skips));
-    field("batches", num(s.batches));
-    field("last_batch_tool_seconds", num(s.last_batch_tool_seconds));
-    field("max_batch_tool_seconds", num(s.max_batch_tool_seconds));
     field("screened_out", num(s.screened_out));
     field("screen_runs", num(s.screen_runs));
     field("screen_tool_seconds", num(s.screen_tool_seconds));
@@ -183,24 +178,6 @@ class JsonWriter {
     field("degraded_evals", num(s.degraded_evals));
     field("reverified_points", num(s.reverified_points));
     std::fprintf(out_, "%s},\n", line.c_str());
-  }
-
-  void individuals(const std::vector<std::vector<opt::Individual>>& batches) {
-    std::fprintf(out_, " \"batches\": [");
-    for (std::size_t b = 0; b < batches.size(); ++b) {
-      std::fprintf(out_, "%s\n  [", b == 0 ? "" : ",");
-      for (std::size_t i = 0; i < batches[b].size(); ++i) {
-        const auto& ind = batches[b][i];
-        std::fprintf(out_, "%s{\"genome\": %lld, \"objectives\": [", i == 0 ? "" : ", ",
-                     static_cast<long long>(ind.genome.at(0)));
-        for (std::size_t k = 0; k < ind.objectives.size(); ++k) {
-          std::fprintf(out_, "%s%s", k == 0 ? "" : ", ", num(ind.objectives[k]).c_str());
-        }
-        std::fprintf(out_, "]}");
-      }
-      std::fprintf(out_, "]");
-    }
-    std::fprintf(out_, "\n ],\n");
   }
 
   void points(const char* name, const std::vector<core::ExploredPoint>& points) {
@@ -321,9 +298,11 @@ void run_engine(JsonWriter& json, bool steady, const std::string& scratch) {
   remove_scratch(store);
 }
 
-void batch_duplicates(JsonWriter& json) {
+void duplicates(JsonWriter& json) {
   for (const bool outage : {false, true}) {
     core::DseConfig config = base_config(false);
+    config.space.params = {{"DEPTH", core::ParamDomain::range(8, 12)}};
+    config.ga.max_generations = 3;
     if (outage) {
       config.fault_plan = plan_of("seed=9,outage_start=1");  // never recovers
       config.supervise.max_retries = 1;
@@ -333,17 +312,7 @@ void batch_duplicates(JsonWriter& json) {
       config.breaker.probe_budget = 1;
       config.breaker.probe_quorum = 1;
     }
-    core::DseEngine engine(fifo_project(), config);
-    std::vector<std::vector<opt::Individual>> batches;
-    for (const std::vector<std::int64_t>& genomes :
-         {std::vector<std::int64_t>{0, 0, 5, 5, 0, 9}, {9, 9, 12, 12, 0}, {20, 20, 21, 21}}) {
-      std::vector<opt::Individual> batch(genomes.size());
-      for (std::size_t i = 0; i < genomes.size(); ++i) batch[i].genome = {genomes[i]};
-      engine.batch_evaluate(batch);
-      batches.push_back(std::move(batch));
-    }
-    const core::DseResult result = engine.run();
-    json.run(outage ? "duplicates-outage" : "duplicates", config, engine, result, batches);
+    campaign(json, outage ? "duplicates-outage" : "duplicates", config);
   }
 }
 
@@ -375,7 +344,7 @@ int main(int argc, char** argv) {
   json.begin();
   run_engine(json, /*steady=*/false, scratch);
   run_engine(json, /*steady=*/true, scratch);
-  batch_duplicates(json);
+  duplicates(json);
   json.end();
   if (out != stdout && std::fclose(out) != 0) {
     std::fprintf(stderr, "engine_paths: cannot write %s\n", json_path);

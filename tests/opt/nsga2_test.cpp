@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <set>
+#include <stdexcept>
 
 #include "src/opt/baselines.hpp"
 #include "src/opt/indicators.hpp"
@@ -91,19 +93,34 @@ TEST(Nsga2, DeterministicForSameSeed) {
   EXPECT_NE(pop_a, pop_c);
 }
 
+/// Drive a GenerationalNsga2 generation by generation (ask the whole
+/// generation, evaluate, tell) and hand the population after every
+/// survival to `observe`. Returns how many generations were asked.
+template <typename Observe>
+std::size_t drive_generations(GenerationalNsga2& searcher, Problem& problem, Observe observe) {
+  std::size_t batches = 0;
+  while (!searcher.waiting()) {
+    std::vector<Genome> generation;
+    while (!searcher.waiting()) generation.push_back(searcher.ask());
+    ++batches;
+    const std::size_t before = searcher.generations();
+    for (const Genome& g : generation) searcher.tell(g, problem.evaluate(g));
+    if (searcher.generations() > before) observe(searcher.population());
+  }
+  return batches;
+}
+
 TEST(Nsga2, ElitismNeverLosesTheBestExtremes) {
   ConvexProblem problem(64, 64);
-  Nsga2Config config = small_config(3);
+  GenerationalNsga2 searcher(small_config(3), problem);
   double best_f1_seen = 1e18;
   double best_f1_final = 1e18;
-  config.on_generation = [&](std::size_t, const std::vector<Individual>& pop) {
+  (void)drive_generations(searcher, problem, [&](const std::vector<Individual>& pop) {
     for (const auto& ind : pop) {
       best_f1_seen = std::min(best_f1_seen, ind.objectives[0]);
     }
-  };
-  Nsga2 solver(config);
-  const auto result = solver.run(problem);
-  for (const auto& ind : result.population) {
+  });
+  for (const auto& ind : searcher.population()) {
     best_f1_final = std::min(best_f1_final, ind.objectives[0]);
   }
   EXPECT_DOUBLE_EQ(best_f1_final, best_f1_seen);
@@ -111,12 +128,14 @@ TEST(Nsga2, ElitismNeverLosesTheBestExtremes) {
 
 TEST(Nsga2, PopulationSizeStable) {
   ConvexProblem problem(64, 64);
-  Nsga2Config config = small_config();
-  config.on_generation = [&](std::size_t, const std::vector<Individual>& pop) {
+  const Nsga2Config config = small_config();
+  GenerationalNsga2 searcher(config, problem);
+  std::size_t generations = 0;
+  (void)drive_generations(searcher, problem, [&](const std::vector<Individual>& pop) {
+    ++generations;
     EXPECT_EQ(pop.size(), config.population_size);
-  };
-  Nsga2 solver(config);
-  (void)solver.run(problem);
+  });
+  EXPECT_EQ(generations, config.max_generations);
 }
 
 TEST(Nsga2, DuplicateEliminationHoldsInPopulation) {
@@ -131,71 +150,64 @@ TEST(Nsga2, DuplicateEliminationHoldsInPopulation) {
   }
 }
 
-TEST(Nsga2, ShouldStopTerminatesEarly) {
-  ConvexProblem problem(64, 64);
-  Nsga2Config config = small_config();
-  config.max_generations = 1000;
-  int calls = 0;
-  config.should_stop = [&calls] { return ++calls > 5; };
-  Nsga2 solver(config);
-  const auto result = solver.run(problem);
-  EXPECT_LE(result.generations_run, 6u);
-}
-
-TEST(Nsga2, BatchEvaluatorUsed) {
+TEST(Nsga2, GenerationsAreAskedWhole) {
+  // The initial population and every generation's offspring are handed out
+  // as one batch each: ask() stops at the generation's end (waiting()), and
+  // the next generation is proposed only once this one is fully told.
   ConvexProblem problem(32, 32);
   Nsga2Config config = small_config();
   config.max_generations = 5;
-  std::size_t batches = 0;
-  std::size_t reported = 0;
-  config.batch_evaluate = [&](Problem& p, std::vector<Individual>& inds) -> std::size_t {
-    ++batches;
-    std::size_t completed = 0;
-    for (auto& ind : inds) {
-      if (!ind.evaluated) {
-        ind.objectives = p.evaluate(ind.genome);
-        ++completed;
+  GenerationalNsga2 searcher(config, problem);
+  std::size_t told = 0;
+  while (!searcher.waiting()) {
+    std::vector<Genome> generation;
+    while (!searcher.waiting()) generation.push_back(searcher.ask());
+    EXPECT_EQ(generation.size(), config.population_size);
+    for (std::size_t i = 0; i < generation.size(); ++i) {
+      if (i + 1 < generation.size()) {
+        searcher.tell(generation[i], problem.evaluate(generation[i]));
+        EXPECT_TRUE(searcher.waiting()) << "generation closed before its last tell";
+      } else {
+        searcher.tell(generation[i], problem.evaluate(generation[i]));
       }
+      ++told;
     }
-    reported += completed;
-    return completed;
-  };
-  Nsga2 solver(config);
-  const auto result = solver.run(problem);
-  EXPECT_GE(batches, 6u);  // initial population + one per generation
-  EXPECT_FALSE(result.pareto_front.empty());
-  // The accounting must sum exactly what the evaluator reported back.
-  EXPECT_EQ(result.evaluations, reported);
+  }
+  EXPECT_EQ(searcher.generations(), config.max_generations);
+  EXPECT_EQ(searcher.told(), told);
+  EXPECT_EQ(told, config.population_size * (config.max_generations + 1));
+  EXPECT_THROW((void)searcher.ask(), std::logic_error);  // the search is over
+  EXPECT_FALSE(searcher.front().empty());
 }
 
-TEST(Nsga2, EvaluationsCountOnlyCompletedRuns) {
-  // A batch evaluator that penalty-scores some points without consuming an
-  // evaluation (deadline cuts, fast-fails) must not have them counted.
+TEST(Nsga2, EvaluationsCountProblemEvaluateCalls) {
+  // Nsga2::run reports exactly the Problem::evaluate calls it issued.
   ConvexProblem problem(32, 32);
   Nsga2Config config = small_config();
   config.max_generations = 3;
-  std::size_t genuine = 0;
-  config.batch_evaluate = [&](Problem& p, std::vector<Individual>& inds) -> std::size_t {
-    std::size_t completed = 0;
-    std::size_t i = 0;
-    for (auto& ind : inds) {
-      if (ind.evaluated) continue;
-      if (i++ % 3 == 0) {
-        ind.objectives.assign(2, 1e18);  // penalty score, no run consumed
-      } else {
-        ind.objectives = p.evaluate(ind.genome);
-        ++completed;
-      }
-    }
-    genuine += completed;
-    return completed;
-  };
   Nsga2 solver(config);
   const auto result = solver.run(problem);
-  EXPECT_EQ(result.evaluations, genuine);
-  // Sanity: penalty-scored points existed, so the naive pre-count would
-  // have been strictly larger.
-  EXPECT_GT(genuine, 0u);
+  EXPECT_EQ(result.evaluations, problem.evaluations.load());
+  EXPECT_EQ(result.evaluations, config.population_size * (config.max_generations + 1));
+  EXPECT_EQ(result.generations_run, config.max_generations);
+}
+
+TEST(Nsga2, TellsOfUnaskedGenomesLeaveThePopulationAlone) {
+  // A journaled point replayed on resume is told without having been asked
+  // in this generation: it is counted, but only asked members survive.
+  ConvexProblem problem(32, 32);
+  Nsga2Config config = small_config(4);
+  config.max_generations = 1;
+  GenerationalNsga2 searcher(config, problem);
+  std::vector<Genome> generation;
+  while (!searcher.waiting()) generation.push_back(searcher.ask());
+  const Genome stranger = {31, 31};
+  ASSERT_EQ(std::count(generation.begin(), generation.end(), stranger), 0);
+  searcher.tell(stranger, problem.evaluate(stranger));
+  for (const Genome& g : generation) searcher.tell(g, problem.evaluate(g));
+  EXPECT_EQ(searcher.told(), generation.size() + 1);
+  ASSERT_EQ(searcher.population().size(), generation.size());
+  for (const auto& ind : searcher.population()) EXPECT_NE(ind.genome, stranger);
 }
 
 TEST(SteadyStateNsga2, AskTellConvergesOnTinySpace) {

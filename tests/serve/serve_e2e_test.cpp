@@ -11,6 +11,7 @@
 #include <string>
 #include <sys/wait.h>
 #include <thread>
+#include <unistd.h>
 #include <vector>
 
 #include "src/serve/client.hpp"
@@ -33,8 +34,11 @@ core::ProjectConfig fifo_project() {
   return config;
 }
 
+/// A scratch path under the test temp directory, unique to this process so
+/// that concurrent test_serve runs never reach each other's daemons.
 std::string temp_path(const std::string& name) {
-  const std::string path = ::testing::TempDir() + "/" + name;
+  const std::string path =
+      ::testing::TempDir() + "/dovado_" + std::to_string(getpid()) + "_" + name;
   std::remove(path.c_str());
   std::remove((path + ".lock").c_str());
   return path;

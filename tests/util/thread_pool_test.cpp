@@ -37,24 +37,6 @@ TEST(ThreadPool, ParallelForCoversAllIndices) {
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPool, ParallelForRangeCoversSubrange) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(100);
-  pool.parallel_for(20, 80, [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i].load(), i >= 20 && i < 80 ? 1 : 0) << i;
-  }
-}
-
-TEST(ThreadPool, ParallelForRangeInlineAndEmpty) {
-  ThreadPool pool(0);
-  std::vector<int> order;
-  pool.parallel_for(3, 6, [&](std::size_t i) { order.push_back(static_cast<int>(i)); });
-  EXPECT_EQ(order, (std::vector<int>{3, 4, 5}));
-  pool.parallel_for(6, 6, [&](std::size_t) { FAIL() << "empty range must not run"; });
-  pool.parallel_for(6, 3, [&](std::size_t) { FAIL() << "inverted range must not run"; });
-}
-
 TEST(ThreadPool, ParallelForZeroIterations) {
   ThreadPool pool(2);
   bool called = false;
