@@ -42,12 +42,15 @@ serve::ServeConfig serve_config() {
   serve::ServeConfig config;
   config.project = fifo_project();
   config.breaker.enabled = false;  // measured separately (breaker bench)
-  // Realistic policies so admission does real bucket math, generous enough
-  // that nothing sheds.
-  config.default_policy.request_rate = 1e9;
-  config.default_policy.request_burst = 1e9;
-  config.default_policy.tool_seconds_rate = 1e9;
-  config.default_policy.tool_seconds_burst = 1e12;
+  // A realistic policy for the one tenant the bench sends as, so admission
+  // does real bucket math, generous enough that nothing sheds.
+  serve::ServeTenantConfig tenant;
+  tenant.name = "bench";
+  tenant.policy.request_rate = 1e9;
+  tenant.policy.request_burst = 1e9;
+  tenant.policy.tool_seconds_rate = 1e9;
+  tenant.policy.tool_seconds_burst = 1e12;
+  config.tenants.push_back(tenant);
   return config;
 }
 

@@ -9,7 +9,7 @@
 
 #include "src/analysis/analyzer.hpp"
 #include "src/analysis/render.hpp"
-
+#include "src/core/campaign.hpp"
 #include "src/opt/nds.hpp"
 #include "src/opt/optimizer.hpp"
 #include "src/util/logging.hpp"
@@ -51,6 +51,26 @@ class DovadoProblem final : public opt::Problem {
 
 DseEngine::DseEngine(ProjectConfig project, DseConfig config)
     : project_(std::move(project)), config_(std::move(config)) {
+  init();
+}
+
+DseEngine::DseEngine(ProjectConfig project, DseConfig config,
+                     std::shared_ptr<EvaluationBroker> broker,
+                     std::shared_ptr<BackendHealthManager> health)
+    : project_(std::move(project)),
+      config_(std::move(config)),
+      broker_(std::move(broker)),
+      owns_broker_(false),
+      health_(std::move(health)) {
+  if (!broker_) throw std::invalid_argument("DseEngine: the shared broker is null");
+  if (!config_.store_path.empty() || !config_.journal_path.empty()) {
+    throw std::invalid_argument(
+        "DseEngine: a store or journal belongs to the shared broker's owner");
+  }
+  init();
+}
+
+void DseEngine::init() {
   if (config_.space.params.empty()) {
     throw std::runtime_error("design space has no parameters");
   }
@@ -98,7 +118,7 @@ DseEngine::DseEngine(ProjectConfig project, DseConfig config)
   // holds the lock this run degrades to a read-only snapshot (store hits
   // still work; its own evaluations are simply not persisted) — readers
   // always proceed.
-  if (!config_.store_path.empty()) {
+  if (owns_broker_ && !config_.store_path.empty()) {
     auto opened = store::EvalStore::open_writer(config_.store_path);
     if (!opened.store && opened.lock_busy) {
       util::Log::warn(opened.error);
@@ -123,22 +143,25 @@ DseEngine::DseEngine(ProjectConfig project, DseConfig config)
 
   // The high-fidelity broker: cache, evaluator pool, supervisor, fault
   // injector, journal and deadline accounting (see core/broker.hpp).
-  BrokerConfig broker_config;
-  broker_config.workers = config_.workers;
-  broker_config.virtual_lanes = config_.virtual_lanes;
-  broker_config.supervise = config_.supervise;
-  broker_config.fault_plan = config_.fault_plan;
-  broker_config.derived_metrics = config_.derived_metrics;
-  broker_config.deadline_tool_seconds = config_.deadline_tool_seconds;
-  broker_config.journal_path = config_.journal_path;
-  broker_config.resume_from_journal = config_.resume_from_journal;
-  broker_config.store = store_;
-  broker_config.store_tier = store::EvalStore::kTierHifi;
-  broker_config.campaign_id = config_.campaign_id;
-  broker_ = std::make_unique<EvaluationBroker>(project_, broker_config);
+  if (owns_broker_) {
+    BrokerConfig broker_config;
+    broker_config.workers = config_.workers;
+    broker_config.virtual_lanes = config_.virtual_lanes;
+    broker_config.supervise = config_.supervise;
+    broker_config.fault_plan = config_.fault_plan;
+    broker_config.derived_metrics = config_.derived_metrics;
+    broker_config.deadline_tool_seconds = config_.deadline_tool_seconds;
+    broker_config.journal_path = config_.journal_path;
+    broker_config.resume_from_journal = config_.resume_from_journal;
+    broker_config.store = store_;
+    broker_config.store_tier = store::EvalStore::kTierHifi;
+    broker_config.campaign_id = config_.campaign_id;
+    broker_ = std::make_shared<EvaluationBroker>(project_, broker_config);
+  }
   // A steady searcher gains nothing from more asks in flight than lanes;
   // the generational searcher's generation is asked whole anyway.
-  if (config_.steady_state && config_.max_inflight > broker_->virtual_lane_count()) {
+  if (owns_broker_ && config_.steady_state &&
+      config_.max_inflight > broker_->virtual_lane_count()) {
     util::Log::warn("max_inflight " + std::to_string(config_.max_inflight) +
                     " exceeds the " +
                     std::to_string(broker_->virtual_lane_count()) +
@@ -185,7 +208,8 @@ DseEngine::DseEngine(ProjectConfig project, DseConfig config)
   // Backend health management (see core/health/): a circuit breaker on the
   // high-fidelity backend drives the degradation ladder. Pointless when the
   // hi-fi backend *is* the hedge tier — there is nothing to degrade to.
-  if (config_.breaker.enabled && broker_->backend_info().name != kAnalyticBackend) {
+  if (owns_broker_ && config_.breaker.enabled &&
+      broker_->backend_info().name != kAnalyticBackend) {
     health_ = std::make_shared<BackendHealthManager>(config_.breaker);
     health_->set_event_sink([this](const HealthEvent& event) {
       util::Log::warn("backend '" + event.backend + "' breaker: " +
@@ -219,6 +243,7 @@ DseEngine::DseEngine(ProjectConfig project, DseConfig config)
   // explored set and the approximation dataset, and journaled breaker
   // transitions restore the health state (an open breaker stays open — a
   // resumed run must not re-pay the failure window of a known outage).
+  if (!owns_broker_) return;
   absorb_replayed(broker_->replay_journal());
   if (health_) health_->restore(broker_->replayed_health_events());
 }
@@ -277,6 +302,7 @@ void DseEngine::run_probe_queue() {
       probe_queue_.pop_front();
     }
     const EvalResult r = broker_->tool_evaluate(point, /*probe=*/true);
+    add_side_tool_seconds(r.tool_seconds);
     if (r.fast_failed) {
       // The cooldown is still counting (or the budget is spent); keep the
       // point for the next batch's probe round.
@@ -291,6 +317,16 @@ void DseEngine::run_probe_queue() {
     record(point, r.metrics, false, false);
     if (!r.cache_hit && !r.joined) grow_dataset(point, r.metrics);
   }
+}
+
+void DseEngine::add_side_tool_seconds(double seconds) {
+  util::MutexLock lock(stats_mutex_);
+  side_tool_seconds_ += seconds;
+}
+
+double DseEngine::side_tool_seconds() const {
+  util::MutexLock lock(stats_mutex_);
+  return side_tool_seconds_;
 }
 
 void DseEngine::absorb_replayed(const std::vector<JournalRecord>& records) {
@@ -752,51 +788,12 @@ void DseEngine::run_preflight() {
   }
 }
 
-void DseEngine::run_campaign(opt::Optimizer& searcher, const opt::Nsga2Config& ga,
-                             const std::function<bool()>& stop_requested) {
-  // The generational searcher is resolved in ask order: its block is the
-  // generation, and its completions, estimates and screen-outs settle in
-  // submission order, so explored order and NWM dataset growth do not
-  // depend on thread timing. A steady searcher's completions resolve in
-  // virtual-finish order, and its estimates and screen-outs are told the
-  // moment they are asked.
-  const bool in_order = !config_.steady_state;
-
-  // A steady searcher gets the pop * (gens + 1) completions the generational
-  // searcher asks. That one ends the run itself (a cap would let a replayed
-  // inflight point cut its last generation).
-  const std::size_t budget =
-      in_order                                ? std::numeric_limits<std::size_t>::max()
-      : config_.steady_state_evaluations != 0 ? config_.steady_state_evaluations
-                                              : ga.population_size * (ga.max_generations + 1);
-  // A steady searcher asks with fresher information the fewer asks are in
-  // flight: one per lane. The generational searcher has asked its
-  // generation already: without a deadline there is nothing to check
-  // between submissions, so the whole generation goes out at once and the
-  // lanes drain it without waiting on the control thread; with one, two
-  // per lane keep the lanes busy and bound the overshoot.
-  const std::size_t lane_count = broker_->virtual_lane_count();
-  const std::size_t default_inflight =
-      !in_order                                   ? lane_count
-      : std::isinf(config_.deadline_tool_seconds) ? ga.population_size
-                                                  : 2 * lane_count;
-  const std::size_t max_inflight = std::max<std::size_t>(
-      1, config_.max_inflight != 0 ? config_.max_inflight : default_inflight);
-
-  // Screening ranks a population of asks, as it ranks a generation, so
-  // ceil(keep x block) forwards about the intended fraction (a lane-sized
-  // block of 3 at keep 0.4 would forward 2). Otherwise a steady block is
-  // one ask, submitted the moment it is asked.
-  const std::size_t block_size =
-      screening() || in_order ? std::max<std::size_t>(1, ga.population_size) : 1;
-
-  // One asked point: its ladder answer, or the broker answer a lane wrote
-  // before publishing the slot into Lanes::ready.
-  struct Slot {
-    opt::Genome genome;
+void DseEngine::run_campaign(CampaignLoop& loop) {
+  // One dispatched point: the loop's ticket, and the broker answer a lane
+  // wrote before publishing it into Lanes::ready.
+  struct Run {
+    std::size_t ticket = 0;
     DesignPoint point;
-    Rung rung{};
-    std::size_t seq = 0;  ///< submission order
     EvalResult result{};
     std::exception_ptr error{};
   };
@@ -804,39 +801,39 @@ void DseEngine::run_campaign(opt::Optimizer& searcher, const opt::Nsga2Config& g
   struct Lanes {
     util::Mutex mu{"DseEngine.campaign"};
     util::CondVar cv;
-    std::deque<std::shared_ptr<Slot>> unstarted DOVADO_GUARDED_BY(mu);
-    std::vector<std::shared_ptr<Slot>> ready DOVADO_GUARDED_BY(mu);
+    std::deque<Run> unstarted DOVADO_GUARDED_BY(mu);
+    std::vector<Run> ready DOVADO_GUARDED_BY(mu);
     std::size_t runners DOVADO_GUARDED_BY(mu) = 0;  ///< pool tasks draining `unstarted`
   };
   const auto lanes = std::make_shared<Lanes>();
   // One runner per pool worker drains `unstarted` oldest first; inline
-  // (no workers) the one runner runs each slot at submission.
+  // (no workers) the one runner runs each point at dispatch.
   const std::size_t max_runners = std::max<std::size_t>(1, config_.workers);
 
-  // Run one slot on the calling lane and publish its answer.
-  const auto run_slot = [this, lanes](std::shared_ptr<Slot> slot) {
+  // Run one point on the calling lane and publish its answer.
+  const auto run_point = [this, lanes](Run run) {
     try {
-      slot->result = broker_->tool_evaluate(slot->point);
+      run.result = broker_->tool_evaluate(run.point);
     } catch (...) {
-      slot->error = std::current_exception();
+      run.error = std::current_exception();
     }
     util::MutexLock lock(lanes->mu);
-    lanes->ready.push_back(std::move(slot));
+    lanes->ready.push_back(std::move(run));
     lanes->cv.notify_one();
   };
-  const auto runner = [lanes, run_slot] {
+  const auto runner = [lanes, run_point] {
     while (true) {
-      std::shared_ptr<Slot> slot;
+      Run run;
       {
         util::MutexLock lock(lanes->mu);
         if (lanes->unstarted.empty()) {
           if (--lanes->runners == 0) lanes->cv.notify_all();
           return;
         }
-        slot = std::move(lanes->unstarted.front());
+        run = std::move(lanes->unstarted.front());
         lanes->unstarted.pop_front();
       }
-      run_slot(std::move(slot));
+      run_point(std::move(run));
     }
   };
 
@@ -852,222 +849,67 @@ void DseEngine::run_campaign(opt::Optimizer& searcher, const opt::Nsga2Config& g
     }
   } const quiesce{*lanes};
 
-  std::deque<std::shared_ptr<Slot>> queue;  ///< asked, awaiting submission
-  std::size_t submitted = 0;  ///< asks plus replayed points, against the budget
-  std::size_t pending = 0;    ///< submitted, not yet resolved
-  std::size_t inflight = 0;   ///< forwarded to a lane, not yet resolved
-  std::size_t seq = 0;        ///< submitted so far; seq - pending were resolved
-  bool barrier_due = false;   ///< the searcher waited since the last block
-  bool deadline = false;      ///< submission stopped at the tool deadline
-
-  // An asked point counts as an evaluation once dispatched or told (points
-  // still queued when submission stops never ran), as a completion once told.
-  auto count = [&](bool evaluation, bool completion) {
-    util::MutexLock lock(stats_mutex_);
-    if (evaluation) ++stats_.ga_evaluations;
-    if (completion) ++stats_.steady_completions;
-  };
-
-  // Tell one slot's answer: its estimate or screen-out, or its broker
-  // answer through settle(), hedging a fast-fail on the analytic tier.
-  auto resolve = [&](Slot& slot) {
-    if (!slot.rung.forwarded()) {
-      searcher.tell(slot.genome, slot.rung.estimate
-                                     ? std::move(*slot.rung.estimate)
-                                     : settle_screen(slot.point, slot.rung.screen->metrics));
-      count(/*evaluation=*/true, /*completion=*/true);
-      return;
-    }
-    if (slot.error) std::rethrow_exception(slot.error);
-    std::optional<EvalResult> hedge;
-    if (slot.result.fast_failed) {
-      hedge = analytic_broker()->tool_evaluate(slot.point);
-      enqueue_probe(slot.point);
-    }
-    const Settled answer = settle(slot.point, slot.result, hedge ? &*hedge : nullptr);
-    searcher.tell(slot.genome, answer.objectives, answer.tell_cost);
-    count(/*evaluation=*/false, /*completion=*/true);
-    // Breaker recovery is tested after every completion.
-    run_probe_queue();
-  };
-
-  // Ask up to `n` proposals (fewer when the searcher starts waiting) and
-  // run them through the ladder. The lanes meet at a barrier before the
-  // first block after the searcher waited: the generational sync point.
-  auto ask_block = [&](std::size_t n) {
-    if (barrier_due) broker_->lane_barrier();
-    std::vector<opt::Genome> genomes;
-    std::vector<DesignPoint> points;
-    while (genomes.size() < n && !searcher.waiting()) {
-      genomes.push_back(searcher.ask());
-      points.push_back(config_.space.decode(genomes.back()));
-    }
-    barrier_due = searcher.waiting();
-    submitted += genomes.size();
-    std::vector<Rung> rungs = ladder(points);
-    for (std::size_t i = 0; i < genomes.size(); ++i) {
-      auto slot = std::make_shared<Slot>(Slot{std::move(genomes[i]), std::move(points[i]),
-                                              std::move(rungs[i])});
-      if (slot->rung.forwarded() || in_order) {
-        queue.push_back(std::move(slot));
-      } else {
-        resolve(*slot);
-      }
-    }
-  };
-
-  // Submit one slot: a slot the ladder answered (in order only) is ready at
-  // once; a forwarded point goes to a lane. Its inflight marker makes that
-  // crash-safe: a campaign that dies here re-submits the point exactly once
-  // on resume, and the attribution routes the answer to the member that
-  // asked for it.
-  auto submit = [&](std::shared_ptr<Slot> slot) {
-    slot->seq = seq++;
-    ++pending;
-    if (!slot->rung.forwarded()) {
-      util::MutexLock lock(lanes->mu);
-      lanes->ready.push_back(std::move(slot));
-      return;
-    }
-    count(/*evaluation=*/true, /*completion=*/false);
-    if (!config_.journal_path.empty() && !broker_->cached(slot->point)) {
-      broker_->journal_inflight(slot->point, searcher.attributed_to(slot->genome));
-    }
-    ++inflight;
-    bool start_runner = false;
-    {
-      util::MutexLock lock(lanes->mu);
-      lanes->unstarted.push_back(std::move(slot));
-      if (lanes->runners < max_runners) {
-        ++lanes->runners;
-        start_runner = true;
-      }
-    }
-    if (start_runner) broker_->async(runner);
-  };
-
-  // Resume: inflight points journaled by a crashed campaign are submitted
-  // first, exactly once, and directly — the crashed campaign already
-  // committed them to high fidelity, so they bypass the ladder (reserve()
-  // keeps a steady searcher from regenerating them). reserve_for restores
-  // the recorded attribution so the eventual tell() lands on the portfolio
-  // member that originally asked.
-  std::size_t replayed = 0;
-  for (const InflightMark& mark : broker_->replayed_inflight()) {
-    auto genome = config_.space.encode(mark.params);
-    if (!genome) continue;  // the space changed; the point is unreachable now
-    searcher.reserve_for(*genome, mark.optimizer);
-    ++replayed;
-    if (queue.size() < budget) {
-      queue.push_back(std::make_shared<Slot>(Slot{std::move(*genome), mark.params}));
-    }
-  }
-  submitted = queue.size();
-  {
-    util::MutexLock lock(stats_mutex_);
-    stats_.inflight_replayed += replayed;
-  }
-
-  // Keep up to max_inflight evaluations in the air, and on every
-  // completion run the tell, probe scheduling and the next submission. A
-  // new block is asked only once the queue is empty and the searcher is not
-  // waiting.
-  bool stop_submission = false;
+  // Dispatch what the loop hands out, then hand one answer back, until the
+  // loop is done.
+  const bool in_order = loop.in_order();
   while (true) {
-    while (!stop_submission && inflight < max_inflight &&
-           (!queue.empty() || (submitted < budget && !searcher.waiting()))) {
-      deadline = broker_->deadline_exceeded();
-      if (deadline || (stop_requested && stop_requested())) {
-        if (deadline) broker_->mark_deadline_hit();
-        stop_submission = true;
-        break;
-      }
-      if (queue.empty()) ask_block(std::min(block_size, budget - submitted));
-      if (queue.empty()) continue;  // the whole block was told already
-      submit(std::move(queue.front()));
-      queue.pop_front();
-    }
-    if (stop_submission && !queue.empty()) {
-      // Answers the ladder already gave are still told; forwarded points
-      // never reach the tool.
-      std::size_t skipped = 0;
-      for (auto& slot : queue) {
-        if (slot->rung.forwarded()) {
-          ++skipped;
-        } else {
-          submit(std::move(slot));
+    while (std::optional<CampaignLoop::Dispatch> dispatch = loop.take()) {
+      bool start_runner = false;
+      {
+        util::MutexLock lock(lanes->mu);
+        lanes->unstarted.push_back(Run{dispatch->ticket, std::move(dispatch->point)});
+        if (lanes->runners < max_runners) {
+          ++lanes->runners;
+          start_runner = true;
         }
       }
-      queue.clear();
-      if (deadline) {
-        util::MutexLock lock(stats_mutex_);
-        stats_.deadline_skips += skipped;
-      }
+      if (start_runner) broker_->async(runner);
     }
-    if (pending == 0) {
-      if (stop_submission || (queue.empty() && (submitted >= budget || searcher.waiting()))) {
-        break;
-      }
-      continue;  // everything so far resolved synchronously; submit more
-    }
-    std::shared_ptr<Slot> next;
+    if (loop.done()) break;
+    Run next;
     {
       util::MutexLock lock(lanes->mu);
       while (true) {
-        // In order: the next sequence number. Otherwise the earliest virtual
-        // finish, then sequence number. Inline, every submission runs at
-        // submit time, so this replays the virtual fleet's completion
-        // schedule exactly; under real threads it is the closest
-        // deterministic-given-completion-order approximation.
+        // In order: the oldest ticket. Otherwise the earliest virtual
+        // finish, then ticket. Inline, every dispatch runs at once, so this
+        // replays the virtual fleet's completion schedule exactly; under
+        // real threads it is the closest deterministic-given-completion-
+        // order approximation.
         auto& ready = lanes->ready;
         const auto best = std::min_element(
-            ready.begin(), ready.end(), [in_order](const auto& a, const auto& b) {
-              if (!in_order && a->result.virtual_finish != b->result.virtual_finish) {
-                return a->result.virtual_finish < b->result.virtual_finish;
+            ready.begin(), ready.end(), [in_order](const Run& a, const Run& b) {
+              if (!in_order && a.result.virtual_finish != b.result.virtual_finish) {
+                return a.result.virtual_finish < b.result.virtual_finish;
               }
-              return a->seq < b->seq;
+              return a.ticket < b.ticket;
             });
-        if (best != ready.end() && (!in_order || (*best)->seq == seq - pending)) {
+        if (best != ready.end()) {
           next = std::move(*best);
           ready.erase(best);
           break;
         }
         if (!lanes->unstarted.empty()) {
-          // Nothing to resolve yet: the control thread is a lane too.
-          std::shared_ptr<Slot> slot = std::move(lanes->unstarted.front());
+          // Nothing to hand back yet: the calling thread is a lane too.
+          Run run = std::move(lanes->unstarted.front());
           lanes->unstarted.pop_front();
           lock.unlock();
-          run_slot(std::move(slot));
+          run_point(std::move(run));
           lock.lock();
           continue;
         }
         lanes->cv.wait(lanes->mu);
       }
     }
-    --pending;
-    if (next->rung.forwarded()) --inflight;
-    resolve(*next);
-  }
-
-  {
-    util::MutexLock lock(stats_mutex_);
-    // Generational: survivals, as the paper counts generations. Steady:
-    // completions per population.
-    const auto* generational = dynamic_cast<const opt::GenerationalNsga2*>(&searcher);
-    stats_.generations =
-        generational != nullptr ? generational->generations()
-        : ga.population_size != 0 ? stats_.steady_completions / ga.population_size
-                                  : 0;
-    stats_.optimizer_name = config_.optimizer;
-    stats_.optimizer_members = searcher.member_stats();
+    if (next.error) std::rethrow_exception(next.error);
+    loop.complete(next.ticket, std::move(next.result));
   }
 }
 
-DseResult DseEngine::run(const std::function<bool()>& stop_requested) {
+std::unique_ptr<CampaignLoop> DseEngine::start_campaign(std::function<bool()> stop_requested) {
   run_preflight();
   pretrain();
 
-  DovadoProblem problem(config_.space, config_.objectives.size());
+  auto problem = std::make_unique<DovadoProblem>(config_.space, config_.objectives.size());
 
   opt::Nsga2Config ga = config_.ga;
   if (!config_.warm_start.empty() && ga.initial_genomes.empty()) {
@@ -1107,21 +949,48 @@ DseResult DseEngine::run(const std::function<bool()>& stop_requested) {
   std::unique_ptr<opt::Optimizer> searcher;
   if (config_.steady_state) {
     opt::OptimizerContext opt_ctx;
-    opt_ctx.problem = &problem;
+    opt_ctx.problem = problem.get();
     opt_ctx.ga = ga;
     opt_ctx.portfolio_members = config_.portfolio_members;
-    opt_ctx.surrogate = [this](const opt::Genome& genome) -> std::optional<opt::Objectives> {
-      // NWM estimates back the surrogate-guided sampler; without enough
-      // samples the model has nothing to say and the sampler degrades to
-      // random search.
-      if (!control_ || control_->dataset().size() < 2) return std::nullopt;
-      return to_objectives(estimate_metrics(config_.space.decode(genome)));
-    };
+    if (owns_broker_) {
+      opt_ctx.surrogate = [this](const opt::Genome& genome) -> std::optional<opt::Objectives> {
+        // NWM estimates back the surrogate-guided sampler; without enough
+        // samples the model has nothing to say and the sampler degrades to
+        // random search.
+        if (!control_ || control_->dataset().size() < 2) return std::nullopt;
+        return to_objectives(estimate_metrics(config_.space.decode(genome)));
+      };
+    }
     searcher = opt::OptimizerRegistry::create(config_.optimizer, opt_ctx);
   } else {
-    searcher = std::make_unique<opt::GenerationalNsga2>(ga, problem);
+    searcher = std::make_unique<opt::GenerationalNsga2>(ga, *problem);
   }
-  run_campaign(*searcher, ga, stop_requested);
+  static const std::vector<InflightMark> kNoInflight;
+  return std::unique_ptr<CampaignLoop>(
+      new CampaignLoop(*this, std::move(problem), std::move(searcher),
+                       owns_broker_ ? broker_->replayed_inflight() : kNoInflight,
+                       std::move(stop_requested)));
+}
+
+DseResult DseEngine::run(const std::function<bool()>& stop_requested) {
+  const std::unique_ptr<CampaignLoop> loop = start_campaign(stop_requested);
+  run_campaign(*loop);
+  return finish_campaign(*loop);
+}
+
+DseResult DseEngine::finish_campaign(const CampaignLoop& loop) {
+  {
+    util::MutexLock lock(stats_mutex_);
+    // Generational: survivals, as the paper counts generations. Steady:
+    // completions per population.
+    const auto* generational = dynamic_cast<const opt::GenerationalNsga2*>(&loop.searcher());
+    stats_.generations = generational != nullptr ? generational->generations()
+                         : config_.ga.population_size != 0
+                             ? stats_.steady_completions / config_.ga.population_size
+                             : 0;
+    stats_.optimizer_name = config_.optimizer;
+    stats_.optimizer_members = loop.searcher().member_stats();
+  }
 
   // Assemble the non-dominated set over everything explored (tool results
   // and surviving estimates), excluding failures.
@@ -1171,6 +1040,7 @@ DseResult DseEngine::run(const std::function<bool()>& stop_requested) {
       });
       std::size_t converted = 0;
       for (std::size_t i = 0; i < to_verify.size(); ++i) {
+        add_side_tool_seconds(results[i].tool_seconds);
         if (results[i].fast_failed) {
           // Breaker still open: the hi-fi tier was never consulted, so the
           // hedged estimate stands (neither converted nor failed).

@@ -22,10 +22,11 @@
 //
 // Tool time is *simulated* (the SimVivado runtime model), so the paper's
 // four-hour soft deadline semantics are reproduced without wall-clock cost.
-// Every campaign, generational or steady-state, runs through one
-// submit/complete loop that keeps up to max_inflight evaluations on the
-// thread pool's lanes, one tool session per lane — the same shape as
-// running parallel Vivado processes.
+// Every campaign runs through one ask/tell loop, core::CampaignLoop
+// (core/campaign.hpp). run() drives it on the thread pool's lanes, up to
+// max_inflight evaluations at once, one tool session per lane — the same
+// shape as running parallel Vivado processes; the serve daemon drives it
+// through start_campaign() and finish_campaign().
 #pragma once
 
 #include <deque>
@@ -47,6 +48,8 @@
 #include "src/util/sync.hpp"
 
 namespace dovado::core {
+
+class CampaignLoop;
 
 /// The analytic tier: the low-fidelity backend screening and hedging run on.
 inline constexpr const char* kAnalyticBackend = "analytic";
@@ -303,11 +306,36 @@ class DseEngine {
   /// closest known name).
   DseEngine(ProjectConfig project, DseConfig config);
 
+  /// An engine over a broker someone else owns (the serve daemon's) and
+  /// its breakers (`health`, null = none). Same checks, but no broker,
+  /// store, journal replay or inflight points of its own (the config's
+  /// store and journal paths must be empty), and no NWM hook for the
+  /// surrogate sampler (it samples at random). stats() then reports the
+  /// shared broker's and breakers' counters, which cover all their users.
+  DseEngine(ProjectConfig project, DseConfig config,
+            std::shared_ptr<EvaluationBroker> broker,
+            std::shared_ptr<BackendHealthManager> health);
+
   /// Run the full exploration. `stop_requested`, when set, is polled
   /// before every submission like the tool deadline (e.g. the CLI's
   /// SIGINT handler): once it returns true the campaign stops submitting,
   /// drains what is in flight and returns the front found so far.
   [[nodiscard]] DseResult run(const std::function<bool()>& stop_requested = {});
+
+  /// run() in steps for an outside driver: the pre-flight gate,
+  /// pre-training and the searcher's loop (dispatch what take() hands out,
+  /// complete() each answer, stop once done()), then finish_campaign().
+  /// One campaign per engine.
+  [[nodiscard]] std::unique_ptr<CampaignLoop> start_campaign(
+      std::function<bool()> stop_requested = {});
+
+  /// The non-dominated set of everything explored, estimated and hedged
+  /// members re-verified on the tool (even past the deadline), and stats.
+  [[nodiscard]] DseResult finish_campaign(const CampaignLoop& loop);
+
+  /// Hi-fi tool seconds the engine spent itself, besides the dispatched
+  /// points: recovery probes and front verification.
+  [[nodiscard]] double side_tool_seconds() const;
 
   /// Design-automation mode: evaluate an explicit set of configurations
   /// (the paper's "exact exploration of a given set of parameters") in one
@@ -356,7 +384,7 @@ class DseEngine {
   [[nodiscard]] opt::Objectives to_objectives(const EvalMetrics& metrics) const;
 
  private:
-  friend class DovadoProblem;
+  friend class CampaignLoop;
 
   /// Raw-parameter-space coordinates of a point (Eq. 4's decision vars).
   [[nodiscard]] model::Point to_model_point(const DesignPoint& point) const;
@@ -387,6 +415,8 @@ class DseEngine {
   std::vector<std::optional<EvalResult>> evaluate_points(
       const std::vector<DesignPoint>& points);
 
+  void init();  ///< the constructors' shared body
+
   /// The pre-flight gate: static lint of project + config before the first
   /// broker call (throws on error-severity diagnostics). No-op when
   /// config_.preflight is false.
@@ -394,18 +424,11 @@ class DseEngine {
 
   void pretrain();
 
-  /// The campaign loop, the one driver of every searcher: a
-  /// bounded-inflight submit/complete loop over the broker where hedging
-  /// and probe scheduling happen per completion; asks enter through
-  /// ladder(). Replayed inflight points are re-submitted first (exactly
-  /// once). The control thread is an evaluation lane too. Ends when the
-  /// budget is spent, the deadline or `stop_requested` stops submission,
-  /// or the searcher waits with nothing in flight; an evaluation's
-  /// exception is rethrown once no runner is left. Fills
-  /// stats_.generations/steady_completions; run() assembles the front
-  /// afterwards.
-  void run_campaign(opt::Optimizer& searcher, const opt::Nsga2Config& ga,
-                    const std::function<bool()>& stop_requested);
+  /// run()'s driver: pool runners and the calling thread evaluate what the
+  /// loop hands out; answers go back oldest first (in order) or earliest
+  /// virtual finish first. An evaluation's exception is rethrown once no
+  /// runner is left.
+  void run_campaign(CampaignLoop& loop);
 
   /// Add `point` to the explored set, or let an exact answer supersede an
   /// estimate (and an NWM fallback a bare failure). Returns true when the
@@ -487,10 +510,13 @@ class DseEngine {
   /// passes; stops on the first fast-fail.
   void run_probe_queue();
 
+  void add_side_tool_seconds(double seconds);
+
   ProjectConfig project_;
   DseConfig config_;
   std::shared_ptr<store::EvalStore> store_;  ///< null = no store configured
-  std::unique_ptr<EvaluationBroker> broker_;      ///< high fidelity
+  std::shared_ptr<EvaluationBroker> broker_;      ///< high fidelity
+  bool owns_broker_ = true;  ///< false: a shared broker (see the constructors)
   std::shared_ptr<BackendHealthManager> health_;  ///< null = breaker disabled
   std::unique_ptr<model::ControlModel> control_;
 
@@ -511,6 +537,7 @@ class DseEngine {
 
   mutable util::Mutex stats_mutex_{"DseEngine.stats"};
   DseStats stats_ DOVADO_GUARDED_BY(stats_mutex_);  ///< engine-local counters
+  double side_tool_seconds_ DOVADO_GUARDED_BY(stats_mutex_) = 0.0;
 };
 
 }  // namespace dovado::core

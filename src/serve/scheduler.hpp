@@ -43,16 +43,11 @@ template <typename Job>
 class DrrScheduler {
  public:
   /// Register (or re-weight) a tenant. Unknown tenants pushed without
-  /// registration get (default_weight, default_queue_cap).
+  /// registration get TenantPolicy{}'s weight 1 and queue cap 64.
   void set_tenant(const std::string& tenant, double weight, std::size_t queue_cap) {
     TenantState& state = state_for(tenant);
     state.stats.weight = std::max(1e-6, weight);
     state.queue_cap = std::max<std::size_t>(1, queue_cap);
-  }
-
-  void set_defaults(double weight, std::size_t queue_cap) {
-    default_weight_ = std::max(1e-6, weight);
-    default_queue_cap_ = std::max<std::size_t>(1, queue_cap);
   }
 
   /// Enqueue a job; false when the tenant's bounded queue is full (the
@@ -162,6 +157,12 @@ class DrrScheduler {
   [[nodiscard]] std::size_t queued() const { return queued_; }
   [[nodiscard]] bool empty() const { return queued_ == 0; }
 
+  /// Whether push() would refuse a job for `tenant` right now.
+  [[nodiscard]] bool full(const std::string& tenant) const {
+    const auto it = tenants_.find(tenant);
+    return it != tenants_.end() && it->second.queue.size() >= it->second.queue_cap;
+  }
+
   [[nodiscard]] std::size_t queued_for(const std::string& tenant) const {
     const auto it = tenants_.find(tenant);
     return it == tenants_.end() ? 0 : it->second.queue.size();
@@ -211,9 +212,6 @@ class DrrScheduler {
     const auto it = tenants_.find(tenant);
     if (it != tenants_.end()) return it->second;
     TenantState& state = tenants_[tenant];
-    state.queue_cap = default_queue_cap_;
-    state.stats.weight = default_weight_;
-    state.stats.expected_cost = 1.0;
     ring_.push_back(tenant);
     return state;
   }
@@ -232,8 +230,6 @@ class DrrScheduler {
   std::vector<std::string> ring_;  ///< visit order (registration order)
   std::size_t cursor_ = 0;
   std::size_t queued_ = 0;
-  double default_weight_ = 1.0;
-  std::size_t default_queue_cap_ = 64;
 };
 
 }  // namespace dovado::serve

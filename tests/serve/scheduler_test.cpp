@@ -8,6 +8,8 @@
 #include <map>
 #include <string>
 
+#include "src/serve/admission.hpp"
+
 namespace dovado::serve {
 namespace {
 
@@ -95,10 +97,13 @@ TEST(Scheduler, BoundedQueueShedsInsteadOfBuffering) {
 
 TEST(Scheduler, UnknownTenantsGetTheDefaults) {
   Sched sched;
-  sched.set_defaults(2.0, 1);
-  EXPECT_TRUE(sched.push("stranger", 1));
-  EXPECT_FALSE(sched.push("stranger", 2));  // default cap of 1
-  EXPECT_DOUBLE_EQ(sched.stats().at("stranger").weight, 2.0);
+  const TenantPolicy defaults;
+  for (std::size_t i = 0; i < defaults.queue_cap; ++i) {
+    EXPECT_TRUE(sched.push("stranger", static_cast<int>(i)));
+  }
+  EXPECT_TRUE(sched.full("stranger"));
+  EXPECT_FALSE(sched.push("stranger", -1));  // default cap
+  EXPECT_DOUBLE_EQ(sched.stats().at("stranger").weight, defaults.weight);
 }
 
 TEST(Scheduler, ChargeReconciliationRecoversFromOneWildJob) {

@@ -105,8 +105,11 @@ TEST(Server, MissingTenantIsAnError) {
 TEST(Server, RequestRateShedsWithRetryHint) {
   auto clock_now = std::make_shared<double>(0.0);
   ServeConfig config = base_config(clock_now);
-  config.default_policy.request_rate = 1.0;
-  config.default_policy.request_burst = 1.0;
+  ServeTenantConfig alice;
+  alice.name = "alice";
+  alice.policy.request_rate = 1.0;
+  alice.policy.request_burst = 1.0;
+  config.tenants.push_back(alice);
   Server server(config);
 
   Response first = server.execute(eval_request("alice", 32, "r1"));
@@ -126,8 +129,11 @@ TEST(Server, RequestRateShedsWithRetryHint) {
 TEST(Server, ToolQuotaOverdraftShedsUntilRefillPaysItOff) {
   auto clock_now = std::make_shared<double>(0.0);
   ServeConfig config = base_config(clock_now);
-  config.default_policy.tool_seconds_rate = 1.0;   // 1 tool-second/second
-  config.default_policy.tool_seconds_burst = 30.0; // far below one eval's cost
+  ServeTenantConfig alice;
+  alice.name = "alice";
+  alice.policy.tool_seconds_rate = 1.0;   // 1 tool-second/second
+  alice.policy.tool_seconds_burst = 30.0; // far below one eval's cost
+  config.tenants.push_back(alice);
   Server server(config);
 
   // Post-paid: the first eval is admitted on a positive level and its real
@@ -215,6 +221,38 @@ TEST(Server, CampaignRunsToBudgetAndReturnsAFront) {
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.campaigns_finished, 1u);
   EXPECT_EQ(stats.campaigns_active, 0u);
+}
+
+TEST(Server, CampaignAsksRefusedByAFullTenantQueueAreKept) {
+  auto clock_now = std::make_shared<double>(0.0);
+  ServeConfig config = base_config(clock_now);
+  config.max_inflight = 4;
+  ServeTenantConfig alice;
+  alice.name = "alice";
+  alice.policy.queue_cap = 1;  // one queued ask at a time; the window is 4
+  config.tenants.push_back(alice);
+  Server server(config);
+
+  Request request;
+  request.op = RequestOp::kCampaign;
+  request.tenant = "alice";
+  request.id = "c1";
+  request.campaign.space.params.push_back(
+      {"DEPTH", core::ParamDomain::range(8, 48, 8)});  // six points
+  request.campaign.objectives = {{"lut", false}, {"fmax_mhz", true}};
+  request.campaign.budget = 6;
+  request.campaign.optimizer = "exhaustive";
+  request.campaign.population = 4;
+
+  Response response = server.execute(request);
+  ASSERT_EQ(response.status, ResponseStatus::kOk) << response.error;
+  EXPECT_EQ(response.evaluations, 6u);
+  // Every point of the space ran exactly once: six fresh runs, and each
+  // point is answered from the cache afterwards.
+  EXPECT_EQ(server.stats().broker.fresh_runs, 6u);
+  for (std::int64_t depth = 8; depth <= 48; depth += 8) {
+    EXPECT_TRUE(server.broker().cached({{"DEPTH", depth}})) << "DEPTH=" << depth;
+  }
 }
 
 TEST(Server, CampaignWithUnknownMetricIsRejectedWithAHint) {
