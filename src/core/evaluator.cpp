@@ -199,26 +199,28 @@ EvalResult PointEvaluator::run_pipeline(const DesignPoint& point, int attempt) {
   // itself) to the configured backend.
   edatool::FlowRequest request;
   request.script = tcl::generate_flow_script(frame);
-  request.frame = frame;
+  request.frame = std::move(frame);
   request.period_ns = config_.target_period_ns;
   backend_->set_fault_context(edatool::fault_point_key(point), attempt);
-  const edatool::FlowOutcome outcome = backend_->run_flow(request);
+  edatool::FlowOutcome outcome = backend_->run_flow(request);
   result.tool_seconds = outcome.tool_seconds;
   if (!outcome.ok) {
-    result.error = outcome.error;
+    result.error = std::move(outcome.error);
     return result;
   }
 
   // Results step: extract the metrics from the tool's textual reports.
   // Checked parsers: a truncated or garbled report must surface as a
-  // diagnostic failure here, not as silently-zero metrics downstream.
+  // diagnostic failure here, not as silently-zero metrics downstream. Every
+  // chunk is offered to every parser still waiting for its report; a chunk
+  // a parser does not claim costs no diagnostic string.
   std::optional<edatool::UtilizationReport> util_report;
   std::optional<edatool::TimingReport> timing_report;
   std::optional<edatool::PowerEstimate> power;
   std::string report_diag;
   for (const auto& chunk : outcome.reports) {
     if (!util_report) {
-      auto checked = edatool::UtilizationReport::parse_checked(chunk);
+      auto checked = edatool::UtilizationReport::parse_if_present(chunk);
       if (checked.report) {
         util_report = std::move(checked.report);
       } else if (checked.attempted && report_diag.empty()) {
@@ -226,7 +228,7 @@ EvalResult PointEvaluator::run_pipeline(const DesignPoint& point, int attempt) {
       }
     }
     if (!timing_report) {
-      auto checked = edatool::TimingReport::parse_checked(chunk);
+      auto checked = edatool::TimingReport::parse_if_present(chunk);
       if (checked.report) {
         timing_report = std::move(checked.report);
       } else if (checked.attempted && report_diag.empty()) {

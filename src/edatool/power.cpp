@@ -46,18 +46,20 @@ PowerEstimate estimate_power(const MappedDesign& design, const fpga::Device& dev
 
 std::string power_report_text(const PowerEstimate& estimate, double clock_mhz) {
   std::string out;
+  out.reserve(192);
   out += "1. Power Summary\n----------------\n\n";
-  out += util::format("Total On-Chip Power (W):  %.4f\n", estimate.total_w());
-  out += util::format("  Device Static (W):      %.4f\n", estimate.static_w);
-  out += util::format("  Dynamic (W):            %.4f\n", estimate.dynamic_w);
-  out += util::format("  Analyzed Clock (MHz):   %.3f\n", clock_mhz);
+  util::append_format(out, "Total On-Chip Power (W):  %.4f\n", estimate.total_w());
+  util::append_format(out, "  Device Static (W):      %.4f\n", estimate.static_w);
+  util::append_format(out, "  Dynamic (W):            %.4f\n", estimate.dynamic_w);
+  util::append_format(out, "  Analyzed Clock (MHz):   %.3f\n", clock_mhz);
   return out;
 }
 
 bool parse_power_report(std::string_view text, PowerEstimate& estimate) {
   bool saw_static = false;
   bool saw_dynamic = false;
-  for (const auto& line : util::split(text, '\n')) {
+  util::FieldCursor lines(text, '\n');
+  for (std::string_view line; lines.next(line);) {
     const std::string_view trimmed = util::trim(line);
     auto value_after = [&](std::string_view prefix, double& out) {
       if (!util::starts_with(trimmed, prefix)) return false;

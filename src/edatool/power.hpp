@@ -29,8 +29,8 @@ struct PowerEstimate {
 [[nodiscard]] std::string power_report_text(const PowerEstimate& estimate,
                                             double clock_mhz);
 
-/// Parse a report produced by power_report_text. Returns true and fills the
-/// outputs on success.
+/// Parse a report produced by power_report_text in one pass, allocating
+/// nothing. Returns true and fills the outputs on success.
 [[nodiscard]] bool parse_power_report(std::string_view text, PowerEstimate& estimate);
 
 }  // namespace dovado::edatool

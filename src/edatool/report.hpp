@@ -47,8 +47,13 @@ struct UtilizationReport {
   /// Parse a report produced by to_text (or a real Vivado report limited to
   /// the summary table): requires an intact table (header, >= 1 well-formed
   /// row, closing border) and rejects malformed or interleaved lines inside
-  /// it.
+  /// it. One pass over the text; nothing is allocated per line or cell.
   [[nodiscard]] static Checked parse_checked(std::string_view text);
+
+  /// parse_checked, except that a text holding no utilization table comes
+  /// back unattempted with an empty `error`: for callers that offer every
+  /// tool output chunk to every parser and drop that message.
+  [[nodiscard]] static Checked parse_if_present(std::string_view text);
 };
 
 struct UtilizationReport::Checked {
@@ -74,9 +79,14 @@ struct TimingReport {
   /// requires Slack,
   /// Requirement and Data Path Delay to all be present and numeric, and
   /// names the offending field in `error` otherwise — a timing report
-  /// missing its delay line must not come back as delay_ns == 0.
+  /// missing its delay line must not come back as delay_ns == 0. One pass
+  /// over the text; nothing is allocated per line.
   struct Checked;
   [[nodiscard]] static Checked parse_checked(std::string_view text);
+
+  /// parse_checked, except that a text holding no timing report comes back
+  /// unattempted with an empty `error` (see UtilizationReport).
+  [[nodiscard]] static Checked parse_if_present(std::string_view text);
 };
 
 struct TimingReport::Checked {

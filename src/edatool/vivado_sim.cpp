@@ -3,10 +3,15 @@
 #include "src/edatool/backend.hpp"
 #include "src/edatool/power.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <array>
+#include <cerrno>
 #include <cmath>
-#include <fstream>
 #include <set>
-#include <sstream>
 
 #include "src/fpga/board.hpp"
 #include "src/hdl/expr.hpp"
@@ -37,20 +42,25 @@ bool has_flag(const std::vector<std::string>& args, std::string_view flag) {
   return false;
 }
 
-/// Last positional (non-option) argument — used for paths.
-std::string last_positional(const std::vector<std::string>& args) {
-  std::set<std::string> value_flags = {"-library", "-top",       "-part",
-                                       "-directive", "-incremental", "-name",
-                                       "-period",  "-work"};
-  std::string result;
+/// Options that take a value: last_positional skips the word after them.
+constexpr std::array<std::string_view, 8> kValueFlags = {
+    "-library", "-top", "-part", "-directive", "-incremental", "-name", "-period", "-work"};
+
+/// Last positional (non-option) argument — used for paths. Empty when
+/// there is none.
+const std::string& last_positional(const std::vector<std::string>& args) {
+  static const std::string kNone;
+  const std::string* result = &kNone;
   for (std::size_t i = 1; i < args.size(); ++i) {
     if (!args[i].empty() && args[i][0] == '-') {
-      if (value_flags.count(args[i]) != 0) ++i;  // skip the flag's value
+      if (std::find(kValueFlags.begin(), kValueFlags.end(), args[i]) != kValueFlags.end()) {
+        ++i;  // skip the flag's value
+      }
       continue;
     }
-    result = args[i];
+    result = &args[i];
   }
-  return result;
+  return *result;
 }
 
 }  // namespace
@@ -200,23 +210,42 @@ void VivadoSim::add_virtual_file(const std::string& path, std::string content) {
   vfs_[path] = std::move(content);
 }
 
-std::string VivadoSim::read_file(const std::string& path) const {
+std::string_view VivadoSim::read_file(const std::string& path) {
   auto it = vfs_.find(path);
   if (it != vfs_.end()) return it->second;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) Interp::fail("ERROR: [Common 17-55] file not found: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
+  // Plain POSIX reads into a buffer the session keeps: once it has grown to
+  // the largest source, re-reading a file allocates nothing.
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) Interp::fail("ERROR: [Common 17-55] file not found: " + path);
+  struct stat info {};
+  const std::size_t hint = ::fstat(fd, &info) == 0 && info.st_size > 0
+                               ? static_cast<std::size_t>(info.st_size)
+                               : 0;
+  // The size is a hint: read to end of file, growing the buffer if the
+  // file grew. A read error ends the text where it stopped.
+  file_buffer_.resize(hint + 1);
+  std::size_t length = 0;
+  while (true) {
+    if (length == file_buffer_.size()) file_buffer_.resize(2 * file_buffer_.size());
+    const ssize_t got = ::read(fd, file_buffer_.data() + length, file_buffer_.size() - length);
+    if (got > 0) {
+      length += static_cast<std::size_t>(got);
+    } else if (got == 0 || errno != EINTR) {
+      break;
+    }
+  }
+  ::close(fd);
+  file_buffer_.resize(length);
+  return file_buffer_;
 }
 
 void VivadoSim::read_source(const std::string& path, hdl::HdlLanguage lang) {
-  std::string text = read_file(path);
+  const std::string_view text = read_file(path);
   std::shared_ptr<const ParsedSource>& slot = parsed_[path];
   if (!slot || slot->language != lang || slot->text != text) {
     auto source = std::make_shared<ParsedSource>();
     source->language = lang;
-    source->text = std::move(text);
+    source->text = std::string(text);
     source->lexed = hdl::lex_source(source->text, lang);
     source->parsed = hdl::parse_source(source->lexed, lang, path);
     slot = std::move(source);
@@ -384,6 +413,7 @@ void VivadoSim::cmd_report_utilization() {
     Interp::fail("ERROR: [Common 17-53] report_utilization before synth_design");
   }
   UtilizationReport report;
+  report.rows.reserve(7);
   const auto& r = device_->resources;
   const auto& u = mapped_->util;
   auto pct = [](std::int64_t used, std::int64_t avail) {
@@ -419,7 +449,7 @@ void VivadoSim::cmd_report_timing() {
 void VivadoSim::register_tool_commands() {
   interp_.register_command(
       "read_vhdl", [this](Interp&, const std::vector<std::string>& a) -> std::string {
-        const std::string path = last_positional(a);
+        const std::string& path = last_positional(a);
         if (path.empty()) Interp::fail("read_vhdl: missing file");
         read_source(path, hdl::HdlLanguage::kVhdl);
         return {};
@@ -427,7 +457,7 @@ void VivadoSim::register_tool_commands() {
 
   interp_.register_command(
       "read_verilog", [this](Interp&, const std::vector<std::string>& a) -> std::string {
-        const std::string path = last_positional(a);
+        const std::string& path = last_positional(a);
         if (path.empty()) Interp::fail("read_verilog: missing file");
         read_source(path, has_flag(a, "-sv") ? hdl::HdlLanguage::kSystemVerilog
                                              : hdl::HdlLanguage::kVerilog);
@@ -436,7 +466,7 @@ void VivadoSim::register_tool_commands() {
 
   interp_.register_command(
       "read_xdc", [this](Interp& in, const std::vector<std::string>& a) -> std::string {
-        const std::string path = last_positional(a);
+        const std::string& path = last_positional(a);
         if (path.empty()) Interp::fail("read_xdc: missing file");
         in.eval_or_throw(read_file(path));
         return {};
@@ -494,7 +524,7 @@ void VivadoSim::register_tool_commands() {
         if (!mapped_ || !device_) {
           Interp::fail("ERROR: [Common 17-53] write_checkpoint before synth_design");
         }
-        const std::string path = last_positional(a);
+        const std::string& path = last_positional(a);
         if (path.empty()) Interp::fail("write_checkpoint: missing file");
         checkpoints_[path] =
             Checkpoint{mapped_->top, device_->part, mapped_->util.lut_total(), routed_};

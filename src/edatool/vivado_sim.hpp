@@ -142,7 +142,9 @@ class VivadoSim {
   };
 
   void register_tool_commands();
-  std::string read_file(const std::string& path) const;  // vfs first, then disk
+  /// A file's text: the virtual file if there is one, else the file on
+  /// disk. The view is valid until the next read_file call.
+  std::string_view read_file(const std::string& path);
   void read_source(const std::string& path, hdl::HdlLanguage lang);
   const SourceEntry* find_module(const std::string& name) const;
 
@@ -173,6 +175,7 @@ class VivadoSim {
   std::map<std::string, std::shared_ptr<const ParsedSource>> parsed_;  // keyed by path
   std::map<std::string, SourceEntry> sources_;  // keyed by lower-cased module name
   std::map<std::string, Checkpoint> checkpoints_;
+  std::string file_buffer_;  ///< the last file read_file read from disk
 
   std::optional<fpga::Device> device_;
   std::optional<MappedDesign> mapped_;

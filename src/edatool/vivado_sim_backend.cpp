@@ -19,7 +19,8 @@ FlowOutcome VivadoSimBackend::run_flow(const FlowRequest& request) {
     outcome.error = run.error;
     return outcome;
   }
-  outcome.reports = sim_.interp().output();
+  // Nothing reads the session's copy after a run: hand the chunks over.
+  outcome.reports = sim_.interp().take_output();
   outcome.ok = true;
   return outcome;
 }

@@ -1,7 +1,8 @@
 // The high-fidelity backend: SimVivado driven through the generated TCL
 // flow script, wrapped behind the EdaBackend interface. Behavior-identical
 // to the pre-interface pipeline — the script is executed verbatim and the
-// captured report output is handed back untouched.
+// captured report output is handed back untouched (moved out of the
+// session, whose interp().output() then reads empty).
 #pragma once
 
 #include "src/edatool/backend.hpp"

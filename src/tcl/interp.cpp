@@ -90,6 +90,13 @@ std::string Interp::run(const ScriptNode& script) {
   return last_result;
 }
 
+std::vector<std::string> Interp::take_output() {
+  std::vector<std::string> taken = std::move(output_);
+  output_.clear();
+  output_.reserve(taken.size());
+  return taken;
+}
+
 std::string Interp::eval_or_throw(std::string_view script) {
   const Compiled compiled = compile(script);
   return run(*compiled);

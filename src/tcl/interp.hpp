@@ -88,6 +88,10 @@ class Interp {
   [[nodiscard]] const std::vector<std::string>& output() const { return output_; }
   void clear_output() { output_.clear(); }
 
+  /// Move the captured output out, leaving output() empty but with room
+  /// for as many lines as were taken.
+  [[nodiscard]] std::vector<std::string> take_output();
+
   /// Every variable and its value.
   [[nodiscard]] const std::map<std::string, std::string>& variables() const { return vars_; }
 

@@ -36,13 +36,8 @@ std::string to_upper(std::string_view s) {
 
 std::vector<std::string> split(std::string_view s, char delim) {
   std::vector<std::string> out;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= s.size(); ++i) {
-    if (i == s.size() || s[i] == delim) {
-      out.emplace_back(s.substr(start, i - start));
-      start = i + 1;
-    }
-  }
+  FieldCursor fields(s, delim);
+  for (std::string_view field; fields.next(field);) out.emplace_back(field);
   return out;
 }
 
@@ -122,20 +117,44 @@ bool parse_double(std::string_view s, double& out) {
   return ec == std::errc() && ptr == s.data() + s.size();
 }
 
+namespace {
+
+/// Append the formatted text to `out`: one vsnprintf into a stack buffer,
+/// and a second, in place, only when the text does not fit there.
+void append_vformat(std::string& out, const char* fmt, va_list args) {
+  char buffer[256];
+  va_list retry;
+  va_copy(retry, args);
+  const int needed = std::vsnprintf(buffer, sizeof buffer, fmt, args);
+  if (needed > 0) {
+    const auto size = static_cast<std::size_t>(needed);
+    if (size < sizeof buffer) {
+      out.append(buffer, size);
+    } else {
+      const std::size_t start = out.size();
+      out.resize(start + size);
+      std::vsnprintf(out.data() + start, size + 1, fmt, retry);
+    }
+  }
+  va_end(retry);
+}
+
+}  // namespace
+
 std::string format(const char* fmt, ...) {
+  std::string out;
   va_list args;
   va_start(args, fmt);
-  va_list args_copy;
-  va_copy(args_copy, args);
-  const int needed = std::vsnprintf(nullptr, 0, fmt, args);
+  append_vformat(out, fmt, args);
   va_end(args);
-  std::string out;
-  if (needed > 0) {
-    out.resize(static_cast<std::size_t>(needed));
-    std::vsnprintf(out.data(), out.size() + 1, fmt, args_copy);
-  }
-  va_end(args_copy);
   return out;
+}
+
+void append_format(std::string& out, const char* fmt, ...) {
+  va_list args;
+  va_start(args, fmt);
+  append_vformat(out, fmt, args);
+  va_end(args);
 }
 
 std::size_t edit_distance(std::string_view a, std::string_view b) {

@@ -20,6 +20,34 @@ namespace dovado::util {
 /// Split on a delimiter character. Empty fields are preserved.
 [[nodiscard]] std::vector<std::string> split(std::string_view s, char delim);
 
+/// The fields of `text` split on `delim` (empty fields kept), as views
+/// into the text, one at a time and without allocating:
+///   FieldCursor lines(text, '\n');
+///   for (std::string_view line; lines.next(line);) { ... }
+class FieldCursor {
+ public:
+  FieldCursor(std::string_view text, char delim) : rest_(text), delim_(delim) {}
+
+  /// The next field; false once every field has been handed out.
+  bool next(std::string_view& field) {
+    if (done_) return false;
+    const std::size_t at = rest_.find(delim_);
+    if (at == std::string_view::npos) {
+      field = rest_;
+      done_ = true;
+    } else {
+      field = rest_.substr(0, at);
+      rest_.remove_prefix(at + 1);
+    }
+    return true;
+  }
+
+ private:
+  std::string_view rest_;
+  char delim_;
+  bool done_ = false;
+};
+
 /// Split on any whitespace run; no empty fields.
 [[nodiscard]] std::vector<std::string> split_ws(std::string_view s);
 
@@ -48,8 +76,13 @@ namespace dovado::util {
 /// Parse a floating-point value; returns false on failure.
 [[nodiscard]] bool parse_double(std::string_view s, double& out);
 
-/// printf-style formatting into a std::string.
+/// printf-style formatting into a std::string. Formats once into a stack
+/// buffer; only a text of 256 bytes or more is formatted a second time.
 [[nodiscard]] std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
+
+/// format(), appended to `out` without a temporary string.
+void append_format(std::string& out, const char* fmt, ...)
+    __attribute__((format(printf, 2, 3)));
 
 /// Levenshtein edit distance (insert/delete/substitute, each cost 1).
 [[nodiscard]] std::size_t edit_distance(std::string_view a, std::string_view b);

@@ -13,27 +13,12 @@
 #include "src/edatool/report.hpp"
 #include "src/util/rng.hpp"
 #include "src/util/strings.hpp"
+#include "tests/edatool/report_shredder.hpp"
 
 namespace dovado::edatool {
 namespace {
 
-UtilizationReport sample_utilization() {
-  UtilizationReport report;
-  report.rows.push_back({"Slice LUTs", 1200, 41000, 2.93});
-  report.rows.push_back({"Slice Registers", 800, 82000, 0.98});
-  report.rows.push_back({"Block RAM Tile", 4, 135, 2.96});
-  return report;
-}
-
-TimingReport sample_timing() {
-  TimingReport report;
-  report.requirement_ns = 2.0;
-  report.slack_ns = -0.25;
-  report.data_path_ns = 2.25;
-  report.logic_levels = 5;
-  report.path_group = "clk";
-  return report;
-}
+using namespace shredder;
 
 TEST(CheckedUtilization, IntactReportParses) {
   const auto checked = UtilizationReport::parse_checked(sample_utilization().to_text());
@@ -144,76 +129,18 @@ TEST(CheckedTiming, GarbageTextIsNotAttempted) {
 // flipped digit produces a syntactically valid report that is
 // indistinguishable from a genuine one, so they only assert no-crash.)
 
-enum class Shred { kTruncate, kDuplicateLine, kBitFlip, kSwapLines };
-
-std::vector<std::string> split_lines(const std::string& text) {
-  std::vector<std::string> lines;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    const auto nl = text.find('\n', pos);
-    if (nl == std::string::npos) {
-      lines.push_back(text.substr(pos));
-      break;
-    }
-    lines.push_back(text.substr(pos, nl - pos));
-    pos = nl + 1;
-  }
-  return lines;
-}
-
-std::string join_lines(const std::vector<std::string>& lines) {
-  std::string out;
-  for (const auto& line : lines) {
-    out += line;
-    out += '\n';
-  }
-  return out;
-}
-
-std::string shred(const std::string& original, Shred op, util::Rng& rng) {
-  switch (op) {
-    case Shred::kTruncate: {
-      std::string text = original;
-      text.resize(rng.index(text.size() + 1));
-      return text;
-    }
-    case Shred::kDuplicateLine: {
-      auto lines = split_lines(original);
-      const std::size_t i = rng.index(lines.size());
-      lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(i), lines[i]);
-      return join_lines(lines);
-    }
-    case Shred::kBitFlip: {
-      std::string text = original;
-      const std::size_t byte = rng.index(text.size());
-      text[byte] = static_cast<char>(text[byte] ^ (1 << rng.index(8)));
-      return text;
-    }
-    case Shred::kSwapLines: {
-      auto lines = split_lines(original);
-      const std::size_t a = rng.index(lines.size());
-      const std::size_t b = rng.index(lines.size());
-      std::swap(lines[a], lines[b]);
-      return join_lines(lines);
-    }
-  }
-  return original;
-}
-
 TEST(ReportShredder, MutatedReportsNeverCrashOrMisparse) {
   const UtilizationReport util_baseline = sample_utilization();
   const TimingReport timing_baseline = sample_timing();
-  const std::string util_text = util_baseline.to_text();
-  const std::string timing_text = timing_baseline.to_text();
 
-  util::Rng rng(20260806u);
   int successes = 0;
-  for (int trial = 0; trial < 500; ++trial) {
-    const bool use_util = rng.chance(0.5);
-    const auto op = static_cast<Shred>(rng.index(4));
-    const std::string mutated = shred(use_util ? util_text : timing_text, op, rng);
+  const std::vector<Shredded> mutations = corpus();
+  for (std::size_t trial = 0; trial < mutations.size(); ++trial) {
+    const Shredded& entry = mutations[trial];
+    const Shred op = entry.op;
+    const std::string& mutated = entry.text;
 
-    if (use_util) {
+    if (entry.utilization) {
       const auto checked = UtilizationReport::parse_checked(mutated);
       if (!checked.report.has_value()) {
         EXPECT_FALSE(checked.error.empty()) << "rejection without a diagnostic";

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+#include <utility>
+
 #include "src/util/strings.hpp"
 
 namespace dovado::edatool {
@@ -151,6 +155,42 @@ TEST(VivadoSim, ReadXdcWithCrlfLineEndings) {
   const auto r = sim.run_script("read_xdc {crlf.xdc}\r\n");
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(sim.period_ns(), 3.125);
+}
+
+TEST(VivadoSim, ReadsSourcesAndConstraintsFromDisk) {
+  // Disk files go through the session's read buffer: the source read after
+  // the constraint file must not disturb the constraints already run, and a
+  // second run re-reads both.
+  const std::string dir = ::testing::TempDir();
+  const std::string counter_path = dir + "disk_counter.vhd";
+  const std::string box_path = dir + "disk_box.vhd";
+  const std::string xdc_path = dir + "disk_box.xdc";
+  const std::string empty_path = dir + "disk_empty.xdc";
+  for (const auto& [path, text] :
+       {std::pair<std::string, std::string>{counter_path, kVhdlCounter},
+        {box_path, kVhdlBox},
+        {xdc_path, "set period 2.500\ncreate_clock -period $period -name clk [get_ports clk]\n"},
+        {empty_path, ""}}) {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr) << path;
+    ASSERT_EQ(std::fwrite(text.data(), 1, text.size(), f), text.size());
+    std::fclose(f);
+  }
+  VivadoSim sim;
+  const std::string script = "read_xdc {" + xdc_path + "}\nread_xdc {" + empty_path +
+                             "}\nread_vhdl {" + counter_path + "}\nread_vhdl {" + box_path +
+                             "}\nsynth_design -top box -part xc7k70tfbv676-1\n";
+  for (int run = 0; run < 2; ++run) {
+    const auto r = sim.run_script(script);
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_DOUBLE_EQ(sim.period_ns(), 2.5);
+    ASSERT_TRUE(sim.mapped().has_value());
+    EXPECT_EQ(sim.mapped()->util.ff, 16);
+  }
+  EXPECT_EQ(sim.source_parses(), 2);
+  for (const std::string& path : {counter_path, box_path, xdc_path, empty_path}) {
+    std::remove(path.c_str());
+  }
 }
 
 TEST(VivadoSim, FullImplementationFlow) {

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdarg>
+#include <cstdio>
+#include <string>
+#include <string_view>
+#include <vector>
+
 namespace dovado::util {
 namespace {
 
@@ -30,6 +36,8 @@ TEST(Split, TrailingDelimiterYieldsEmptyField) {
   const auto parts = split("a,", ',');
   ASSERT_EQ(parts.size(), 2u);
   EXPECT_EQ(parts[1], "");
+  EXPECT_EQ(split("", ','), std::vector<std::string>{""});
+  EXPECT_EQ(split(",", ','), (std::vector<std::string>{"", ""}));
 }
 
 TEST(SplitWs, CollapsesRuns) {
@@ -94,6 +102,65 @@ TEST(Format, PrintfStyle) {
   EXPECT_EQ(format("x=%d y=%.2f", 3, 1.5), "x=3 y=1.50");
   EXPECT_EQ(format("%s", "plain"), "plain");
   EXPECT_EQ(format("empty"), "empty");
+}
+
+/// The two-pass formatting util::format used before its stack buffer:
+/// measure with vsnprintf, then format into a string of that size.
+std::string two_pass_format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
+std::string two_pass_format(const char* fmt, ...) {
+  va_list args;
+  va_start(args, fmt);
+  va_list args_copy;
+  va_copy(args_copy, args);
+  const int needed = std::vsnprintf(nullptr, 0, fmt, args);
+  va_end(args);
+  std::string out;
+  if (needed > 0) {
+    out.resize(static_cast<std::size_t>(needed));
+    std::vsnprintf(out.data(), out.size() + 1, fmt, args_copy);
+  }
+  va_end(args_copy);
+  return out;
+}
+
+TEST(Format, MatchesTwoPassVsnprintfAtEveryBufferEdge) {
+  // 0, 1, 255, 256 and 257 bytes sit at and around the 256-byte stack
+  // buffer; 10,000 bytes takes the second pass.
+  for (const std::size_t length : {0u, 1u, 255u, 256u, 257u, 10000u}) {
+    const std::string text(length, 'x');
+    const std::string formatted = format("%s", text.c_str());
+    EXPECT_EQ(formatted.size(), length);
+    EXPECT_EQ(formatted, two_pass_format("%s", text.c_str())) << length;
+    // The same lengths reached through a padded field.
+    const int width = static_cast<int>(length);
+    EXPECT_EQ(format("%-*s|", width, "ab"), two_pass_format("%-*s|", width, "ab")) << length;
+    EXPECT_EQ(format("%*d", width, -42), two_pass_format("%*d", width, -42)) << length;
+  }
+  for (const double value : {0.1, -1.0 / 3.0, 6.02214076e23, 5e-324, 1e300}) {
+    EXPECT_EQ(format("%.17g", value), two_pass_format("%.17g", value));
+    EXPECT_EQ(format("%.3f", value), two_pass_format("%.3f", value));
+  }
+  EXPECT_EQ(format("| %-*s | %10lld |", 20, "Slice LUTs", 1234LL),
+            two_pass_format("| %-*s | %10lld |", 20, "Slice LUTs", 1234LL));
+}
+
+TEST(Format, AppendFormatAppendsWhatFormatReturns) {
+  for (const std::size_t length : {0u, 1u, 255u, 256u, 257u, 10000u}) {
+    const std::string text(length, 'y');
+    std::string out = "head:";
+    append_format(out, "%s;%.17g", text.c_str(), 0.1);
+    EXPECT_EQ(out, "head:" + format("%s;%.17g", text.c_str(), 0.1)) << length;
+  }
+}
+
+TEST(FieldCursor, KeepsEmptyFieldsAndStopsAfterTheLast) {
+  FieldCursor cursor(",a,,b,", ',');
+  std::vector<std::string> fields;
+  for (std::string_view field; cursor.next(field);) fields.emplace_back(field);
+  EXPECT_EQ(fields, (std::vector<std::string>{"", "a", "", "b", ""}));
+  std::string_view field = "untouched";
+  EXPECT_FALSE(cursor.next(field));
+  EXPECT_EQ(field, "untouched");
 }
 
 }  // namespace
