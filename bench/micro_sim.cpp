@@ -8,12 +8,21 @@
 // every timed iteration must be exactly one fresh tool run. A walk that
 // runs off its grid would time cache hits instead, so the benchmark is
 // marked failed and the program exits non-zero.
+//
+// Both fresh-point benches also count heap allocations (alloc_counter.cpp
+// replaces the global operator new/delete in this binary) and report
+// `allocs_per_eval` and `bytes_per_eval`. The systolic count is gated:
+// above kSystolicAllocBudget the program exits non-zero. Unlike wall-clock,
+// the count does not swing with the host; it moves with the toolchain's
+// standard library, so the budget names the one it was measured with.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
 
+#include "bench/alloc_counter.hpp"
 #include "src/core/evaluator.hpp"
 
 namespace {
@@ -21,6 +30,12 @@ namespace {
 using namespace dovado;
 
 bool g_precondition_failed = false;
+bool g_alloc_budget_exceeded = false;
+
+/// Heap allocations allowed per fresh systolic evaluation: 213, the count
+/// measured with gcc 12.2 and its libstdc++ (Debian 12, release build),
+/// plus 15% headroom.
+constexpr double kSystolicAllocBudget = 245;
 
 core::ProjectConfig fifo_project() {
   core::ProjectConfig config;
@@ -57,24 +72,35 @@ core::DesignPoint systolic_point(std::int64_t i) {
 }
 
 /// Time fresh evaluations of grid points 0, 1, 2, ... on one evaluator and
-/// fail unless each iteration paid exactly one tool run.
+/// fail unless each iteration paid exactly one tool run. Returns the heap
+/// allocations per iteration. The evaluator first runs the grid's last
+/// point untimed, so that one-time work (the first read of the project
+/// sources, compiling the flow script) is in neither the time nor the count.
 template <typename PointFn>
-void run_fresh(benchmark::State& state, const core::ProjectConfig& project,
-               std::int64_t grid_size, PointFn point_of) {
+double run_fresh(benchmark::State& state, const core::ProjectConfig& project,
+                 std::int64_t grid_size, PointFn point_of) {
   core::PointEvaluator evaluator(project);
+  (void)evaluator.evaluate(point_of(grid_size - 1));
   const std::uint64_t flows_before = evaluator.backend().flows_run();
   std::int64_t i = 0;
+  const bench::AllocCount before = bench::alloc_count();
   for (auto _ : state) {
     auto r = evaluator.evaluate(point_of(i % grid_size));
     benchmark::DoNotOptimize(r);
     ++i;
   }
+  const bench::AllocCount after = bench::alloc_count();
+  const double iterations = static_cast<double>(std::max<std::int64_t>(1, state.iterations()));
+  const double allocs = static_cast<double>(after.allocs - before.allocs) / iterations;
+  state.counters["allocs_per_eval"] = allocs;
+  state.counters["bytes_per_eval"] = static_cast<double>(after.bytes - before.bytes) / iterations;
   const std::uint64_t fresh = evaluator.backend().flows_run() - flows_before;
   state.counters["fresh_runs"] = static_cast<double>(fresh);
   if (fresh != static_cast<std::uint64_t>(state.iterations())) {
     g_precondition_failed = true;
     state.SkipWithError("fresh tool runs != iterations: the walk timed cache hits");
   }
+  return allocs;
 }
 
 void BM_EvaluateFreshPoint(benchmark::State& state) {
@@ -83,7 +109,11 @@ void BM_EvaluateFreshPoint(benchmark::State& state) {
 BENCHMARK(BM_EvaluateFreshPoint);
 
 void BM_EvaluateFreshPointSystolic(benchmark::State& state) {
-  run_fresh(state, systolic_project(), 65536, systolic_point);
+  const double allocs = run_fresh(state, systolic_project(), 65536, systolic_point);
+  if (allocs > kSystolicAllocBudget) {
+    g_alloc_budget_exceeded = true;
+    state.SkipWithError("heap allocations per fresh systolic evaluation over budget");
+  }
 }
 BENCHMARK(BM_EvaluateFreshPointSystolic);
 
@@ -104,9 +134,9 @@ void BM_SynthesisOnlyVsFullFlow(benchmark::State& state) {
 }
 BENCHMARK(BM_SynthesisOnlyVsFullFlow)->Arg(0)->Arg(1);
 
+// Despite its name, this times PointEvaluator construction (parsing the
+// project sources and creating the backend), not generate_box.
 void BM_BoxGeneration(benchmark::State& state) {
-  core::PointEvaluator evaluator(fifo_project());
-  // Isolate the constructor cost (parse of the project sources).
   for (auto _ : state) {
     core::PointEvaluator fresh(fifo_project());
     benchmark::DoNotOptimize(fresh.module().name);
@@ -123,6 +153,13 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   if (g_precondition_failed) {
     std::fprintf(stderr, "micro_sim: a fresh-point bench timed cache hits\n");
+    return 1;
+  }
+  if (g_alloc_budget_exceeded) {
+    std::fprintf(stderr,
+                 "micro_sim: a fresh systolic evaluation made more than %.0f heap "
+                 "allocations\n",
+                 kSystolicAllocBudget);
     return 1;
   }
   return 0;
