@@ -413,8 +413,17 @@ void Server::pump_locked() {
 }
 
 void Server::run_job(Job&& job) {
-  core::EvalResult result =
-      broker_->tool_evaluate(job.point, false, job.deadline_tool_seconds);
+  // Every job must come back as a completion, or inflight_ never drops and
+  // a drain never ends: an evaluation that throws (say, a derived-metric
+  // compute) is answered as a failed evaluation.
+  core::EvalResult result;
+  try {
+    result = broker_->tool_evaluate(job.point, false, job.deadline_tool_seconds);
+  } catch (const std::exception& e) {
+    result.error = std::string("evaluation raised an exception: ") + e.what();
+  } catch (...) {
+    result.error = "evaluation raised a non-standard exception";
+  }
   util::MutexLock inner(mu_);
   completions_.emplace_back(std::move(job), std::move(result));
   cv_.notify_all();

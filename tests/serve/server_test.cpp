@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "src/store/store.hpp"
@@ -185,6 +186,40 @@ TEST(Server, DrainRefusesNewWorkWithDrainingStatus) {
   Response response = server.execute(eval_request("alice", 32, "r1"));
   EXPECT_EQ(response.status, ResponseStatus::kDraining);
   EXPECT_TRUE(server.draining());
+}
+
+/// An eval whose derived-metric compute throws is answered `failed`, and
+/// its job still completes: the server's inflight count drops back to zero,
+/// and the next request is served. Inline (workers = 0) the exception must
+/// not reach the caller of execute(); on a pool a job without a completion
+/// would leave execute() (and a drain) waiting for good.
+void expect_throwing_evaluation_fails_the_request(std::size_t workers) {
+  auto clock_now = std::make_shared<double>(0.0);
+  ServeConfig config = base_config(clock_now);
+  config.broker.workers = workers;
+  config.broker.derived_metrics.push_back(
+      {"boom", [](const core::DesignPoint& point, const core::EvalMetrics&) -> double {
+         if (point.at("DEPTH") == 48) throw std::runtime_error("derived metric blew up");
+         return 1.0;
+       }});
+  Server server(config);
+
+  const Response failed = server.execute(eval_request("alice", 48, "boom"));
+  EXPECT_EQ(failed.status, ResponseStatus::kFailed);
+  EXPECT_NE(failed.error.find("derived metric blew up"), std::string::npos) << failed.error;
+  EXPECT_EQ(server.stats().inflight, 0u);
+
+  const Response next = server.execute(eval_request("alice", 32, "next"));
+  EXPECT_EQ(next.status, ResponseStatus::kOk) << next.error;
+  EXPECT_EQ(server.stats().inflight, 0u);
+}
+
+TEST(Server, ThrowingEvaluationAnswersFailedInline) {
+  expect_throwing_evaluation_fails_the_request(0);
+}
+
+TEST(Server, ThrowingEvaluationAnswersFailedOnAPool) {
+  expect_throwing_evaluation_fails_the_request(2);
 }
 
 TEST(Server, CampaignRunsToBudgetAndReturnsAFront) {
