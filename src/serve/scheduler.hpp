@@ -37,6 +37,7 @@ struct TenantQueueStats {
   double consumed_tool_seconds = 0.0;
   double expected_cost = 1.0;       ///< EWMA of per-job tool-seconds
   double deficit = 0.0;
+  std::size_t inflight = 0;         ///< dispatched jobs not yet charged
 };
 
 template <typename Job>
@@ -190,6 +191,7 @@ class DrrScheduler {
     for (const auto& [name, state] : tenants_) {
       TenantQueueStats s = state.stats;
       s.queued = state.queue.size();
+      s.inflight = state.inflight_expected.size();
       out[name] = s;
     }
     return out;

@@ -560,10 +560,10 @@ void Server::finish_campaign_locked(const std::shared_ptr<CampaignState>& campai
 void Server::shed_queue_locked() {
   std::vector<std::pair<std::string, Job>> drained = scheduler_.drain_all();
   std::vector<std::pair<ConnPtr, Response>> replies;
-  for (auto& [tenant, job] : drained) {
-    // Whatever the scheduler handed out was matched by an inflight
-    // expectation; reconcile it at zero cost so stats stay balanced.
-    scheduler_.charge(tenant, 0.0);
+  for (auto& [ignored, job] : drained) {
+    // A drained job was never dispatched, so it holds no inflight
+    // expectation and is not charged: charging it would pop the
+    // expectation of a job still running and pay it back twice.
     if (job.campaign) {
       // Never ran: dropped from its loop untold (no broker call).
       job.campaign->loop->complete(job.ticket, std::nullopt);

@@ -493,6 +493,98 @@ TEST(ServeE2e, DrainDropsACampaignsQueuedPointsUntold) {
   EXPECT_EQ(server.stats().campaigns_finished, 1u);
 }
 
+TEST(ServeE2e, DrainChargesOnlyTheJobThatRan) {
+  // One of alice's evals runs (blocked in the evaluation) while two more
+  // wait in her queue; the drain sheds those two. They never ran, so they
+  // are not charged: once the running eval lands, her deficit is what
+  // dispatch deducted for it minus what it cost, and no expectation is left.
+  struct Gate {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool entered = false;
+    bool released = false;
+  };
+  auto gate = std::make_shared<Gate>();
+  const std::string socket_path = temp_path("e2e_drain_charge.sock");
+  ServeConfig config = socket_config(socket_path);
+  config.max_inflight = 1;
+  config.broker.derived_metrics.push_back(
+      {"gate", [gate](const core::DesignPoint& point, const core::EvalMetrics&) {
+         if (point.at("DEPTH") != 48) return 0.0;
+         std::unique_lock<std::mutex> lock(gate->mu);
+         gate->entered = true;
+         gate->cv.notify_all();
+         gate->cv.wait(lock, [&] { return gate->released; });
+         return 0.0;
+       }});
+  Server server(config);
+  std::string error;
+  ASSERT_TRUE(server.start(error)) << error;
+  const auto alice = [&server] {
+    for (const ServerTenantStats& tenant : server.stats().tenants) {
+      if (tenant.name == "alice") return tenant.queue;
+    }
+    return TenantQueueStats{};
+  };
+
+  // A first eval seeds alice's expected cost with a real charge.
+  {
+    Client client;
+    ASSERT_TRUE(client.connect(socket_path, error)) << error;
+    Response seed;
+    ASSERT_TRUE(client.eval("alice", {{"DEPTH", 32}}, 0.0, seed, error)) << error;
+    ASSERT_EQ(seed.status, ResponseStatus::kOk) << seed.error;
+  }
+  const double expected = alice().expected_cost;
+  ASSERT_GT(expected, 0.0);
+
+  Response running;
+  std::thread running_thread([&] {
+    Client client;
+    std::string client_error;
+    ASSERT_TRUE(client.connect(socket_path, client_error)) << client_error;
+    (void)client.eval("alice", {{"DEPTH", 48}}, 0.0, running, client_error, 30000);
+  });
+  {
+    std::unique_lock<std::mutex> lock(gate->mu);
+    ASSERT_TRUE(gate->cv.wait_for(lock, std::chrono::seconds(30), [&] { return gate->entered; }));
+  }
+  std::vector<Response> queued(2);
+  std::vector<std::thread> queued_threads;
+  for (std::size_t i = 0; i < queued.size(); ++i) {
+    queued_threads.emplace_back([&, i] {
+      Client client;
+      std::string client_error;
+      ASSERT_TRUE(client.connect(socket_path, client_error)) << client_error;
+      (void)client.eval("alice", {{"DEPTH", 56 + 8 * static_cast<std::int64_t>(i)}}, 0.0,
+                        queued[i], client_error, 30000);
+    });
+  }
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (server.stats().queued < 2 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(server.stats().queued, 2u);
+  EXPECT_EQ(alice().inflight, 1u);
+
+  server.drain();
+  for (auto& thread : queued_threads) thread.join();
+  for (const Response& shed : queued) EXPECT_EQ(shed.status, ResponseStatus::kDraining);
+  {
+    std::lock_guard<std::mutex> lock(gate->mu);
+    gate->released = true;
+  }
+  gate->cv.notify_all();
+  running_thread.join();
+  server.wait();
+  ASSERT_EQ(running.status, ResponseStatus::kOk) << running.error;
+  ASSERT_GT(running.tool_seconds, 0.0);
+
+  const TenantQueueStats after = alice();
+  EXPECT_DOUBLE_EQ(after.deficit, expected - running.tool_seconds);
+  EXPECT_EQ(after.inflight, 0u);
+}
+
 TEST(ServeE2e, DrainRefusesNewConnectionsWork) {
   const std::string socket_path = temp_path("e2e_refuse.sock");
   Server server(socket_config(socket_path));
