@@ -32,10 +32,10 @@ using namespace dovado;
 bool g_precondition_failed = false;
 bool g_alloc_budget_exceeded = false;
 
-/// Heap allocations allowed per fresh systolic evaluation: 213, the count
+/// Heap allocations allowed per fresh systolic evaluation: 109, the count
 /// measured with gcc 12.2 and its libstdc++ (Debian 12, release build),
 /// plus 15% headroom.
-constexpr double kSystolicAllocBudget = 245;
+constexpr double kSystolicAllocBudget = 125;
 
 core::ProjectConfig fifo_project() {
   core::ProjectConfig config;

@@ -17,7 +17,7 @@ using hdl::PortDir;
 /// Validate the design point against the module interface. Returns an empty
 /// string on success, an error message otherwise.
 std::string validate_parameters(const Module& module,
-                                const std::map<std::string, std::int64_t>& params) {
+                                const util::FlatMap<std::int64_t>& params) {
   for (const auto& [name, value] : params) {
     (void)value;
     bool found = false;

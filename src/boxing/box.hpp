@@ -14,10 +14,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 
 #include "src/hdl/ast.hpp"
+#include "src/util/flat_map.hpp"
 
 namespace dovado::boxing {
 
@@ -30,7 +30,7 @@ struct BoxConfig {
   std::string clock_port;
   /// Concrete parameter values for this design point (free parameters only;
   /// attempts to override localparams are rejected).
-  std::map<std::string, std::int64_t> parameters;
+  util::FlatMap<std::int64_t> parameters;
   /// Target clock period for the generated XDC constraint, in ns. The paper
   /// drives all case studies at 1 GHz (T = 1 ns) to expose the maximum
   /// theoretical frequency through WNS.

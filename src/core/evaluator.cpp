@@ -119,6 +119,30 @@ PointEvaluator::PointEvaluator(ProjectConfig config, std::shared_ptr<EvaluationC
   // Backend step: resolve the configured evaluation backend through the
   // registry (throws with a did-you-mean message on an unknown name).
   backend_ = edatool::BackendRegistry::create(config_.backend);
+
+  // Script generation step: customize the TCL frame. Everything it holds is
+  // fixed per project (the box's path, language and top follow the module,
+  // not the point), so the frame and its script are built once here.
+  tcl::FrameConfig& frame = flow_.frame;
+  frame.sources = config_.sources;
+  frame.box_path = module_.language == hdl::HdlLanguage::kVhdl ? "dovado_box.vhd"
+                                                               : "dovado_box.v";
+  frame.box_language = module_.language;
+  frame.xdc_path = "dovado_box.xdc";
+  frame.top = boxing::BoxConfig{}.box_name;
+  frame.part = config_.part;
+  frame.synth_directive = config_.synth_directive;
+  frame.place_directive = config_.place_directive;
+  frame.route_directive = config_.route_directive;
+  frame.run_implementation = config_.run_implementation;
+  frame.incremental_synth = config_.incremental_synth;
+  frame.incremental_impl = config_.incremental_impl;
+  if (const auto problems = tcl::validate_frame(frame); !problems.empty()) {
+    flow_error_ = "invalid flow configuration: " + problems.front();
+  } else {
+    flow_.script = tcl::generate_flow_script(frame);
+  }
+  flow_.period_ns = config_.target_period_ns;
 }
 
 EvalResult PointEvaluator::evaluate(const DesignPoint& point,
@@ -169,40 +193,17 @@ EvalResult PointEvaluator::run_pipeline(const DesignPoint& point, int attempt) {
     return result;
   }
 
-  const std::string box_path = box.language == hdl::HdlLanguage::kVhdl
-                                   ? "dovado_box.vhd"
-                                   : "dovado_box.v";
-  backend_->add_virtual_file(box_path, box.box_source);
-  backend_->add_virtual_file("dovado_box.xdc", box.xdc);
-
-  // Script generation step: customize the TCL frame for this run.
-  tcl::FrameConfig frame;
-  frame.sources = config_.sources;
-  frame.box_path = box_path;
-  frame.box_language = box.language;
-  frame.xdc_path = "dovado_box.xdc";
-  frame.top = box.top_name;
-  frame.part = config_.part;
-  frame.synth_directive = config_.synth_directive;
-  frame.place_directive = config_.place_directive;
-  frame.route_directive = config_.route_directive;
-  frame.run_implementation = config_.run_implementation;
-  frame.incremental_synth = config_.incremental_synth;
-  frame.incremental_impl = config_.incremental_impl;
-  const auto problems = tcl::validate_frame(frame);
-  if (!problems.empty()) {
-    result.error = "invalid flow configuration: " + problems.front();
+  if (!flow_error_.empty()) {
+    result.error = flow_error_;
     return result;
   }
+  backend_->add_virtual_file(flow_.frame.box_path, box.box_source);
+  backend_->add_virtual_file(flow_.frame.xdc_path, box.xdc);
 
   // Tool step: hand the script (and, for model-driven backends, the frame
   // itself) to the configured backend.
-  edatool::FlowRequest request;
-  request.script = tcl::generate_flow_script(frame);
-  request.frame = std::move(frame);
-  request.period_ns = config_.target_period_ns;
   backend_->set_fault_context(edatool::fault_point_key(point), attempt);
-  edatool::FlowOutcome outcome = backend_->run_flow(request);
+  edatool::FlowOutcome outcome = backend_->run_flow(flow_);
   result.tool_seconds = outcome.tool_seconds;
   if (!outcome.ok) {
     result.error = std::move(outcome.error);
@@ -247,6 +248,7 @@ EvalResult PointEvaluator::run_pipeline(const DesignPoint& point, int attempt) {
   }
 
   auto& m = result.metrics.values;
+  m.reserve(16);  // room for every metric below: one allocation
   m["lut"] = static_cast<double>(util_report->used("Slice LUTs"));
   m["lut_logic"] = static_cast<double>(util_report->used("LUT as Logic"));
   m["lut_mem"] = static_cast<double>(util_report->used("LUT as Memory"));

@@ -29,7 +29,7 @@ namespace dovado::core {
 ///   "wns_ns", "delay_ns"  — plus "uram" only on URAM-bearing devices
 /// (device-dependent resources are reported only if present, Sec. III-A.4).
 struct EvalMetrics {
-  std::map<std::string, double> values;
+  util::FlatMap<double> values;
 
   [[nodiscard]] double get(const std::string& name, double fallback = 0.0) const {
     auto it = values.find(name);
@@ -229,6 +229,11 @@ class PointEvaluator {
   std::shared_ptr<EvaluationSupervisor> supervisor_;
   hdl::Module module_;
   std::unique_ptr<edatool::EdaBackend> backend_;
+  /// What every run hands the backend: the project's flow frame and its
+  /// script, built once by the constructor.
+  edatool::FlowRequest flow_;
+  /// Set when the frame fails validation; every point then fails with it.
+  std::string flow_error_;
 };
 
 /// A mutex/condvar-guarded free-list of evaluators. Each PointEvaluator

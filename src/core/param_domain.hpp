@@ -10,15 +10,16 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "src/util/flat_map.hpp"
+
 namespace dovado::core {
 
 /// A concrete design point: parameter name -> value.
-using DesignPoint = std::map<std::string, std::int64_t>;
+using DesignPoint = util::FlatMap<std::int64_t>;
 
 class ParamDomain {
  public:

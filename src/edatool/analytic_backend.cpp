@@ -165,7 +165,7 @@ FlowOutcome AnalyticBackend::run_flow(const FlowRequest& request) {
     return fail("ERROR: [Synth 8-3348] cannot find top module '" + frame.top + "'");
   }
   std::string target_name = top_entry->module.name;
-  std::map<std::string, std::int64_t> overrides;
+  util::FlatMap<std::int64_t> overrides;
   if (!netlist::GeneratorRegistry::find(target_name).has_value()) {
     const Instantiation inst =
         extract_instantiation(*top_entry->tokens, top_entry->module.language);

@@ -32,7 +32,7 @@ const char* fault_kind_name(FaultKind kind) {
   return "unknown";
 }
 
-std::uint64_t fault_point_key(const std::map<std::string, std::int64_t>& point) {
+std::uint64_t fault_point_key(const util::FlatMap<std::int64_t>& point) {
   std::uint64_t h = 0x9e3779b97f4a7c15ULL;
   for (const auto& [name, value] : point) {
     h = util::hash_combine(h, std::hash<std::string>{}(name));

@@ -24,9 +24,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
+
+#include "src/util/flat_map.hpp"
 
 namespace dovado::edatool {
 
@@ -84,7 +85,7 @@ enum class FaultKind {
 /// Stable 64-bit key of a design point (parameter name/value map). Used to
 /// address per-point fault decisions; must not depend on evaluation order.
 [[nodiscard]] std::uint64_t fault_point_key(
-    const std::map<std::string, std::int64_t>& point);
+    const util::FlatMap<std::int64_t>& point);
 
 /// Injects faults per the plan. Thread-safe: decisions are stateless and the
 /// counters are atomic, so one injector may be shared by all parallel tool

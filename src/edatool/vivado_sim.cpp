@@ -155,7 +155,7 @@ Instantiation extract_instantiation(std::span<const hdl::Token> tokens, hdl::Hdl
     }
     const std::size_t mark = ts.position();
     const std::string name = ts.next().text;
-    std::map<std::string, std::int64_t> params;
+    util::FlatMap<std::int64_t> params;
     if (ts.peek().is_punct("#")) {
       ts.next();
       if (!ts.accept_punct("(")) {
@@ -277,7 +277,7 @@ void VivadoSim::elaborate(const std::string& top, const DirectiveEffect& synth_e
   }
 
   std::string target_name = entry->module->name;
-  std::map<std::string, std::int64_t> overrides;
+  util::FlatMap<std::int64_t> overrides;
 
   if (!netlist::GeneratorRegistry::find(target_name).has_value()) {
     // Treat as a wrapper (the Dovado box): follow its instantiation.

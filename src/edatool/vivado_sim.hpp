@@ -41,7 +41,7 @@ struct Instantiation {
   bool ok = false;
   std::string error;
   std::string module;
-  std::map<std::string, std::int64_t> params;
+  util::FlatMap<std::int64_t> params;
 };
 
 /// Extract the single instantiation from the tokens of a box source. Works

@@ -403,12 +403,14 @@ std::optional<std::int64_t> port_width(const Port& port, HdlLanguage lang, const
 }
 
 ExprEnv build_param_env(const Module& module,
-                        const std::map<std::string, std::int64_t>& overrides) {
+                        const util::FlatMap<std::int64_t>& overrides) {
   // Case-insensitive override lookup (VHDL generics).
-  std::map<std::string, std::int64_t> norm;
+  util::FlatMap<std::int64_t> norm;
+  norm.reserve(overrides.size());
   for (const auto& [k, v] : overrides) norm[util::to_lower(k)] = v;
 
   ExprEnv env;
+  env.reserve(module.parameters.size());
   CompiledExpr on_the_spot;
   for (const auto& p : module.parameters) {
     const auto it = norm.find(util::to_lower(p.name));

@@ -9,12 +9,12 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
 
 #include "src/hdl/ast.hpp"
+#include "src/util/flat_map.hpp"
 
 namespace dovado::hdl {
 
@@ -26,9 +26,10 @@ class ExprEnv {
   void set(std::string_view name, std::int64_t value);
   [[nodiscard]] std::optional<std::int64_t> get(std::string_view name) const;
   [[nodiscard]] std::size_t size() const { return values_.size(); }
+  void reserve(std::size_t n) { values_.reserve(n); }
 
  private:
-  std::map<std::string, std::int64_t> values_;
+  util::FlatMap<std::int64_t> values_;
 };
 
 /// Outcome of evaluating an expression: a value or an error message
@@ -89,6 +90,6 @@ struct PortBounds {
 /// whose defaults cannot be evaluated and are not overridden are simply
 /// absent from the result.
 [[nodiscard]] ExprEnv build_param_env(const Module& module,
-                                      const std::map<std::string, std::int64_t>& overrides);
+                                      const util::FlatMap<std::int64_t>& overrides);
 
 }  // namespace dovado::hdl

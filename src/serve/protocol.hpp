@@ -29,7 +29,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -66,7 +65,7 @@ enum class ResponseStatus { kOk, kFailed, kShed, kDraining, kError };
 /// are in the *metric's* direction (maximized metrics are not negated).
 struct FrontEntry {
   core::DesignPoint point;
-  std::map<std::string, double> objectives;
+  util::FlatMap<double> objectives;
 };
 
 struct Response {
@@ -74,7 +73,7 @@ struct Response {
   std::string id;
 
   // kOk (eval) / kFailed
-  std::map<std::string, double> metrics;
+  util::FlatMap<double> metrics;
   double tool_seconds = 0.0;
   bool cache_hit = false;
   bool store_hit = false;

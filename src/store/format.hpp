@@ -19,7 +19,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -64,7 +63,7 @@ struct StoreRecord {
   std::string backend;   ///< backend name, e.g. "vivado-sim"
   std::string tier;      ///< fidelity tier: "hifi" or "screen"
   std::string campaign;  ///< campaign id of the producing run (may be empty)
-  std::map<std::string, double> metrics;
+  util::FlatMap<double> metrics;
   bool ok = false;
   std::string failure = "none";  ///< FailureClass name for failed runs
   bool approximate = false;      ///< degraded/hedged answer, flagged on append

@@ -19,6 +19,8 @@
 #include <variant>
 #include <vector>
 
+#include "src/util/flat_map.hpp"
+
 namespace dovado::util {
 
 class Json;
@@ -100,9 +102,9 @@ template <typename Int>
 }
 
 /// A design point: parameter name -> integer value.
-using JsonPoint = std::map<std::string, std::int64_t>;
+using JsonPoint = FlatMap<std::int64_t>;
 /// A metrics map: metric name -> value.
-using JsonMetrics = std::map<std::string, double>;
+using JsonMetrics = FlatMap<double>;
 
 [[nodiscard]] Json encode_point(const JsonPoint& point);
 [[nodiscard]] Json encode_metrics(const JsonMetrics& metrics);

@@ -354,7 +354,7 @@ bool domain_from_json(const Json& json, core::ParamSpec& out, std::string& error
   return false;
 }
 
-bool metrics_from_json(const Json& json, std::map<std::string, double>& out) {
+bool metrics_from_json(const Json& json, util::FlatMap<double>& out) {
   if (!json.is_object()) return false;
   out.clear();
   for (const auto& [name, value] : json.as_object()) {

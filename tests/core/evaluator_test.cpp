@@ -50,6 +50,20 @@ TEST(PointEvaluator, MissingFileThrows) {
   EXPECT_THROW(PointEvaluator{config}, std::runtime_error);
 }
 
+// The flow frame is validated once, by the constructor; an invalid one
+// still fails every point, with no tool run.
+TEST(PointEvaluator, InvalidFlowFrameFailsEveryPoint) {
+  ProjectConfig config = fifo_project();
+  config.part.clear();
+  PointEvaluator evaluator(config);
+  for (const std::int64_t depth : {64, 128}) {
+    const EvalResult r = evaluator.evaluate({{"DEPTH", depth}});
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.error, "invalid flow configuration: no target part specified");
+  }
+  EXPECT_EQ(evaluator.backend().flows_run(), 0u);
+}
+
 TEST(PointEvaluator, EvaluatesFifoPoint) {
   PointEvaluator evaluator(fifo_project());
   const EvalResult r = evaluator.evaluate({{"DEPTH", 64}});

@@ -384,10 +384,10 @@ TEST(FaultInjector, FlappingAlternatesHealthyAndCrashingRuns) {
 }
 
 TEST(FaultPointKey, OrderIndependentAndValueSensitive) {
-  const std::map<std::string, std::int64_t> a = {{"DEPTH", 16}, {"WIDTH", 32}};
-  const std::map<std::string, std::int64_t> b = {{"WIDTH", 32}, {"DEPTH", 16}};
-  EXPECT_EQ(fault_point_key(a), fault_point_key(b));  // std::map iterates sorted
-  const std::map<std::string, std::int64_t> c = {{"DEPTH", 17}, {"WIDTH", 32}};
+  const util::FlatMap<std::int64_t> a = {{"DEPTH", 16}, {"WIDTH", 32}};
+  const util::FlatMap<std::int64_t> b = {{"WIDTH", 32}, {"DEPTH", 16}};
+  EXPECT_EQ(fault_point_key(a), fault_point_key(b));  // FlatMap iterates sorted
+  const util::FlatMap<std::int64_t> c = {{"DEPTH", 17}, {"WIDTH", 32}};
   EXPECT_NE(fault_point_key(a), fault_point_key(c));
 }
 

@@ -59,7 +59,7 @@ const std::vector<core::DesignPoint> kPoints = {
     {{"A", -7}, {"B", 0}, {"C", 4503599627370496}},
 };
 
-const std::vector<std::map<std::string, double>> kMetrics = {
+const std::vector<util::FlatMap<double>> kMetrics = {
     {{"fmax_mhz", 412.5}, {"lut", 120.0}},
     {{"ff", 0.0}, {"fmax_mhz", 0.10000000000000001}, {"lut", 1234.5678}, {"power_w", 1e21}},
     {},

@@ -18,7 +18,7 @@ struct SweepCase {
   std::string label;
   std::string file;
   std::string top;
-  std::map<std::string, std::int64_t> point;
+  util::FlatMap<std::int64_t> point;
 };
 
 std::vector<SweepCase> sweep_cases() {
