@@ -4,10 +4,11 @@
 //
 // The fresh-point benches walk a grid without repeats against one warm
 // evaluator (its memoizing cache and its tool session live across
-// iterations, as in a campaign lane), and check their own precondition:
-// every timed iteration must be exactly one fresh tool run. A walk that
-// runs off its grid would time cache hits instead, so the benchmark is
-// marked failed and the program exits non-zero.
+// iterations, as in a campaign lane), for a fixed number of iterations well
+// under the grid's size, however fast the host. They check their own
+// precondition: every timed iteration must be exactly one fresh tool run.
+// A walk that ran off its grid would time cache hits instead, so the
+// benchmark is marked failed and the program exits non-zero.
 //
 // Both fresh-point benches also count heap allocations (alloc_counter.cpp
 // replaces the global operator new/delete in this binary) and report
@@ -23,6 +24,7 @@
 #include <string>
 
 #include "bench/alloc_counter.hpp"
+#include "src/boxing/box.hpp"
 #include "src/core/evaluator.hpp"
 
 namespace {
@@ -32,10 +34,15 @@ using namespace dovado;
 bool g_precondition_failed = false;
 bool g_alloc_budget_exceeded = false;
 
-/// Heap allocations allowed per fresh systolic evaluation: 109, the count
+/// Heap allocations allowed per fresh systolic evaluation: 38, the count
 /// measured with gcc 12.2 and its libstdc++ (Debian 12, release build),
 /// plus 15% headroom.
-constexpr double kSystolicAllocBudget = 125;
+constexpr double kSystolicAllocBudget = 44;
+
+/// Timed iterations of the fresh-point benches: a quarter of the fifo grid
+/// and an eighth of the systolic one.
+constexpr std::int64_t kFifoFreshIterations = 4096;
+constexpr std::int64_t kSystolicFreshIterations = 8192;
 
 core::ProjectConfig fifo_project() {
   core::ProjectConfig config;
@@ -106,7 +113,7 @@ double run_fresh(benchmark::State& state, const core::ProjectConfig& project,
 void BM_EvaluateFreshPoint(benchmark::State& state) {
   run_fresh(state, fifo_project(), 16384, fifo_point);
 }
-BENCHMARK(BM_EvaluateFreshPoint);
+BENCHMARK(BM_EvaluateFreshPoint)->Iterations(kFifoFreshIterations);
 
 void BM_EvaluateFreshPointSystolic(benchmark::State& state) {
   const double allocs = run_fresh(state, systolic_project(), 65536, systolic_point);
@@ -115,7 +122,7 @@ void BM_EvaluateFreshPointSystolic(benchmark::State& state) {
     state.SkipWithError("heap allocations per fresh systolic evaluation over budget");
   }
 }
-BENCHMARK(BM_EvaluateFreshPointSystolic);
+BENCHMARK(BM_EvaluateFreshPointSystolic)->Iterations(kSystolicFreshIterations);
 
 void BM_EvaluateCachedPoint(benchmark::State& state) {
   core::PointEvaluator evaluator(fifo_project());
@@ -132,17 +139,38 @@ void BM_SynthesisOnlyVsFullFlow(benchmark::State& state) {
   config.run_implementation = state.range(0) != 0;
   run_fresh(state, config, 16384, fifo_point);
 }
-BENCHMARK(BM_SynthesisOnlyVsFullFlow)->Arg(0)->Arg(1);
+BENCHMARK(BM_SynthesisOnlyVsFullFlow)->Arg(0)->Arg(1)->Iterations(kFifoFreshIterations);
 
-// Despite its name, this times PointEvaluator construction (parsing the
-// project sources and creating the backend), not generate_box.
-void BM_BoxGeneration(benchmark::State& state) {
+/// PointEvaluator construction: parsing the project sources, building the
+/// box template and the flow script, creating the backend.
+void BM_EvaluatorConstruction(benchmark::State& state) {
   for (auto _ : state) {
     core::PointEvaluator fresh(fifo_project());
     benchmark::DoNotOptimize(fresh.module().name);
   }
 }
-BENCHMARK(BM_BoxGeneration);
+BENCHMARK(BM_EvaluatorConstruction);
+
+/// boxing::generate_box alone on systolic_mm's parsed interface, walking
+/// the systolic grid: one box template built and one point rendered per
+/// call, as the analyzer and perfbench's boxing layer call it.
+void BM_GenerateBoxSystolic(benchmark::State& state) {
+  const core::PointEvaluator evaluator(systolic_project());
+  const hdl::Module& module = evaluator.module();
+  boxing::BoxConfig config;
+  config.target_period_ns = 1.0;
+  std::int64_t i = 0;
+  const bench::AllocCount before = bench::alloc_count();
+  for (auto _ : state) {
+    config.parameters = systolic_point(i++ % 65536);
+    const boxing::BoxResult box = boxing::generate_box(module, config);
+    benchmark::DoNotOptimize(box.box_source.data());
+  }
+  const bench::AllocCount after = bench::alloc_count();
+  const double iterations = static_cast<double>(std::max<std::int64_t>(1, state.iterations()));
+  state.counters["allocs_per_eval"] = static_cast<double>(after.allocs - before.allocs) / iterations;
+}
+BENCHMARK(BM_GenerateBoxSystolic);
 
 }  // namespace
 

@@ -116,6 +116,13 @@ PointEvaluator::PointEvaluator(ProjectConfig config, std::shared_ptr<EvaluationC
                              "' not found in the given sources");
   }
 
+  // Boxing step, the part fixed per project: box name, clock, period and
+  // the text around the point's values.
+  boxing::BoxConfig box_config;
+  box_config.clock_port = config_.clock_port;
+  box_config.target_period_ns = config_.target_period_ns;
+  box_.emplace(module_, box_config);
+
   // Backend step: resolve the configured evaluation backend through the
   // registry (throws with a did-you-mean message on an unknown name).
   backend_ = edatool::BackendRegistry::create(config_.backend);
@@ -129,7 +136,7 @@ PointEvaluator::PointEvaluator(ProjectConfig config, std::shared_ptr<EvaluationC
                                                                : "dovado_box.v";
   frame.box_language = module_.language;
   frame.xdc_path = "dovado_box.xdc";
-  frame.top = boxing::BoxConfig{}.box_name;
+  frame.top = box_config.box_name;
   frame.part = config_.part;
   frame.synth_directive = config_.synth_directive;
   frame.place_directive = config_.place_directive;
@@ -182,14 +189,12 @@ EvalResult PointEvaluator::run_pipeline(const DesignPoint& point, int attempt) {
   EvalResult result;
 
   // Boxing step: sandbox the module, apply the parametrization and the
-  // clock constraint at the box entry point.
-  boxing::BoxConfig box_config;
-  box_config.clock_port = config_.clock_port;
-  box_config.parameters = point;
-  box_config.target_period_ns = config_.target_period_ns;
-  const boxing::BoxResult box = boxing::generate_box(module_, box_config);
-  if (!box.ok) {
-    result.error = "boxing failed: " + box.error;
+  // clock constraint at the box entry point. The template holds all that is
+  // fixed per project; the point only binds its values.
+  std::string box_source;
+  const std::string box_error = box_->render(point, box_source);
+  if (!box_error.empty()) {
+    result.error = "boxing failed: " + box_error;
     return result;
   }
 
@@ -197,8 +202,8 @@ EvalResult PointEvaluator::run_pipeline(const DesignPoint& point, int attempt) {
     result.error = flow_error_;
     return result;
   }
-  backend_->add_virtual_file(flow_.frame.box_path, box.box_source);
-  backend_->add_virtual_file(flow_.frame.xdc_path, box.xdc);
+  backend_->add_virtual_file(flow_.frame.box_path, std::move(box_source));
+  backend_->add_virtual_file(flow_.frame.xdc_path, box_->xdc());
 
   // Tool step: hand the script (and, for model-driven backends, the frame
   // itself) to the configured backend.

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "src/boxing/box.hpp"
 #include "src/core/param_domain.hpp"
 #include "src/util/sync.hpp"
 #include "src/edatool/backend.hpp"
@@ -178,6 +179,11 @@ class PointEvaluator {
   /// may be shared across evaluators (pass nullptr for a private cache).
   PointEvaluator(ProjectConfig config, std::shared_ptr<EvaluationCache> cache = nullptr);
 
+  // The box template points at module_: an evaluator stays where it was
+  // built.
+  PointEvaluator(const PointEvaluator&) = delete;
+  PointEvaluator& operator=(const PointEvaluator&) = delete;
+
   /// Evaluate one design point end to end. When a supervisor is attached,
   /// the single-flight leader runs under its retry/quarantine policy and
   /// the final (possibly retried) outcome is what gets published.
@@ -228,6 +234,9 @@ class PointEvaluator {
   std::shared_ptr<EvaluationCache> cache_;
   std::shared_ptr<EvaluationSupervisor> supervisor_;
   hdl::Module module_;
+  /// The project's box, built once by the constructor; each run renders
+  /// its point into it.
+  std::optional<boxing::BoxTemplate> box_;
   std::unique_ptr<edatool::EdaBackend> backend_;
   /// What every run hands the backend: the project's flow frame and its
   /// script, built once by the constructor.

@@ -48,10 +48,15 @@ std::string power_report_text(const PowerEstimate& estimate, double clock_mhz) {
   std::string out;
   out.reserve(192);
   out += "1. Power Summary\n----------------\n\n";
-  util::append_format(out, "Total On-Chip Power (W):  %.4f\n", estimate.total_w());
-  util::append_format(out, "  Device Static (W):      %.4f\n", estimate.static_w);
-  util::append_format(out, "  Dynamic (W):            %.4f\n", estimate.dynamic_w);
-  util::append_format(out, "  Analyzed Clock (MHz):   %.3f\n", clock_mhz);
+  out += "Total On-Chip Power (W):  ";
+  util::append_fixed(out, estimate.total_w(), 4);
+  out += "\n  Device Static (W):      ";
+  util::append_fixed(out, estimate.static_w, 4);
+  out += "\n  Dynamic (W):            ";
+  util::append_fixed(out, estimate.dynamic_w, 4);
+  out += "\n  Analyzed Clock (MHz):   ";
+  util::append_fixed(out, clock_mhz, 3);
+  out += '\n';
   return out;
 }
 

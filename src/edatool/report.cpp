@@ -53,13 +53,21 @@ std::string UtilizationReport::to_text() const {
   };
   out += "1. Summary\n----------\n\n";
   border();
-  util::append_format(out, "| %-*s | %10s | %10s | %6s |\n", width, "Site Type", "Used",
-                      "Available", "Util%");
+  out += "| ";
+  util::append_left(out, "Site Type", width);
+  out += " |       Used |  Available |  Util% |\n";
   border();
   for (const auto& r : rows) {
-    util::append_format(out, "| %-*s | %10lld | %10lld | %6.2f |\n", width,
-                        r.site_type.c_str(), static_cast<long long>(r.used),
-                        static_cast<long long>(r.available), r.util_percent);
+    // "| %-*s | %10lld | %10lld | %6.2f |\n"
+    out += "| ";
+    util::append_left(out, r.site_type, width);
+    out += " | ";
+    util::append_int(out, r.used, 10);
+    out += " | ";
+    util::append_int(out, r.available, 10);
+    out += " | ";
+    util::append_fixed(out, r.util_percent, 2, 6);
+    out += " |\n";
   }
   border();
   return out;
@@ -130,12 +138,17 @@ UtilizationReport::Checked UtilizationReport::parse_if_present(std::string_view 
 std::string TimingReport::to_text() const {
   std::string out;
   out.reserve(192 + path_group.size());
-  util::append_format(out, "Slack (%s) :  %.3fns  (required time - arrival time)\n",
-                      met() ? "MET" : "VIOLATED", slack_ns);
-  util::append_format(out, "  Requirement:      %.3fns\n", requirement_ns);
-  util::append_format(out, "  Data Path Delay:  %.3fns\n", data_path_ns);
-  util::append_format(out, "  Logic Levels:     %d\n", logic_levels);
-  util::append_format(out, "  Path Group:       %s\n", path_group.c_str());
+  out += met() ? "Slack (MET) :  " : "Slack (VIOLATED) :  ";
+  util::append_fixed(out, slack_ns, 3);
+  out += "ns  (required time - arrival time)\n  Requirement:      ";
+  util::append_fixed(out, requirement_ns, 3);
+  out += "ns\n  Data Path Delay:  ";
+  util::append_fixed(out, data_path_ns, 3);
+  out += "ns\n  Logic Levels:     ";
+  util::append_int(out, logic_levels);
+  out += "\n  Path Group:       ";
+  out += path_group;
+  out += '\n';
   return out;
 }
 

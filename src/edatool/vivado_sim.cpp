@@ -11,7 +11,6 @@
 #include <array>
 #include <cerrno>
 #include <cmath>
-#include <set>
 
 #include "src/fpga/board.hpp"
 #include "src/hdl/expr.hpp"
@@ -27,12 +26,14 @@ namespace {
 
 using tcl::Interp;
 
-/// Find `-flag value` in an argument list; empty when absent.
-std::string option_value(const std::vector<std::string>& args, std::string_view flag) {
+/// Find `-flag value` in an argument list; empty when absent. The value is
+/// the caller's word, valid while the command runs.
+const std::string& option_value(const std::vector<std::string>& args, std::string_view flag) {
+  static const std::string kNone;
   for (std::size_t i = 1; i + 1 < args.size(); ++i) {
     if (args[i] == flag) return args[i + 1];
   }
-  return {};
+  return kNone;
 }
 
 bool has_flag(const std::vector<std::string>& args, std::string_view flag) {
@@ -107,6 +108,7 @@ Instantiation extract_instantiation(std::span<const hdl::Token> tokens, hdl::Hdl
       inst.module = name;
       if (ts.peek().is_keyword("generic")) {
         ts.next();
+        inst.params.reserve(8);
         if (!ts.accept_keyword("map") || !ts.accept_punct("(")) {
           inst.error = "malformed generic map";
           return inst;
@@ -141,15 +143,18 @@ Instantiation extract_instantiation(std::span<const hdl::Token> tokens, hdl::Hdl
 
   // Verilog/SV: <module> [#( .N(V), ... )] <inst> ( ... );  — skip the
   // wrapper's own header first (tokens up to the first ';').
-  static const std::set<std::string> kNotModuleNames = {
+  static constexpr std::array<std::string_view, 20> kNotModuleNames = {
       "module", "endmodule", "input",  "output", "inout", "wire",  "reg",
       "logic",  "assign",    "always", "initial", "begin", "end",   "parameter",
       "localparam", "genvar", "generate", "endgenerate", "if", "else"};
+  const auto is_keyword = [](const hdl::Token& t) {
+    return std::any_of(kNotModuleNames.begin(), kNotModuleNames.end(),
+                       [&](std::string_view kw) { return t.is_keyword(kw); });
+  };
   while (!ts.at_eof() && !ts.peek().is_punct(";")) ts.next();
   while (!ts.at_eof()) {
     const hdl::Token& t = ts.peek();
-    if (t.kind != hdl::TokenKind::kIdentifier ||
-        kNotModuleNames.count(util::to_lower(t.text)) != 0) {
+    if (t.kind != hdl::TokenKind::kIdentifier || is_keyword(t)) {
       ts.next();
       continue;
     }
@@ -157,6 +162,7 @@ Instantiation extract_instantiation(std::span<const hdl::Token> tokens, hdl::Hdl
     const std::string name = ts.next().text;
     util::FlatMap<std::int64_t> params;
     if (ts.peek().is_punct("#")) {
+      params.reserve(8);
       ts.next();
       if (!ts.accept_punct("(")) {
         ts.rewind(mark);
@@ -281,7 +287,7 @@ void VivadoSim::elaborate(const std::string& top, const DirectiveEffect& synth_e
 
   if (!netlist::GeneratorRegistry::find(target_name).has_value()) {
     // Treat as a wrapper (the Dovado box): follow its instantiation.
-    const Instantiation inst =
+    Instantiation inst =
         extract_instantiation(entry->source->lexed.tokens, entry->module->language);
     if (!inst.ok) {
       Interp::fail("ERROR: [Synth 8-439] module '" + target_name +
@@ -289,7 +295,7 @@ void VivadoSim::elaborate(const std::string& top, const DirectiveEffect& synth_e
                    inst.error + ")");
     }
     target_name = inst.module;
-    overrides = inst.params;
+    overrides = std::move(inst.params);
   }
 
   const SourceEntry* target = find_module(target_name);
@@ -327,16 +333,20 @@ void VivadoSim::elaborate(const std::string& top, const DirectiveEffect& synth_e
 }
 
 void VivadoSim::cmd_synth_design(const std::vector<std::string>& args) {
-  const std::string top = option_value(args, "-top");
-  const std::string part = option_value(args, "-part");
-  const std::string directive = option_value(args, "-directive");
-  const std::string incremental = option_value(args, "-incremental");
+  const std::string& top = option_value(args, "-top");
+  const std::string& part = option_value(args, "-part");
+  const std::string& directive = option_value(args, "-directive");
+  const std::string& incremental = option_value(args, "-incremental");
   if (top.empty()) Interp::fail("ERROR: [Synth 8-3347] synth_design requires -top");
   if (part.empty()) Interp::fail("ERROR: [Synth 8-3347] synth_design requires -part");
 
   // Accept part names, display names and board names (paper: the flow can
-  // be tailored "for a given board or parts").
-  device_ = fpga::resolve_device(part);
+  // be tailored "for a given board or parts"). The session resolves a part
+  // once and again only when a run names another.
+  if (!device_ || part != device_request_) {
+    device_ = fpga::resolve_device(part);
+    device_request_ = part;
+  }
   if (!device_) Interp::fail("ERROR: [Common 17-69] invalid part '" + part + "'");
 
   synth_effect_ = directive_effects(directive.empty() ? "Default" : directive);
@@ -379,10 +389,8 @@ void VivadoSim::cmd_place_design(const std::vector<std::string>& args) {
     Interp::fail("ERROR: [Place 30-640] place failed: " +
                  mapped_->over_utilization_reason(*device_));
   }
-  const DirectiveEffect eff =
-      directive_effects(option_value(args, "-directive").empty()
-                            ? "Default"
-                            : option_value(args, "-directive"));
+  const std::string& directive = option_value(args, "-directive");
+  const DirectiveEffect eff = directive_effects(directive.empty() ? "Default" : directive);
   double seconds = 14.0 + 0.005 * static_cast<double>(mapped_->util.lut_total());
   if (incremental_impl_hit_) seconds *= 0.45;
   charge(seconds * eff.runtime_factor);
@@ -392,7 +400,7 @@ void VivadoSim::cmd_route_design(const std::vector<std::string>& args) {
   if (!mapped_ || !device_) {
     Interp::fail("ERROR: [Route 35-9] route_design before synth_design");
   }
-  const std::string directive = option_value(args, "-directive");
+  const std::string& directive = option_value(args, "-directive");
   const DirectiveEffect eff =
       directive_effects(directive.empty() ? "Default" : directive);
 
@@ -474,7 +482,7 @@ void VivadoSim::register_tool_commands() {
 
   interp_.register_command(
       "create_clock", [this](Interp&, const std::vector<std::string>& a) -> std::string {
-        const std::string period = option_value(a, "-period");
+        const std::string& period = option_value(a, "-period");
         double p = 0.0;
         if (period.empty() || !util::parse_double(period, p) || p <= 0.0) {
           Interp::fail("create_clock: invalid -period");
@@ -536,9 +544,9 @@ void VivadoSim::register_tool_commands() {
       "read_checkpoint", [this](Interp&, const std::vector<std::string>& a) -> std::string {
         // `read_checkpoint -incremental <dcp>` takes the path as the flag's
         // value; the plain form takes it positionally.
-        const std::string path = has_flag(a, "-incremental")
-                                     ? option_value(a, "-incremental")
-                                     : last_positional(a);
+        const std::string& path = has_flag(a, "-incremental")
+                                      ? option_value(a, "-incremental")
+                                      : last_positional(a);
         if (path.empty()) Interp::fail("read_checkpoint: missing file");
         auto it = checkpoints_.find(path);
         if (it == checkpoints_.end()) {

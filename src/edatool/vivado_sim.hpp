@@ -178,6 +178,7 @@ class VivadoSim {
   std::string file_buffer_;  ///< the last file read_file read from disk
 
   std::optional<fpga::Device> device_;
+  std::string device_request_;  ///< the -part device_ was resolved from
   std::optional<MappedDesign> mapped_;
   TimingResult timing_;
   DirectiveEffect synth_effect_;

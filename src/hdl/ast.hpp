@@ -57,13 +57,49 @@ struct Token {
   }
 };
 
-/// A constant expression lexed once (see hdl::compile_expr): exactly the
-/// tokens eval_expr lexes from the expression's text, or the reason the
-/// text does not lex. Default-constructed = not compiled.
+/// What compile_expr decides about a token once, so that evaluating the
+/// expression per design point switches on codes instead of comparing text
+/// (see expr.cpp). kNone marks a token that is no operator: a literal, an
+/// identifier that names a parameter or function, the end.
+enum class ExprOp : std::uint8_t {
+  kNone,
+  kLParen, kRParen, kComma, kQuestion, kColon,
+  kNot,                      ///< `!`, `not`
+  kTrue, kFalse,             ///< the identifiers true/false (any case)
+  kOrOr, kAndAnd,            ///< `||` `or`, `&&` `and`
+  kEq, kNe,                  ///< `==` `=`, `!=` `/=`
+  kLt, kGt, kLe, kGe,
+  kShl, kShr,                ///< `<<` `sll`, `>>` `srl`
+  kAdd, kSub, kBitAnd, kBitOr, kXor,
+  kMul, kDiv, kPercent, kMod, kRem,
+  kPow,
+};
+
+/// The built-in function an identifier names when it is called (`$` and
+/// case ignored).
+enum class ExprFn : std::uint8_t { kNone, kClog2, kAbs, kMax, kMin, kBits };
+
+/// One token of a compiled expression: the lexer's token plus what
+/// compile_expr worked out about it.
+struct ExprToken {
+  TokenKind kind = TokenKind::kEof;
+  ExprOp op = ExprOp::kNone;
+  std::uint8_t binding = 0;  ///< infix binding power; 0 = not an infix operator
+  ExprFn fn = ExprFn::kNone;
+  bool has_value = false;    ///< a number or character literal with an integer value
+  std::int64_t value = 0;    ///< that value
+  std::string text;          ///< as written (error messages)
+  std::string folded;        ///< identifiers: lower-cased, the parameter-lookup key
+};
+
+/// A constant expression lexed and classified once (see
+/// hdl::compile_expr): exactly the tokens the lexer makes of the
+/// expression's text, or the reason the text does not lex.
+/// Default-constructed = not compiled.
 struct CompiledExpr {
   HdlLanguage language = HdlLanguage::kVhdl;
-  std::vector<Token> tokens;  ///< ends with kEof when compiled cleanly
-  std::string error;          ///< empty expression / lexer diagnostic
+  std::vector<ExprToken> tokens;  ///< ends with kEof when compiled cleanly
+  std::string error;              ///< empty expression / lexer diagnostic
 
   [[nodiscard]] bool compiled() const { return !tokens.empty() || !error.empty(); }
 };

@@ -14,7 +14,11 @@ void ExprEnv::set(std::string_view name, std::int64_t value) {
 }
 
 std::optional<std::int64_t> ExprEnv::get(std::string_view name) const {
-  auto it = values_.find(util::to_lower(name));
+  return get_folded(util::to_lower(name));
+}
+
+std::optional<std::int64_t> ExprEnv::get_folded(std::string_view folded) const {
+  auto it = values_.find(folded);
   if (it == values_.end()) return std::nullopt;
   return it->second;
 }
@@ -31,6 +35,23 @@ std::int64_t clog2(std::int64_t n) {
 }
 
 namespace {
+
+/// Expression arithmetic wraps in two's complement: HDL text comes from
+/// outside the program, and a value that leaves 64 bits must not be
+/// undefined behaviour (nor INT64_MIN / -1 a trap).
+std::int64_t wrap_add(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) + static_cast<std::uint64_t>(b));
+}
+std::int64_t wrap_sub(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) - static_cast<std::uint64_t>(b));
+}
+std::int64_t wrap_mul(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) * static_cast<std::uint64_t>(b));
+}
+/// a / b and a % b for b != 0.
+std::int64_t wrap_div(std::int64_t a, std::int64_t b) { return b == -1 ? wrap_sub(0, a) : a / b; }
+std::int64_t wrap_rem(std::int64_t a, std::int64_t b) { return b == -1 ? 0 : a % b; }
+std::int64_t wrap_abs(std::int64_t a) { return a < 0 ? wrap_sub(0, a) : a; }
 
 /// Parse a numeric literal token into an integer value.
 std::optional<std::int64_t> literal_value(const std::string& text, HdlLanguage lang) {
@@ -58,7 +79,7 @@ std::optional<std::int64_t> literal_value(const std::string& text, HdlLanguage l
         else if (c >= 'A' && c <= 'F') d = c - 'A' + 10;
         else return std::nullopt;
         if (d >= base) return std::nullopt;
-        value = value * base + d;
+        value = wrap_add(wrap_mul(value, base), d);
       }
       return value;
     }
@@ -87,7 +108,7 @@ std::optional<std::int64_t> literal_value(const std::string& text, HdlLanguage l
         else if (c >= 'A' && c <= 'F') d = c - 'A' + 10;
         else return std::nullopt;
         if (d >= base) return std::nullopt;
-        value = value * base + d;
+        value = wrap_add(wrap_mul(value, base), d);
       }
       return value;
     }
@@ -129,32 +150,156 @@ std::optional<std::int64_t> checked_pow(std::int64_t a, std::int64_t b) {
   }
 }
 
-/// Pratt-style evaluator over the token stream.
+/// The operator a punctuation token spells, or kNone.
+ExprOp punct_op(std::string_view p) {
+  if (p.size() == 1) {
+    switch (p[0]) {
+      case '(': return ExprOp::kLParen;
+      case ')': return ExprOp::kRParen;
+      case ',': return ExprOp::kComma;
+      case '?': return ExprOp::kQuestion;
+      case ':': return ExprOp::kColon;
+      case '!': return ExprOp::kNot;
+      case '=': return ExprOp::kEq;
+      case '<': return ExprOp::kLt;
+      case '>': return ExprOp::kGt;
+      case '+': return ExprOp::kAdd;
+      case '-': return ExprOp::kSub;
+      case '&': return ExprOp::kBitAnd;
+      case '|': return ExprOp::kBitOr;
+      case '^': return ExprOp::kXor;
+      case '*': return ExprOp::kMul;
+      case '/': return ExprOp::kDiv;
+      case '%': return ExprOp::kPercent;
+      default: return ExprOp::kNone;
+    }
+  }
+  if (p == "||") return ExprOp::kOrOr;
+  if (p == "&&") return ExprOp::kAndAnd;
+  if (p == "==") return ExprOp::kEq;
+  if (p == "!=" || p == "/=") return ExprOp::kNe;
+  if (p == "<=") return ExprOp::kLe;
+  if (p == ">=") return ExprOp::kGe;
+  if (p == "<<") return ExprOp::kShl;
+  if (p == ">>") return ExprOp::kShr;
+  if (p == "**") return ExprOp::kPow;
+  return ExprOp::kNone;
+}
+
+/// The operator a (lower-cased) identifier spells, or kNone.
+ExprOp word_op(std::string_view w) {
+  if (w == "not") return ExprOp::kNot;
+  if (w == "true") return ExprOp::kTrue;
+  if (w == "false") return ExprOp::kFalse;
+  if (w == "mod") return ExprOp::kMod;
+  if (w == "rem") return ExprOp::kRem;
+  if (w == "sll") return ExprOp::kShl;
+  if (w == "srl") return ExprOp::kShr;
+  if (w == "and") return ExprOp::kAndAnd;
+  if (w == "or") return ExprOp::kOrOr;
+  return ExprOp::kNone;
+}
+
+/// The infix binding power of an operator; 0 when it is not infix.
+std::uint8_t infix_binding(ExprOp op) {
+  switch (op) {
+    case ExprOp::kQuestion: return 2;
+    case ExprOp::kOrOr: return 3;
+    case ExprOp::kAndAnd: return 4;
+    case ExprOp::kEq:
+    case ExprOp::kNe: return 5;
+    case ExprOp::kLt:
+    case ExprOp::kGt:
+    case ExprOp::kLe:
+    case ExprOp::kGe: return 6;
+    case ExprOp::kShl:
+    case ExprOp::kShr: return 7;
+    case ExprOp::kAdd:
+    case ExprOp::kSub:
+    case ExprOp::kBitAnd:
+    case ExprOp::kBitOr:
+    case ExprOp::kXor: return 8;
+    case ExprOp::kMul:
+    case ExprOp::kDiv:
+    case ExprOp::kPercent:
+    case ExprOp::kMod:
+    case ExprOp::kRem: return 9;
+    case ExprOp::kPow: return 11;
+    default: return 0;
+  }
+}
+
+/// The function a (lower-cased) identifier names when called; a leading
+/// `$` (Verilog system functions) is ignored.
+ExprFn function_of(std::string_view w) {
+  if (!w.empty() && w.front() == '$') w.remove_prefix(1);
+  if (w == "clog2" || w == "log2") return ExprFn::kClog2;
+  if (w == "abs") return ExprFn::kAbs;
+  if (w == "max" || w == "maximum") return ExprFn::kMax;
+  if (w == "min" || w == "minimum") return ExprFn::kMin;
+  if (w == "bits") return ExprFn::kBits;
+  return ExprFn::kNone;
+}
+
+/// Classify one lexer token for evaluation.
+ExprToken classify(Token&& token, HdlLanguage lang) {
+  ExprToken t;
+  t.kind = token.kind;
+  switch (token.kind) {
+    case TokenKind::kPunct:
+      t.op = punct_op(token.text);
+      break;
+    case TokenKind::kIdentifier:
+      t.folded = util::to_lower(token.text);
+      t.op = word_op(t.folded);
+      t.fn = function_of(t.folded);
+      break;
+    case TokenKind::kNumber:
+      if (const auto v = literal_value(token.text, lang)) {
+        t.has_value = true;
+        t.value = *v;
+      }
+      break;
+    case TokenKind::kChar:
+      // '0'/'1' used as boolean-ish defaults.
+      t.has_value = token.text == "0" || token.text == "1";
+      t.value = token.text == "1" ? 1 : 0;
+      break;
+    default:
+      break;
+  }
+  t.binding = infix_binding(t.op);
+  t.text = std::move(token.text);
+  return t;
+}
+
+/// Pratt-style evaluator over a compiled token stream. Every decision was
+/// made by compile_expr; evaluation only switches on the recorded codes.
 class Evaluator {
  public:
-  Evaluator(TokenStream& ts, HdlLanguage lang, const ExprEnv& env)
-      : ts_(ts), lang_(lang), env_(env) {}
+  Evaluator(const std::vector<ExprToken>& tokens, const ExprEnv& env)
+      : tokens_(tokens), env_(env) {}
 
   std::optional<std::int64_t> parse(int min_bp) {
     auto lhs = parse_prefix();
     if (!lhs) return std::nullopt;
     while (true) {
-      const Token& op = ts_.peek();
-      const int bp = infix_binding(op);
+      const ExprToken& op = peek();
+      const int bp = op.binding;
       if (bp == 0 || bp < min_bp) break;
-      if (op.is_punct("?")) {
+      if (op.op == ExprOp::kQuestion) {
         // Ternary: cond ? a : b (right-assoc, lowest precedence).
-        ts_.next();
+        next();
         auto then_v = parse(1);
-        if (!then_v || !ts_.accept_punct(":")) return fail("malformed ternary");
+        if (!then_v || !accept(ExprOp::kColon)) return fail("malformed ternary");
         auto else_v = parse(1);
         if (!else_v) return std::nullopt;
         lhs = (*lhs != 0) ? then_v : else_v;
         continue;
       }
-      ts_.next();
+      next();
       // '**' is right-associative; everything else left-associative.
-      const bool right_assoc = op.is_punct("**");
+      const bool right_assoc = op.op == ExprOp::kPow;
       auto rhs = parse(right_assoc ? bp : bp + 1);
       if (!rhs) return std::nullopt;
       lhs = apply(op, *lhs, *rhs);
@@ -163,160 +308,160 @@ class Evaluator {
     return lhs;
   }
 
+  [[nodiscard]] bool at_eof() const { return peek().kind == TokenKind::kEof; }
   [[nodiscard]] const std::string& error() const { return error_; }
 
  private:
+  // The stream ends with kEof, which next() never moves past.
+  [[nodiscard]] const ExprToken& peek() const { return tokens_[pos_]; }
+  const ExprToken& next() {
+    const ExprToken& t = tokens_[pos_];
+    if (pos_ + 1 < tokens_.size()) ++pos_;
+    return t;
+  }
+  bool accept(ExprOp op) {
+    if (peek().op != op) return false;
+    next();
+    return true;
+  }
+
   std::optional<std::int64_t> fail(std::string msg) {
     if (error_.empty()) error_ = std::move(msg);
     return std::nullopt;
   }
 
-  static int infix_binding(const Token& t) {
-    if (t.kind == TokenKind::kPunct) {
-      const std::string& p = t.text;
-      if (p == "?") return 2;
-      if (p == "||") return 3;
-      if (p == "&&") return 4;
-      if (p == "==" || p == "!=" || p == "/=" || p == "=") return 5;
-      if (p == "<" || p == ">" || p == "<=" || p == ">=") return 6;
-      if (p == "<<" || p == ">>") return 7;
-      if (p == "+" || p == "-" || p == "&" || p == "|" || p == "^") return 8;
-      if (p == "*" || p == "/" || p == "%") return 9;
-      if (p == "**") return 11;
+  std::optional<std::int64_t> apply(const ExprToken& op, std::int64_t a, std::int64_t b) {
+    switch (op.op) {
+      case ExprOp::kAdd: return wrap_add(a, b);
+      case ExprOp::kSub: return wrap_sub(a, b);
+      case ExprOp::kMul: return wrap_mul(a, b);
+      case ExprOp::kDiv:
+        if (b == 0) return fail("division by zero");
+        return wrap_div(a, b);
+      case ExprOp::kPercent:
+      case ExprOp::kMod: {
+        if (b == 0) return fail("modulo by zero");
+        // VHDL mod follows the sign of the divisor; with the positive
+        // divisors used in parameter maths this matches C++ % for
+        // non-negative a.
+        std::int64_t r = wrap_rem(a, b);
+        if (op.op == ExprOp::kMod && r != 0 && ((r < 0) != (b < 0))) r += b;
+        return r;
+      }
+      case ExprOp::kRem:
+        if (b == 0) return fail("rem by zero");
+        return wrap_rem(a, b);
+      case ExprOp::kPow: {
+        if (b < 0) return fail("negative exponent");
+        const auto power = checked_pow(a, b);
+        if (!power) return fail("exponent overflow");
+        return power;
+      }
+      case ExprOp::kShl: return b >= 0 && b < 63 ? a << b : 0;
+      case ExprOp::kShr: return b >= 0 && b < 63 ? a >> b : 0;
+      case ExprOp::kEq: return a == b ? 1 : 0;
+      case ExprOp::kNe: return a != b ? 1 : 0;
+      case ExprOp::kLt: return a < b ? 1 : 0;
+      case ExprOp::kGt: return a > b ? 1 : 0;
+      case ExprOp::kLe: return a <= b ? 1 : 0;
+      case ExprOp::kGe: return a >= b ? 1 : 0;
+      case ExprOp::kAndAnd: return (a != 0 && b != 0) ? 1 : 0;
+      case ExprOp::kOrOr: return (a != 0 || b != 0) ? 1 : 0;
+      case ExprOp::kBitAnd: return a & b;
+      case ExprOp::kBitOr: return a | b;
+      case ExprOp::kXor: return a ^ b;
+      default: return fail("unsupported operator '" + op.text + "'");
     }
-    if (t.kind == TokenKind::kIdentifier) {
-      if (t.is_keyword("mod") || t.is_keyword("rem")) return 9;
-      if (t.is_keyword("sll") || t.is_keyword("srl")) return 7;
-      if (t.is_keyword("and")) return 4;
-      if (t.is_keyword("or")) return 3;
-    }
-    return 0;
-  }
-
-  std::optional<std::int64_t> apply(const Token& op, std::int64_t a, std::int64_t b) {
-    const std::string p = util::to_lower(op.text);
-    if (p == "+") return a + b;
-    if (p == "-") return a - b;
-    if (p == "*") return a * b;
-    if (p == "/") {
-      if (b == 0) return fail("division by zero");
-      return a / b;
-    }
-    if (p == "%" || p == "mod") {
-      if (b == 0) return fail("modulo by zero");
-      // VHDL mod follows the sign of the divisor; with the positive divisors
-      // used in parameter maths this matches C++ % for non-negative a.
-      std::int64_t r = a % b;
-      if (p == "mod" && r != 0 && ((r < 0) != (b < 0))) r += b;
-      return r;
-    }
-    if (p == "rem") {
-      if (b == 0) return fail("rem by zero");
-      return a % b;
-    }
-    if (p == "**") {
-      if (b < 0) return fail("negative exponent");
-      const auto power = checked_pow(a, b);
-      if (!power) return fail("exponent overflow");
-      return power;
-    }
-    if (p == "<<" || p == "sll") return b >= 0 && b < 63 ? a << b : 0;
-    if (p == ">>" || p == "srl") return b >= 0 && b < 63 ? a >> b : 0;
-    if (p == "==" || p == "=") return a == b ? 1 : 0;
-    if (p == "!=" || p == "/=") return a != b ? 1 : 0;
-    if (p == "<") return a < b ? 1 : 0;
-    if (p == ">") return a > b ? 1 : 0;
-    if (p == "<=") return a <= b ? 1 : 0;
-    if (p == ">=") return a >= b ? 1 : 0;
-    if (p == "&&" || p == "and") return (a != 0 && b != 0) ? 1 : 0;
-    if (p == "||" || p == "or") return (a != 0 || b != 0) ? 1 : 0;
-    if (p == "&") return a & b;
-    if (p == "|") return a | b;
-    if (p == "^") return a ^ b;
-    return fail("unsupported operator '" + op.text + "'");
   }
 
   std::optional<std::int64_t> parse_prefix() {
-    const Token& t = ts_.peek();
-    if (t.is_punct("(")) {
-      ts_.next();
-      auto inner = parse(1);
-      if (!inner || !ts_.accept_punct(")")) return fail("missing ')'");
-      return inner;
-    }
-    if (t.is_punct("-")) {
-      ts_.next();
-      auto v = parse(10);
-      if (!v) return std::nullopt;
-      return -*v;
-    }
-    if (t.is_punct("+")) {
-      ts_.next();
-      return parse(10);
-    }
-    if (t.is_punct("!") || t.is_keyword("not")) {
-      ts_.next();
-      auto v = parse(10);
-      if (!v) return std::nullopt;
-      return *v == 0 ? 1 : 0;
-    }
-    if (t.kind == TokenKind::kNumber) {
-      auto v = literal_value(t.text, lang_);
-      ts_.next();
-      if (!v) return fail("unsupported literal '" + t.text + "'");
-      return v;
-    }
-    if (t.kind == TokenKind::kChar) {
-      // '0'/'1' used as boolean-ish defaults.
-      ts_.next();
-      if (t.text == "0") return 0;
-      if (t.text == "1") return 1;
-      return fail("non-numeric character literal");
-    }
-    if (t.kind == TokenKind::kIdentifier) {
-      const std::string name = t.text;
-      ts_.next();
-      if (util::iequals(name, "true")) return 1;
-      if (util::iequals(name, "false")) return 0;
-      // Function call?
-      if (ts_.peek().is_punct("(")) {
-        return call_function(name);
+    const ExprToken& t = peek();
+    switch (t.op) {
+      case ExprOp::kLParen: {
+        next();
+        auto inner = parse(1);
+        if (!inner || !accept(ExprOp::kRParen)) return fail("missing ')'");
+        return inner;
       }
-      auto v = env_.get(name);
-      if (!v) return fail("unknown identifier '" + name + "'");
-      return v;
+      case ExprOp::kSub: {
+        next();
+        auto v = parse(10);
+        if (!v) return std::nullopt;
+        return wrap_sub(0, *v);
+      }
+      case ExprOp::kAdd:
+        next();
+        return parse(10);
+      case ExprOp::kNot: {
+        next();
+        auto v = parse(10);
+        if (!v) return std::nullopt;
+        return *v == 0 ? 1 : 0;
+      }
+      case ExprOp::kTrue:
+        next();
+        return 1;
+      case ExprOp::kFalse:
+        next();
+        return 0;
+      default:
+        break;
     }
-    return fail("unexpected token '" + t.text + "'");
+    switch (t.kind) {
+      case TokenKind::kNumber:
+        next();
+        if (!t.has_value) return fail("unsupported literal '" + t.text + "'");
+        return t.value;
+      case TokenKind::kChar:
+        next();
+        if (!t.has_value) return fail("non-numeric character literal");
+        return t.value;
+      case TokenKind::kIdentifier: {
+        next();
+        // Function call?
+        if (peek().op == ExprOp::kLParen) return call_function(t);
+        auto v = env_.get_folded(t.folded);
+        if (!v) return fail("unknown identifier '" + t.text + "'");
+        return v;
+      }
+      default:
+        return fail("unexpected token '" + t.text + "'");
+    }
   }
 
-  std::optional<std::int64_t> call_function(const std::string& raw_name) {
-    std::string name = util::to_lower(raw_name);
-    if (!name.empty() && name[0] == '$') name.erase(0, 1);
-    ts_.next();  // '('
-    std::vector<std::int64_t> args;
-    if (!ts_.peek().is_punct(")")) {
+  std::optional<std::int64_t> call_function(const ExprToken& name) {
+    next();  // '('
+    // Every argument is evaluated (the first error wins); the built-ins
+    // take one or two.
+    std::int64_t args[2] = {0, 0};
+    std::size_t count = 0;
+    if (peek().op != ExprOp::kRParen) {
       while (true) {
         auto v = parse(1);
         if (!v) return std::nullopt;
-        args.push_back(*v);
-        if (ts_.accept_punct(",")) continue;
+        if (count < 2) args[count] = *v;
+        ++count;
+        if (accept(ExprOp::kComma)) continue;
         break;
       }
     }
-    if (!ts_.accept_punct(")")) return fail("missing ')' in call");
-    if (name == "clog2" && args.size() == 1) return clog2(args[0]);
-    if (name == "log2" && args.size() == 1) return clog2(args[0]);
-    if (name == "abs" && args.size() == 1) return std::llabs(args[0]);
-    if ((name == "max" || name == "maximum") && args.size() == 2)
-      return args[0] > args[1] ? args[0] : args[1];
-    if ((name == "min" || name == "minimum") && args.size() == 2)
-      return args[0] < args[1] ? args[0] : args[1];
-    if (name == "bits" && args.size() == 1) return clog2(args[0] + 1);
-    return fail("unsupported function '" + raw_name + "'");
+    if (!accept(ExprOp::kRParen)) return fail("missing ')' in call");
+    switch (count == 1 ? name.fn : ExprFn::kNone) {
+      case ExprFn::kClog2: return clog2(args[0]);
+      case ExprFn::kAbs: return wrap_abs(args[0]);
+      case ExprFn::kBits: return clog2(wrap_add(args[0], 1));
+      default: break;
+    }
+    switch (count == 2 ? name.fn : ExprFn::kNone) {
+      case ExprFn::kMax: return args[0] > args[1] ? args[0] : args[1];
+      case ExprFn::kMin: return args[0] < args[1] ? args[0] : args[1];
+      default: break;
+    }
+    return fail("unsupported function '" + name.text + "'");
   }
 
-  TokenStream& ts_;
-  HdlLanguage lang_;
+  const std::vector<ExprToken>& tokens_;
+  std::size_t pos_ = 0;
   const ExprEnv& env_;
   std::string error_;
 };
@@ -332,11 +477,13 @@ CompiledExpr compile_expr(std::string_view expr, HdlLanguage lang) {
     return code;
   }
   std::vector<Diagnostic> diags;
-  code.tokens = Lexer(trimmed, lang).tokenize(diags);
+  std::vector<Token> tokens = Lexer(trimmed, lang).tokenize(diags);
   if (!diags.empty()) {
     code.error = diags.front().message;
-    code.tokens.clear();
+    return code;
   }
+  code.tokens.reserve(tokens.size());
+  for (Token& t : tokens) code.tokens.push_back(classify(std::move(t), lang));
   return code;
 }
 
@@ -346,14 +493,13 @@ ExprResult eval_expr(const CompiledExpr& expr, const ExprEnv& env) {
     result.error = expr.error.empty() ? "empty expression" : expr.error;
     return result;
   }
-  TokenStream ts(expr.tokens);
-  Evaluator ev(ts, expr.language, env);
+  Evaluator ev(expr.tokens, env);
   auto v = ev.parse(1);
   if (!v) {
     result.error = ev.error().empty() ? "evaluation failed" : ev.error();
     return result;
   }
-  if (!ts.at_eof()) {
+  if (!ev.at_eof()) {
     result.error = "trailing tokens after expression";
     return result;
   }
@@ -404,18 +550,20 @@ std::optional<std::int64_t> port_width(const Port& port, HdlLanguage lang, const
 
 ExprEnv build_param_env(const Module& module,
                         const util::FlatMap<std::int64_t>& overrides) {
-  // Case-insensitive override lookup (VHDL generics).
-  util::FlatMap<std::int64_t> norm;
-  norm.reserve(overrides.size());
-  for (const auto& [k, v] : overrides) norm[util::to_lower(k)] = v;
-
   ExprEnv env;
   env.reserve(module.parameters.size());
   CompiledExpr on_the_spot;
   for (const auto& p : module.parameters) {
-    const auto it = norm.find(util::to_lower(p.name));
-    if (it != norm.end() && !p.is_local) {
-      env.set(p.name, it->second);
+    // Overrides match case-insensitively (VHDL generics); of two spellings
+    // of one name, the later in key order wins.
+    const std::int64_t* value = nullptr;
+    if (!p.is_local) {
+      for (const auto& [name, v] : overrides) {
+        if (util::iequals(name, p.name)) value = &v;
+      }
+    }
+    if (value != nullptr) {
+      env.set(p.name, *value);
       continue;
     }
     if (p.default_expr.empty()) continue;

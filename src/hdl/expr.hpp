@@ -25,6 +25,9 @@ class ExprEnv {
  public:
   void set(std::string_view name, std::int64_t value);
   [[nodiscard]] std::optional<std::int64_t> get(std::string_view name) const;
+  /// get() for a name already lower-cased (compiled expressions fold
+  /// their identifiers once, see ExprToken::folded).
+  [[nodiscard]] std::optional<std::int64_t> get_folded(std::string_view folded) const;
   [[nodiscard]] std::size_t size() const { return values_.size(); }
   void reserve(std::size_t n) { values_.reserve(n); }
 
@@ -42,8 +45,10 @@ struct ExprResult {
 };
 
 /// Lex `expr` (HDL source text, in the syntax of `lang`) once for repeated
-/// evaluation. The parsers compile every parameter default and port bound
-/// this way, so evaluating a design point never lexes.
+/// evaluation, and classify each token: operator code, binding power,
+/// literal value, function, lower-cased identifier. The parsers compile
+/// every parameter default and port bound this way, so evaluating a design
+/// point neither lexes nor compares or folds text.
 [[nodiscard]] CompiledExpr compile_expr(std::string_view expr, HdlLanguage lang);
 
 /// Evaluate a compiled expression against `env`. This is the one evaluator;

@@ -1,7 +1,6 @@
 #include "src/hdl/lexer.hpp"
 
 #include <algorithm>
-#include <array>
 
 #include "src/util/strings.hpp"
 
@@ -264,19 +263,59 @@ Token Lexer::lex_string(std::vector<Diagnostic>& diags) {
 
 Token Lexer::lex_punct() {
   const SourceLoc loc = here();
-  // Longest-match against multi-character operators first.
-  static constexpr std::array<std::string_view, 22> kMulti = {
-      "<=", ">=", "=>", ":=", "**", "<<", ">>", "==", "!=", "/=", "&&",
-      "||", "::", "<>", "->", "+:", "-:", "'{", "##", "|=>", "|->", "===",
-  };
+  // Longest match against the multi-character operators, picked by the
+  // first byte. Where two start alike the earlier listed wins, as it always
+  // has: "==" before "===", so "===" lexes as "==" then "=".
   const char first = peek();
-  for (std::string_view op : kMulti) {
-    if (op.front() == first && text_.substr(pos_, op.size()) == op) {
-      for (std::size_t i = 0; i < op.size(); ++i) advance();
-      return {TokenKind::kPunct, std::string(op), loc};
-    }
+  const char second = peek(1);
+  std::size_t length = 1;
+  switch (first) {
+    case '<':
+      if (second == '=' || second == '<' || second == '>') length = 2;
+      break;
+    case '>':
+      if (second == '=' || second == '>') length = 2;
+      break;
+    case '=':
+      if (second == '>' || second == '=') length = 2;
+      break;
+    case ':':
+      if (second == '=' || second == ':') length = 2;
+      break;
+    case '*':
+      if (second == '*') length = 2;
+      break;
+    case '!':
+    case '/':
+      if (second == '=') length = 2;
+      break;
+    case '&':
+      if (second == '&') length = 2;
+      break;
+    case '|':
+      if (second == '|') {
+        length = 2;
+      } else if ((second == '=' || second == '-') && peek(2) == '>') {
+        length = 3;  // "|=>", "|->"
+      }
+      break;
+    case '-':
+      if (second == '>' || second == ':') length = 2;
+      break;
+    case '+':
+      if (second == ':') length = 2;
+      break;
+    case '\'':
+      if (second == '{') length = 2;
+      break;
+    case '#':
+      if (second == '#') length = 2;
+      break;
+    default:
+      break;
   }
-  std::string text(1, advance());
+  std::string text(text_.substr(pos_, length));
+  for (std::size_t i = 0; i < length; ++i) advance();
   return {TokenKind::kPunct, std::move(text), loc};
 }
 

@@ -2,7 +2,7 @@
 
 namespace dovado::tcl {
 
-Interp::Interp() {
+Interp::Interp() : words_(kMaxDepth + 1) {
   register_command("set", [](Interp& in, const std::vector<std::string>& a) -> std::string {
     if (a.size() == 2) return in.get_var(a[1]);
     if (a.size() == 3) {
@@ -27,7 +27,9 @@ void Interp::set_var(const std::string& name, const std::string& value) {
   vars_[name] = value;
 }
 
-std::string Interp::get_var(const std::string& name) const {
+std::string Interp::get_var(const std::string& name) const { return var_ref(name); }
+
+const std::string& Interp::var_ref(const std::string& name) const {
   auto it = vars_.find(name);
   if (it == vars_.end()) fail("can't read \"" + name + "\": no such variable");
   return it->second;
@@ -50,23 +52,38 @@ Interp::Compiled Interp::compile(std::string_view text) {
   return compiled;
 }
 
-std::string Interp::expand(const WordNode& word) {
-  if (word.is_literal()) return word.literal();
-  std::string out;
+void Interp::expand(const WordNode& word, std::string& into) {
+  if (word.is_literal()) {
+    into.assign(word.literal());
+    return;
+  }
+  into.clear();
   for (const WordPart& part : word.parts) {
     switch (part.kind) {
-      case WordPart::Kind::kText: out += part.text; break;
-      case WordPart::Kind::kVar: out += get_var(part.text); break;
-      case WordPart::Kind::kScript: out += run(*part.script); break;
+      case WordPart::Kind::kText: into += part.text; break;
+      case WordPart::Kind::kVar: into += var_ref(part.text); break;
+      case WordPart::Kind::kScript: into += run(*part.script); break;
     }
   }
-  return out;
 }
 
-std::vector<std::string> Interp::expand(const CommandNode& command) {
-  std::vector<std::string> words;
-  words.reserve(command.words.size());
-  for (const WordNode& word : command.words) words.push_back(expand(word));
+std::vector<std::string>& Interp::expand(const CommandNode& command) {
+  // This depth's words. A `[...]` in a word runs one level deeper, and so
+  // does a script a command evaluates, so nothing overwrites these words
+  // while the command that reads them runs.
+  std::vector<std::string>& words = words_[static_cast<std::size_t>(depth_)];
+  // Resize without dropping buffers: a shorter command parks the extra
+  // strings in spare_words_, and a longer one takes them back.
+  const std::size_t count = command.words.size();
+  for (; words.size() > count; words.pop_back()) spare_words_.push_back(std::move(words.back()));
+  for (; words.size() < count; spare_words_.pop_back()) {
+    if (spare_words_.empty()) {
+      words.resize(count);
+      break;
+    }
+    words.push_back(std::move(spare_words_.back()));
+  }
+  for (std::size_t i = 0; i < command.words.size(); ++i) expand(command.words[i], words[i]);
   return words;
 }
 

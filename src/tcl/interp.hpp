@@ -112,8 +112,13 @@ class Interp {
 
   Compiled compile(std::string_view text);
   std::string run(const ScriptNode& script);
-  std::string expand(const WordNode& word);
-  std::vector<std::string> expand(const CommandNode& command);
+  /// Substitute one word into `into`, reusing its buffer.
+  void expand(const WordNode& word, std::string& into);
+  /// Substitute a command's words into the word vector of the current
+  /// depth and return it.
+  std::vector<std::string>& expand(const CommandNode& command);
+  /// A variable's value without a copy; raises a TCL error when unset.
+  [[nodiscard]] const std::string& var_ref(const std::string& name) const;
 
   std::map<std::string, Command> commands_;
   std::map<std::string, std::string> vars_;
@@ -121,6 +126,13 @@ class Interp {
   /// parse_script results
   std::unordered_map<std::string, Compiled, TextHash, std::equal_to<>> scripts_;
   int depth_ = 0;  ///< nesting of running scripts (bounded by kMaxDepth)
+  /// The substituted words of the command running at each depth (index
+  /// 1..kMaxDepth), kept from run to run so that their buffers are reused.
+  /// Sized once: a command's reference into it survives the nested runs
+  /// its words or its own body start, which use deeper entries.
+  std::vector<std::vector<std::string>> words_;
+  /// Word strings a shorter command did not need, kept with their buffers.
+  std::vector<std::string> spare_words_;
 };
 
 }  // namespace dovado::tcl

@@ -157,6 +157,41 @@ void append_format(std::string& out, const char* fmt, ...) {
   va_end(args);
 }
 
+namespace {
+
+/// Append `digits` right-aligned in `width` columns.
+void append_right(std::string& out, const char* first, const char* last, int width) {
+  const auto length = static_cast<int>(last - first);
+  if (width > length) out.append(static_cast<std::size_t>(width - length), ' ');
+  out.append(first, last);
+}
+
+}  // namespace
+
+void append_int(std::string& out, long long value, int width) {
+  char buffer[24];
+  const auto result = std::to_chars(buffer, buffer + sizeof buffer, value);
+  append_right(out, buffer, result.ptr, width);
+}
+
+void append_fixed(std::string& out, double value, int precision, int width) {
+  // Room for any double in fixed notation at the precisions reports use.
+  char buffer[384];
+  const auto result = std::to_chars(buffer, buffer + sizeof buffer, value,
+                                    std::chars_format::fixed, precision);
+  if (result.ec != std::errc()) {
+    append_format(out, "%*.*f", width, precision, value);
+    return;
+  }
+  append_right(out, buffer, result.ptr, width);
+}
+
+void append_left(std::string& out, std::string_view text, int width) {
+  out.append(text);
+  const auto length = static_cast<int>(text.size());
+  if (width > length) out.append(static_cast<std::size_t>(width - length), ' ');
+}
+
 std::size_t edit_distance(std::string_view a, std::string_view b) {
   // One-row dynamic program; identifiers are short so O(|a|*|b|) is fine.
   std::vector<std::size_t> row(b.size() + 1);

@@ -84,6 +84,18 @@ class FieldCursor {
 void append_format(std::string& out, const char* fmt, ...)
     __attribute__((format(printf, 2, 3)));
 
+/// Append `value` in decimal, right-aligned in `width` columns: printf's
+/// "%*lld", through std::to_chars.
+void append_int(std::string& out, long long value, int width = 0);
+
+/// Append `value` with `precision` digits after the point, right-aligned
+/// in `width` columns: printf's "%*.*f", through std::to_chars (which is
+/// specified to print what printf prints for a given precision).
+void append_fixed(std::string& out, double value, int precision, int width = 0);
+
+/// Append `text` left-aligned in `width` columns: printf's "%-*s".
+void append_left(std::string& out, std::string_view text, int width);
+
 /// Levenshtein edit distance (insert/delete/substitute, each cost 1).
 [[nodiscard]] std::size_t edit_distance(std::string_view a, std::string_view b);
 

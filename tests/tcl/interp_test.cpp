@@ -192,5 +192,84 @@ TEST(TclInterp, RepeatedScriptsSeeCurrentVariables) {
   }
 }
 
+// The interpreter keeps one word vector per nesting depth and reuses it
+// from command to command. A command's words must stay intact while the
+// command runs scripts of its own, however deep they nest.
+
+/// Register `keep`: it copies its words, runs `script` (catching a TCL
+/// error from it), and returns "intact" when its words still equal the
+/// copy.
+void register_keep(Interp& in, std::string script) {
+  in.register_command("keep", [script](Interp& i, const std::vector<std::string>& a) {
+    const std::vector<std::string> before = a;
+    try {
+      (void)i.eval_or_throw(script);
+    } catch (const TclError&) {
+    }
+    return std::string(a == before ? "intact" : "clobbered");
+  });
+}
+
+/// `set x [set y [set y ... 1]]` with `levels` brackets.
+std::string nested_brackets(int levels) {
+  std::string script = "set x ";
+  for (int i = 0; i < levels; ++i) script += "[set y ";
+  script += "1";
+  script.append(static_cast<std::size_t>(levels), ']');
+  return script;
+}
+
+TEST(TclWordStack, WordsSurviveAScriptTheCommandRuns) {
+  Interp in;
+  register_echo(in);
+  register_keep(in, "echo a b c d e f; set long_variable_name [echo g h i j]; echo k");
+  in.set_var("v", "value");
+  EXPECT_EQ(eval_ok(in, "keep one two $v [echo three] four"), "intact");
+  EXPECT_EQ(in.output(), (std::vector<std::string>{"three", "f", "j", "k"}));
+}
+
+TEST(TclWordStack, WordsSurviveBracketsNestedToTheDepthLimit) {
+  // `keep` runs at depth 1 and its script at depth 2, so 62 brackets reach
+  // kMaxDepth exactly; 63 are one too many and fail inside the script.
+  for (const int levels : {kMaxDepth - 2, kMaxDepth - 1}) {
+    Interp in;
+    register_keep(in, nested_brackets(levels));
+    EXPECT_EQ(eval_ok(in, "keep alpha beta gamma delta"), "intact") << levels;
+    EXPECT_EQ(in.has_var("x"), levels == kMaxDepth - 2) << levels;
+  }
+  // Brackets in the command's own words, nested to the limit: its words
+  // are substituted one level deeper than it runs.
+  Interp in;
+  register_keep(in, "set z 1");
+  const std::string deep = nested_brackets(kMaxDepth - 1).substr(6);
+  EXPECT_EQ(eval_ok(in, "keep first " + deep + " last"), "intact");
+  EXPECT_FALSE(in.eval("keep first [" + nested_brackets(kMaxDepth - 1) + "] last").ok);
+}
+
+TEST(TclWordStack, RunAfterAnErrorGetsFreshWords) {
+  Interp in;
+  std::vector<std::string> seen;
+  in.register_command("record", [&seen](Interp&, const std::vector<std::string>& a) {
+    seen = a;
+    return std::string();
+  });
+  in.register_command("boom", [](Interp&, const std::vector<std::string>&) -> std::string {
+    Interp::fail("boom");
+  });
+  // An error while the words are substituted, and one thrown by a command
+  // in a word's brackets, each after longer commands at the same depth.
+  eval_ok(in, "record a b c d e f g");
+  EXPECT_FALSE(in.eval("record 1 2 3 $undefined 5 6 7 8").ok);
+  eval_ok(in, "record x");
+  EXPECT_EQ(seen, (std::vector<std::string>{"record", "x"}));
+  EXPECT_FALSE(in.eval("record p q [record r s t u v w; boom] z").ok);
+  eval_ok(in, "record [record y] w");
+  EXPECT_EQ(seen, (std::vector<std::string>{"record", "", "w"}));
+  // A command that fails mid-run leaves the next run its own words.
+  EXPECT_FALSE(in.eval("boom with many words here").ok);
+  eval_ok(in, "record after");
+  EXPECT_EQ(seen, (std::vector<std::string>{"record", "after"}));
+}
+
 }  // namespace
 }  // namespace dovado::tcl

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdarg>
+#include <cmath>
 #include <cstdio>
+#include <limits>
+#include <random>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -150,6 +153,53 @@ TEST(Format, AppendFormatAppendsWhatFormatReturns) {
     std::string out = "head:";
     append_format(out, "%s;%.17g", text.c_str(), 0.1);
     EXPECT_EQ(out, "head:" + format("%s;%.17g", text.c_str(), 0.1)) << length;
+  }
+}
+
+TEST(Format, AppendNumbersPrintWhatPrintfPrints) {
+  // append_int / append_fixed / append_left against printf's "%*lld",
+  // "%*.*f" and "%-*s" on seeded values of every magnitude, on halfway
+  // cases and on the special values.
+  std::mt19937_64 rng(417);
+  std::vector<double> values = {0.0,    -0.0,     0.5,     1.5,     2.5,      0.125,   0.375,
+                                1.0005, 2.00005,  99.995,  -99.995, 1e-300,   1e300,   -1e300,
+                                1e308,  -1.7e308, 4.9e-324, std::nan(""), -std::nan(""),
+                                std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity()};
+  std::uniform_real_distribution<double> mantissa(-10.0, 10.0);
+  std::uniform_int_distribution<int> exponent(-12, 40);
+  for (int i = 0; i < 5000; ++i) values.push_back(mantissa(rng) * std::pow(10.0, exponent(rng)));
+  for (int i = 0; i < 2000; ++i) {
+    // Decimal halfway points at two to four places.
+    values.push_back(static_cast<double>(static_cast<int>(rng() % 200000) - 100000) / 2000.0);
+  }
+  for (const double value : values) {
+    for (const int precision : {2, 3, 4}) {
+      for (const int width : {0, 6, 12}) {
+        std::string out = "x";
+        append_fixed(out, value, precision, width);
+        EXPECT_EQ(out, "x" + format("%*.*f", width, precision, value)) << value;
+      }
+    }
+  }
+  std::vector<long long> integers = {0, -1, 1, std::numeric_limits<long long>::min(),
+                                     std::numeric_limits<long long>::max()};
+  for (int i = 0; i < 2000; ++i) {
+    integers.push_back(static_cast<long long>(rng()) >> (rng() % 64));
+  }
+  for (const long long value : integers) {
+    for (const int width : {0, 1, 10, 25}) {
+      std::string out = "y";
+      append_int(out, value, width);
+      EXPECT_EQ(out, "y" + format("%*lld", width, value)) << value;
+    }
+  }
+  for (const std::string_view text : {"", "LUT", "Slice LUTs", "a much longer site type"}) {
+    for (const int width : {0, 3, 12}) {
+      std::string out = "z";
+      append_left(out, text, width);
+      EXPECT_EQ(out, "z" + format("%-*s", width, std::string(text).c_str())) << text;
+    }
   }
 }
 
