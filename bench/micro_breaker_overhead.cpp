@@ -31,11 +31,10 @@ core::ProjectConfig fifo_project() {
 /// Wall-clock nanoseconds per fresh evaluation (cache never hits); min of
 /// the caller's rounds filters scheduler noise.
 double ns_per_eval(bool with_breaker, int evals) {
-  core::EvaluationBroker broker(fifo_project(), core::BrokerConfig{});
-  if (with_breaker) {
-    broker.set_health_manager(
-        std::make_shared<core::BackendHealthManager>(core::BreakerConfig{}));
-  }
+  core::EvaluationBroker broker(
+      fifo_project(), core::BrokerConfig{},
+      with_breaker ? std::make_shared<core::BackendHealthManager>(core::BreakerConfig{})
+                   : nullptr);
   const auto start = std::chrono::steady_clock::now();
   for (int i = 0; i < evals; ++i) {
     const auto r = broker.tool_evaluate({{"DEPTH", 8 + i}});

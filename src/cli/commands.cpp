@@ -120,18 +120,6 @@ class ScopedSignalHandlers {
   struct sigaction old_term_ = {};
 };
 
-/// Open the cross-campaign store for a daemon, degrading to read-only when
-/// another writer holds the lock (mirrors the engine's policy).
-std::shared_ptr<store::EvalStore> open_store_or_throw(const std::string& path) {
-  auto opened = store::EvalStore::open_writer(path);
-  if (!opened.store && opened.lock_busy) {
-    util::Log::warn(opened.error);
-    opened = store::EvalStore::open_reader(path);
-  }
-  if (!opened.store) throw std::runtime_error(opened.error);
-  return std::move(opened.store);
-}
-
 }  // namespace
 
 int run_parse(const Options& options, std::ostream& out, std::ostream& err) {
@@ -626,7 +614,7 @@ int run_serve(const Options& options, std::ostream& out, std::ostream& err) {
     // before the restart is served from cache afterwards.
     config.broker.resume_from_journal = !options.journal_path.empty();
     if (!options.store_path.empty()) {
-      config.broker.store = open_store_or_throw(options.store_path);
+      config.broker.store = core::EvaluationFleet::open_store(options.store_path);
     }
     config.broker.campaign_id =
         options.campaign_id.empty() ? "serve" : options.campaign_id;

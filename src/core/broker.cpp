@@ -2,15 +2,18 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "src/util/logging.hpp"
 
 namespace dovado::core {
 
-EvaluationBroker::EvaluationBroker(ProjectConfig project, BrokerConfig config)
+EvaluationBroker::EvaluationBroker(ProjectConfig project, BrokerConfig config,
+                                   std::shared_ptr<BackendHealthManager> health)
     : project_(std::move(project)),
       config_(std::move(config)),
-      cache_(std::make_shared<EvaluationCache>()) {
+      cache_(std::make_shared<EvaluationCache>()),
+      health_(std::move(health)) {
   // Every evaluation runs supervised (retries/quarantine); with faults off
   // and a healthy tool, supervision is a single attempt plus bookkeeping.
   supervisor_ = std::make_shared<EvaluationSupervisor>(config_.supervise);
@@ -55,10 +58,6 @@ EvaluationBroker::EvaluationBroker(ProjectConfig project, BrokerConfig config)
     // surfaced through BrokerStats -> DseStats -> CLI/JSON.
     journal_skipped_records_ = pending_replay_.skipped_records;
   }
-}
-
-void EvaluationBroker::set_health_manager(std::shared_ptr<BackendHealthManager> health) {
-  health_ = std::move(health);
 }
 
 void EvaluationBroker::append_health_event(const HealthEvent& event) {
@@ -116,28 +115,15 @@ void EvaluationBroker::journal_inflight(const DesignPoint& point,
   }
 }
 
-std::vector<JournalRecord> EvaluationBroker::replay_journal() {
-  std::vector<JournalRecord> seeded;
-  if (!pending_replay_.inflight.empty()) {
-    replayed_inflight_ = std::move(pending_replay_.inflight);
-    pending_replay_.inflight.clear();
-  }
-  // Health events are recovered even when no evaluation records were
-  // journaled (e.g. the breaker tripped before any run finished).
-  if (!pending_replay_.health_events.empty()) {
-    replayed_health_events_ = std::move(pending_replay_.health_events);
-    pending_replay_.health_events.clear();
-  }
-  if (pending_replay_.skipped_records > 0) {
+SessionJournal::Replay EvaluationBroker::replay_journal() {
+  SessionJournal::Replay replay = std::exchange(pending_replay_, {});
+  if (replay.skipped_records > 0) {
     util::Log::warn("journal '" + config_.journal_path + "': skipped " +
-                    std::to_string(pending_replay_.skipped_records) +
-                    " record(s) of unknown kind");
+                    std::to_string(replay.skipped_records) + " record(s) of unknown kind");
   }
-  if (pending_replay_.records.empty()) {
-    pending_replay_ = {};
-    return seeded;
-  }
-  for (const auto& rec : pending_replay_.records) {
+  if (replay.records.empty()) return replay;
+  std::vector<JournalRecord> seeded;
+  for (auto& rec : replay.records) {
     if (cache_->lookup(rec.params)) continue;  // warm start already seeded it
     EvalResult result;
     result.ok = rec.ok;
@@ -151,12 +137,12 @@ std::vector<JournalRecord> EvaluationBroker::replay_journal() {
       util::MutexLock lock(stats_mutex_);
       ++journal_replays_;
     }
-    seeded.push_back(rec);
+    seeded.push_back(std::move(rec));
   }
-  util::Log::info("journal replay: " + std::to_string(pending_replay_.records.size()) +
+  util::Log::info("journal replay: " + std::to_string(replay.records.size()) +
                   " evaluations recovered from '" + config_.journal_path + "'");
-  pending_replay_ = {};
-  return seeded;
+  replay.records = std::move(seeded);
+  return replay;
 }
 
 void EvaluationBroker::seed_cache(const DesignPoint& point, const EvalResult& result) {

@@ -5,9 +5,9 @@
 // and the evaluation machinery evolve independently. One broker owns one
 // backend fidelity: the cache, the exclusively-leased evaluator pool, the
 // retry/quarantine supervisor, the optional fault injector, the crash
-// journal and the tool-seconds deadline accounting all live here. The
-// engine composes one high-fidelity broker with (optionally) a second
-// low-fidelity broker for multi-fidelity screening.
+// journal and the tool-seconds deadline accounting all live here.
+// core::EvaluationFleet (core/fleet.hpp) builds a process's brokers: the
+// hi-fi one and the analytic tier that screening and hedging share.
 #pragma once
 
 #include <functional>
@@ -129,15 +129,17 @@ class EvaluationBroker {
   /// journal. Throws std::runtime_error when the project cannot be parsed,
   /// the backend name is unknown, or the journal cannot be opened; a
   /// pending journal replay is held until replay_journal() is called (the
-  /// engine seeds warm-start state first).
-  EvaluationBroker(ProjectConfig project, BrokerConfig config);
+  /// engine seeds warm-start state first). `health`: the per-backend
+  /// circuit breakers (see core/health/); null = none.
+  EvaluationBroker(ProjectConfig project, BrokerConfig config,
+                   std::shared_ptr<BackendHealthManager> health = nullptr);
 
   /// Evaluate with the tool on an exclusively leased session, then apply
   /// the configured derived metrics, journal fresh answers and charge the
   /// guarded tool-seconds accumulator. Safe to call from any number of
   /// pool tasks.
   ///
-  /// With a health manager attached, uncached points first pass the
+  /// With circuit breakers, uncached points first pass the
   /// backend's circuit breaker: an open breaker answers in O(1) with
   /// `fast_failed=true` (zero tool seconds; never cached or journaled).
   /// `probe=true` requests admission through the breaker's probe budget
@@ -152,18 +154,9 @@ class EvaluationBroker {
   [[nodiscard]] EvalResult tool_evaluate(const DesignPoint& point, bool probe = false,
                                          double deadline_tool_seconds = 0.0);
 
-  /// Attach the per-backend circuit breakers (see core/health/). Must be
-  /// called before evaluations start; null detaches.
-  void set_health_manager(std::shared_ptr<BackendHealthManager> health);
-
   /// Journal a breaker transition (no-op without a journal). Used as the
   /// health manager's event sink.
   void append_health_event(const HealthEvent& event);
-
-  /// Health events recovered by replay_journal() (empty before it runs).
-  [[nodiscard]] const std::vector<HealthEvent>& replayed_health_events() const {
-    return replayed_health_events_;
-  }
 
   /// Dispatch fn(i) for i in [0, n) over the pool; the caller is a lane
   /// too (pre-training, evaluate_set, front verification, screening
@@ -203,20 +196,11 @@ class EvaluationBroker {
   /// `optimizer` attributes the point to the searcher that asked for it.
   void journal_inflight(const DesignPoint& point, const std::string& optimizer = "");
 
-  /// Inflight points recovered by replay_journal() — submitted by a
-  /// crashed campaign but never answered (empty before replay, and for
-  /// journals without inflight markers). Each mark carries the optimizer
-  /// attribution recorded at submission (empty for pre-v3 journals).
-  [[nodiscard]] const std::vector<InflightMark>& replayed_inflight() const {
-    return replayed_inflight_;
-  }
-
   /// Replay the journal opened at construction into the evaluation cache,
   /// skipping points the caller already seeded (warm start). Returns the
-  /// records actually seeded so the caller can mirror them into its own
-  /// bookkeeping (explored set, approximation dataset). Empty when there
-  /// was nothing to replay.
-  [[nodiscard]] std::vector<JournalRecord> replay_journal();
+  /// replay with `records` cut down to the ones seeded; its health events
+  /// and inflight marks are the caller's to apply. Empty on later calls.
+  [[nodiscard]] SessionJournal::Replay replay_journal();
 
   /// Direct cache seeding, bypassing single-flight (warm start).
   void seed_cache(const DesignPoint& point, const EvalResult& result);
@@ -244,9 +228,6 @@ class EvaluationBroker {
   }
 
   [[nodiscard]] const EvaluationSupervisor& supervisor() const { return *supervisor_; }
-  [[nodiscard]] const edatool::FaultInjector* fault_injector() const {
-    return fault_injector_.get();
-  }
 
  private:
   ProjectConfig project_;
@@ -259,8 +240,6 @@ class EvaluationBroker {
   std::unique_ptr<SessionJournal> journal_;  ///< null = journaling disabled
   SessionJournal::Replay pending_replay_;    ///< held until replay_journal()
   std::shared_ptr<BackendHealthManager> health_;  ///< null = no breakers
-  std::vector<HealthEvent> replayed_health_events_;
-  std::vector<InflightMark> replayed_inflight_;
   edatool::BackendInfo backend_info_;
   std::vector<std::string> metric_names_;
 

@@ -9,7 +9,6 @@ namespace dovado::core {
 
 CampaignLoop::CampaignLoop(DseEngine& engine, std::unique_ptr<opt::Problem> problem,
                            std::unique_ptr<opt::Optimizer> searcher,
-                           const std::vector<InflightMark>& inflight,
                            std::function<bool()> stop_requested)
     : engine_(engine),
       problem_(std::move(problem)),
@@ -43,7 +42,7 @@ CampaignLoop::CampaignLoop(DseEngine& engine, std::unique_ptr<opt::Problem> prob
   } else if (in_order_ && std::isinf(config.deadline_tool_seconds)) {
     max_inflight_ = std::max<std::size_t>(1, ga.population_size);
   } else {
-    const std::size_t lanes = engine_.broker_->virtual_lane_count();
+    const std::size_t lanes = engine_.fleet_->broker().virtual_lane_count();
     max_inflight_ = std::max<std::size_t>(1, in_order_ ? 2 * lanes : lanes);
   }
 
@@ -61,7 +60,7 @@ CampaignLoop::CampaignLoop(DseEngine& engine, std::unique_ptr<opt::Problem> prob
   // the recorded attribution so the eventual tell() lands on the portfolio
   // member that originally asked.
   std::size_t replayed = 0;
-  for (const InflightMark& mark : inflight) {
+  for (const InflightMark& mark : engine_.replayed_inflight_) {
     auto genome = config.space.encode(mark.params);
     if (!genome) continue;  // the space changed; the point is unreachable now
     searcher_->reserve_for(*genome, mark.optimizer);
@@ -83,7 +82,7 @@ std::optional<CampaignLoop::Dispatch> CampaignLoop::take() {
   while (true) {
     while (!stopped_ && inflight_ < max_inflight_ &&
            (!queue_.empty() || (submitted_ < budget_ && !searcher_->waiting()))) {
-      const bool deadline = has_deadline && engine_.broker_->deadline_exceeded();
+      const bool deadline = has_deadline && engine_.fleet_->broker().deadline_exceeded();
       if (deadline || (stop_requested_ && stop_requested_())) {
         stop(deadline);
         break;
@@ -106,8 +105,9 @@ std::optional<CampaignLoop::Dispatch> CampaignLoop::take() {
       // The inflight marker makes submission crash-safe: a campaign that
       // dies now re-submits the point exactly once on resume, and the
       // attribution routes the answer to the member that asked for it.
-      if (!engine_.config_.journal_path.empty() && !engine_.broker_->cached(slot.point)) {
-        engine_.broker_->journal_inflight(slot.point, searcher_->attributed_to(slot.genome));
+      EvaluationBroker& broker = engine_.fleet_->broker();
+      if (!engine_.config_.journal_path.empty() && !broker.cached(slot.point)) {
+        broker.journal_inflight(slot.point, searcher_->attributed_to(slot.genome));
       }
       ++inflight_;
       Dispatch dispatch{ticket, slot.point};
@@ -135,7 +135,7 @@ void CampaignLoop::complete(std::size_t ticket, std::optional<EvalResult> result
 // them through the ladder. The lanes meet at a barrier before the first
 // block after the searcher waited: the generational sync point.
 void CampaignLoop::ask_block(std::size_t n) {
-  if (barrier_due_) engine_.broker_->lane_barrier();
+  if (barrier_due_) engine_.fleet_->broker().lane_barrier();
   std::vector<opt::Genome> genomes;
   std::vector<DesignPoint> points;
   while (genomes.size() < n && !searcher_->waiting()) {
@@ -158,7 +158,7 @@ void CampaignLoop::ask_block(std::size_t n) {
 // Answers the ladder already gave are still told; queued forwarded points
 // never reach the tool.
 void CampaignLoop::stop(bool deadline) {
-  if (deadline) engine_.broker_->mark_deadline_hit();
+  if (deadline) engine_.fleet_->broker().mark_deadline_hit();
   stopped_ = true;
   std::size_t skipped = 0;
   for (Slot& slot : queue_) {
@@ -200,8 +200,8 @@ void CampaignLoop::tell(Slot& slot) {
   const EvalResult& result = *slot.result;
   std::optional<EvalResult> hedge;
   if (result.fast_failed) {
-    hedge = engine_.analytic_broker()->tool_evaluate(slot.point);
-    engine_.enqueue_probe(slot.point);
+    hedge = engine_.fleet_->analytic().tool_evaluate(slot.point);
+    engine_.probes_->push(slot.point);
   }
   const DseEngine::Settled answer =
       engine_.settle(slot.point, result, hedge ? &*hedge : nullptr);

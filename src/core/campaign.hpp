@@ -65,11 +65,8 @@ class CampaignLoop {
     bool answered = false;  ///< ready to tell: a ladder answer, a broker answer or a drop
   };
 
-  /// `inflight`: points a crashed campaign journaled as submitted; they go
-  /// first, exactly once, bypassing the ladder.
   CampaignLoop(DseEngine& engine, std::unique_ptr<opt::Problem> problem,
                std::unique_ptr<opt::Optimizer> searcher,
-               const std::vector<InflightMark>& inflight,
                std::function<bool()> stop_requested);
 
   void ask_block(std::size_t n);

@@ -50,27 +50,18 @@ class DovadoProblem final : public opt::Problem {
 };
 
 DseEngine::DseEngine(ProjectConfig project, DseConfig config)
-    : project_(std::move(project)), config_(std::move(config)) {
-  init();
-}
+    : DseEngine(std::move(project), std::move(config), nullptr) {}
 
 DseEngine::DseEngine(ProjectConfig project, DseConfig config,
-                     std::shared_ptr<EvaluationBroker> broker,
-                     std::shared_ptr<BackendHealthManager> health)
+                     std::shared_ptr<EvaluationFleet> fleet)
     : project_(std::move(project)),
       config_(std::move(config)),
-      broker_(std::move(broker)),
-      owns_broker_(false),
-      health_(std::move(health)) {
-  if (!broker_) throw std::invalid_argument("DseEngine: the shared broker is null");
-  if (!config_.store_path.empty() || !config_.journal_path.empty()) {
+      own_fleet_(fleet == nullptr),
+      fleet_(std::move(fleet)) {
+  if (!own_fleet_ && (!config_.store_path.empty() || !config_.journal_path.empty())) {
     throw std::invalid_argument(
-        "DseEngine: a store or journal belongs to the shared broker's owner");
+        "DseEngine: a store or journal belongs to the shared fleet's owner");
   }
-  init();
-}
-
-void DseEngine::init() {
   if (config_.space.params.empty()) {
     throw std::runtime_error("design space has no parameters");
   }
@@ -113,66 +104,28 @@ void DseEngine::init() {
   }
   if (!config_.backend.empty()) project_.backend = config_.backend;
 
-  // Cross-campaign evaluation store: opened before the brokers so every
-  // tier shares one handle. Single-writer: when another live campaign
-  // holds the lock this run degrades to a read-only snapshot (store hits
-  // still work; its own evaluations are simply not persisted) — readers
-  // always proceed.
-  if (owns_broker_ && !config_.store_path.empty()) {
-    auto opened = store::EvalStore::open_writer(config_.store_path);
-    if (!opened.store && opened.lock_busy) {
-      util::Log::warn(opened.error);
-      opened = store::EvalStore::open_reader(config_.store_path);
-    }
-    if (!opened.store) throw std::runtime_error(opened.error);
-    store_ = std::move(opened.store);
-    const store::StoreStats store_stats = store_->stats();
-    if (store_stats.torn_tail) {
-      util::Log::warn("evaluation store '" + config_.store_path +
-                      "' had a torn final record (crash mid-append); dropped");
-    }
-    if (store_stats.quarantined > 0) {
-      util::Log::warn("evaluation store '" + config_.store_path + "': quarantined " +
-                      std::to_string(store_stats.quarantined) + " corrupt region(s)");
-    }
-    stats_.store_quarantined_records = store_stats.quarantined;
-    util::Log::info("evaluation store '" + config_.store_path + "': " +
-                    std::to_string(store_stats.live) + " known evaluations" +
-                    (store_->writable() ? "" : " (read-only)"));
+  if (own_fleet_) {
+    BrokerConfig hifi;
+    hifi.workers = config_.workers;
+    hifi.virtual_lanes = config_.virtual_lanes;
+    hifi.supervise = config_.supervise;
+    hifi.fault_plan = config_.fault_plan;
+    hifi.derived_metrics = config_.derived_metrics;
+    hifi.deadline_tool_seconds = config_.deadline_tool_seconds;
+    hifi.journal_path = config_.journal_path;
+    hifi.resume_from_journal = config_.resume_from_journal;
+    if (!config_.store_path.empty()) hifi.store = EvaluationFleet::open_store(config_.store_path);
+    hifi.campaign_id = config_.campaign_id;
+    fleet_ = std::make_shared<EvaluationFleet>(project_, std::move(hifi), config_.breaker);
   }
-
-  // The high-fidelity broker: cache, evaluator pool, supervisor, fault
-  // injector, journal and deadline accounting (see core/broker.hpp).
-  if (owns_broker_) {
-    BrokerConfig broker_config;
-    broker_config.workers = config_.workers;
-    broker_config.virtual_lanes = config_.virtual_lanes;
-    broker_config.supervise = config_.supervise;
-    broker_config.fault_plan = config_.fault_plan;
-    broker_config.derived_metrics = config_.derived_metrics;
-    broker_config.deadline_tool_seconds = config_.deadline_tool_seconds;
-    broker_config.journal_path = config_.journal_path;
-    broker_config.resume_from_journal = config_.resume_from_journal;
-    broker_config.store = store_;
-    broker_config.store_tier = store::EvalStore::kTierHifi;
-    broker_config.campaign_id = config_.campaign_id;
-    broker_ = std::make_shared<EvaluationBroker>(project_, broker_config);
-  }
-  // A steady searcher gains nothing from more asks in flight than lanes;
-  // the generational searcher's generation is asked whole anyway.
-  if (owns_broker_ && config_.steady_state &&
-      config_.max_inflight > broker_->virtual_lane_count()) {
-    util::Log::warn("max_inflight " + std::to_string(config_.max_inflight) +
-                    " exceeds the " +
-                    std::to_string(broker_->virtual_lane_count()) +
-                    " virtual lane(s); the extra in-flight slots only queue "
-                    "behind busy lanes");
-  }
+  EvaluationBroker& broker = fleet_->broker();
+  const store::EvalStore* store = fleet_->store();
+  if (store != nullptr) stats_.store_quarantined_records = store->stats().quarantined;
 
   // Validate metric names against what the backend actually reports, with
   // a did-you-mean suggestion — a typo'd objective must fail loudly at
   // construction, not silently optimize a metric that is always zero.
-  const std::vector<std::string>& backend_metrics = broker_->metric_names();
+  const std::vector<std::string>& backend_metrics = broker.metric_names();
   const auto is_backend_metric = [&](const std::string& name) {
     return std::find(backend_metrics.begin(), backend_metrics.end(), name) !=
            backend_metrics.end();
@@ -190,35 +143,21 @@ void DseEngine::init() {
     std::string message = "unknown objective metric '" + obj.metric + "'";
     const std::string suggestion = util::closest_match(obj.metric, known);
     if (!suggestion.empty()) message += " (did you mean '" + suggestion + "'?)";
-    message += "; backend '" + broker_->backend_info().name +
+    message += "; backend '" + broker.backend_info().name +
                "' reports: " + util::join(known, ", ");
     throw std::runtime_error(message);
   }
 
   // Validate that every space parameter exists on the module and is free.
-  if (const std::string error = space_parameter_error(config_.space, broker_->module());
+  if (const std::string error = space_parameter_error(config_.space, broker.module());
       !error.empty()) {
     throw std::runtime_error(error);
   }
 
   // Multi-fidelity screening runs on the analytic tier: build its broker
   // now rather than on the first hedge.
-  if (screening()) analytic_broker();
-
-  // Backend health management (see core/health/): a circuit breaker on the
-  // high-fidelity backend drives the degradation ladder. Pointless when the
-  // hi-fi backend *is* the hedge tier — there is nothing to degrade to.
-  if (owns_broker_ && config_.breaker.enabled &&
-      broker_->backend_info().name != kAnalyticBackend) {
-    health_ = std::make_shared<BackendHealthManager>(config_.breaker);
-    health_->set_event_sink([this](const HealthEvent& event) {
-      util::Log::warn("backend '" + event.backend + "' breaker: " +
-                      health_event_kind_name(event.kind) +
-                      (event.cause.empty() ? "" : " (" + event.cause + ")"));
-      broker_->append_health_event(event);
-    });
-    broker_->set_health_manager(health_);
-  }
+  if (screening()) (void)fleet_->analytic();
+  probes_ = std::make_unique<ProbeQueue>(*fleet_);
 
   if (config_.use_approximation) {
     control_ = std::make_unique<model::ControlModel>(config_.control);
@@ -233,90 +172,32 @@ void DseEngine::init() {
     seeded.ok = !point.failed;
     seeded.metrics = point.metrics;
     if (point.failed) seeded.error = "failed in a previous session";
-    broker_->seed_cache(point.params, seeded);
+    broker.seed_cache(point.params, seeded);
     record(point.params, point.metrics, false, point.failed);
     if (!point.failed) grow_dataset(point.params, point.metrics);
   }
 
-  // Crash recovery: the broker seeds its cache from the journal (skipping
-  // warm-started points); the engine mirrors the seeded records into the
-  // explored set and the approximation dataset, and journaled breaker
-  // transitions restore the health state (an open breaker stays open — a
-  // resumed run must not re-pay the failure window of a known outage).
-  if (!owns_broker_) return;
-  absorb_replayed(broker_->replay_journal());
-  if (health_) health_->restore(broker_->replayed_health_events());
-}
-
-EvaluationBroker* DseEngine::analytic_broker() {
-  util::MutexLock lock(analytic_mutex_);
-  if (!analytic_broker_) {
-    // No fault plan, no journal, no deadline: analytic answers are cheap,
-    // disposable estimates; only high-fidelity spend is budgeted. They are
-    // persisted under the store's "screen" tier, so they are only ever
-    // served back to an analytic-tier broker, never as hi-fi answers.
-    ProjectConfig analytic_project = project_;
-    analytic_project.backend = kAnalyticBackend;
-    BrokerConfig analytic_config;
-    analytic_config.workers = config_.workers;
-    analytic_config.supervise = config_.supervise;
-    analytic_config.derived_metrics = config_.derived_metrics;
-    analytic_config.store = store_;
-    analytic_config.store_tier = store::EvalStore::kTierScreen;
-    analytic_config.campaign_id = config_.campaign_id;
-    analytic_broker_ = std::make_unique<EvaluationBroker>(analytic_project, analytic_config);
+  // Crash recovery: mirror the fleet's replay into the explored set and the
+  // dataset as the original run grew them, so a resumed model-guided run
+  // makes the same decisions (empty for a shared fleet: its owner replayed).
+  SessionJournal::Replay replay = fleet_->replay_journal();
+  for (const JournalRecord& rec : replay.records) {
+    record(rec.params, rec.metrics, false, !rec.ok);
+    if (rec.ok) grow_dataset(rec.params, rec.metrics);
   }
-  return analytic_broker_.get();
-}
-
-const EvaluationBroker* DseEngine::built_analytic_broker() const {
-  util::MutexLock lock(analytic_mutex_);
-  return analytic_broker_.get();
-}
-
-const EvaluationBroker* DseEngine::screen_broker() const {
-  return screening() ? built_analytic_broker() : nullptr;
-}
-
-void DseEngine::enqueue_probe(const DesignPoint& point) {
-  if (!health_) return;
-  util::MutexLock lock(probe_mutex_);
-  // Bounded and deduplicated: a handful of representative fast-failed
-  // points is enough to diagnose recovery; queueing every one would turn
-  // the queue into a shadow of the whole search.
-  const std::size_t cap = std::max<std::size_t>(config_.breaker.probe_budget * 4, 8);
-  if (probe_queue_.size() >= cap) return;
-  if (!probe_seen_.insert(point).second) return;
-  probe_queue_.push_back(point);
+  replayed_inflight_ = std::move(replay.inflight);
 }
 
 void DseEngine::run_probe_queue() {
-  if (!health_) return;
-  const std::string& backend = broker_->backend_info().name;
-  while (health_->probe_wanted(backend)) {
-    DesignPoint point;
-    {
-      util::MutexLock lock(probe_mutex_);
-      if (probe_queue_.empty()) return;
-      point = probe_queue_.front();
-      probe_queue_.pop_front();
-    }
-    const EvalResult r = broker_->tool_evaluate(point, /*probe=*/true);
+  probes_->drain([this](const DesignPoint& point, const EvalResult& r) {
     add_side_tool_seconds(r.tool_seconds);
-    if (r.fast_failed) {
-      // The cooldown is still counting (or the budget is spent); keep the
-      // point for the next batch's probe round.
-      util::MutexLock lock(probe_mutex_);
-      probe_queue_.push_front(std::move(point));
-      return;
-    }
     tally(r);
-    if (!r.ok) continue;  // breaker handles the re-trip; the point is not recorded
+    if (!r.ok) return;  // breaker handles the re-trip; the point is not recorded
     // A probe success is a paid-for exact answer: record it (superseding
     // any hedged estimate for the point) and grow the dataset.
     record(point, r.metrics, false, false);
     if (!r.cache_hit && !r.joined) grow_dataset(point, r.metrics);
-  }
+  });
 }
 
 void DseEngine::add_side_tool_seconds(double seconds) {
@@ -329,22 +210,13 @@ double DseEngine::side_tool_seconds() const {
   return side_tool_seconds_;
 }
 
-void DseEngine::absorb_replayed(const std::vector<JournalRecord>& records) {
-  for (const auto& rec : records) {
-    record(rec.params, rec.metrics, false, !rec.ok);
-    // Rebuild the approximation dataset the way the original run grew it,
-    // so a resumed model-guided exploration makes the same decisions.
-    if (rec.ok) grow_dataset(rec.params, rec.metrics);
-  }
-}
-
 DseStats DseEngine::stats() const {
   DseStats snapshot;
   {
     util::MutexLock lock(stats_mutex_);
     snapshot = stats_;
   }
-  const BrokerStats hifi = broker_->stats();
+  const BrokerStats hifi = fleet_->broker().stats();
   snapshot.simulated_tool_seconds = hifi.tool_seconds;
   snapshot.deadline_hit = hifi.deadline_hit;
   snapshot.lease_waits = hifi.lease_waits;
@@ -363,8 +235,8 @@ DseStats DseEngine::stats() const {
   snapshot.busy_tool_seconds = hifi.busy_tool_seconds;
   snapshot.virtual_makespan_seconds = hifi.virtual_makespan_seconds;
   snapshot.virtual_lanes = hifi.virtual_lanes;
-  snapshot.backend_runs[broker_->backend_info().name] += hifi.fresh_runs;
-  if (const EvaluationBroker* analytic = built_analytic_broker()) {
+  snapshot.backend_runs[fleet_->broker().backend_info().name] += hifi.fresh_runs;
+  if (const EvaluationBroker* analytic = fleet_->built_analytic()) {
     const BrokerStats lofi = analytic->stats();
     if (screening()) {
       snapshot.screen_runs = lofi.fresh_runs;
@@ -374,8 +246,8 @@ DseStats DseEngine::stats() const {
     snapshot.store_hits += lofi.store_hits;
     snapshot.store_appends += lofi.store_appends;
   }
-  if (health_) {
-    const HealthStats health = health_->stats();
+  if (const BackendHealthManager* breakers = fleet_->health()) {
+    const HealthStats health = breakers->stats();
     snapshot.breaker_trips = health.trips;
     snapshot.breaker_recoveries = health.recoveries;
     snapshot.breaker_fast_fails = health.fast_fails;
@@ -621,14 +493,14 @@ void DseEngine::pretrain() {
 std::vector<std::optional<EvalResult>> DseEngine::evaluate_points(
     const std::vector<DesignPoint>& points) {
   std::vector<std::optional<EvalResult>> results(points.size());
-  broker_->parallel_for(points.size(), [&](std::size_t i) {
-    if (broker_->deadline_exceeded()) return;
-    results[i] = broker_->tool_evaluate(points[i]);
+  fleet_->broker().parallel_for(points.size(), [&](std::size_t i) {
+    if (fleet_->broker().deadline_exceeded()) return;
+    results[i] = fleet_->broker().tool_evaluate(points[i]);
   });
-  broker_->lane_barrier();  // a one-shot fan-out: the set closes together
+  fleet_->broker().lane_barrier();  // a one-shot fan-out: the set closes together
   if (std::any_of(results.begin(), results.end(),
                   [](const std::optional<EvalResult>& r) { return !r; })) {
-    broker_->mark_deadline_hit();
+    fleet_->broker().mark_deadline_hit();
   }
   return results;
 }
@@ -640,7 +512,7 @@ std::vector<std::optional<EvalResult>> DseEngine::screen_batch(
   // already answers is forwarded (the hit is free and exact).
   std::vector<std::size_t> fresh;
   for (std::size_t ui = 0; ui < unique_points.size(); ++ui) {
-    if (!broker_->cached(unique_points[ui])) fresh.push_back(ui);
+    if (!fleet_->broker().cached(unique_points[ui])) fresh.push_back(ui);
   }
   if (fresh.empty()) return settled;
 
@@ -651,7 +523,7 @@ std::vector<std::optional<EvalResult>> DseEngine::screen_batch(
   // generations, and each re-ranking is another chance to be forwarded).
   // Such points settle from the cached estimate; only first-seen points
   // compete for the high-fidelity slots.
-  EvaluationBroker& screener = *analytic_broker();
+  EvaluationBroker& screener = fleet_->analytic();
   std::vector<char> sticky(fresh.size(), 0);
   for (std::size_t i = 0; i < fresh.size(); ++i) {
     sticky[i] = screener.cached(unique_points[fresh[i]]) ? 1 : 0;
@@ -729,7 +601,7 @@ std::vector<DseEngine::Rung> DseEngine::ladder(const std::vector<DesignPoint>& b
   // low-fidelity broker; unpromising ones are settled with their screening
   // answer and never reach the high-fidelity tool. Skipped once the
   // deadline passed — the block is about to be cut anyway.
-  if (!screening() || broker_->deadline_exceeded()) return rungs;
+  if (!screening() || fleet_->broker().deadline_exceeded()) return rungs;
   const std::vector<std::optional<EvalResult>> screened = screen_batch(unique_points);
   for (std::size_t i = 0; i < block.size(); ++i) {
     if (!rungs[i].estimate) rungs[i].screen = screened[unique_of[i]];
@@ -813,7 +685,7 @@ void DseEngine::run_campaign(CampaignLoop& loop) {
   // Run one point on the calling lane and publish its answer.
   const auto run_point = [this, lanes](Run run) {
     try {
-      run.result = broker_->tool_evaluate(run.point);
+      run.result = fleet_->broker().tool_evaluate(run.point);
     } catch (...) {
       run.error = std::current_exception();
     }
@@ -863,7 +735,7 @@ void DseEngine::run_campaign(CampaignLoop& loop) {
           start_runner = true;
         }
       }
-      if (start_runner) broker_->async(runner);
+      if (start_runner) fleet_->broker().async(runner);
     }
     if (loop.done()) break;
     Run next;
@@ -917,14 +789,15 @@ std::unique_ptr<CampaignLoop> DseEngine::start_campaign(std::function<bool()> st
     // the front of the warm-started points.
     ga.initial_genomes = seed_genomes(config_.warm_start);
   }
-  if (store_ && config_.store_warm_start && ga.initial_genomes.empty()) {
+  if (const store::EvalStore* store = fleet_->store();
+      store != nullptr && config_.store_warm_start && ga.initial_genomes.empty()) {
     // No explicit warm-start file: seed from the cross-campaign store
     // instead. Only exact hi-fi answers for *this* backend count — screen
     // estimates and approximate scores never steer the initial population.
     std::vector<ExploredPoint> exact;
-    for (const auto& rec : store_->live_records()) {
+    for (const auto& rec : store->live_records()) {
       if (rec.tier != store::EvalStore::kTierHifi) continue;
-      if (rec.backend != broker_->backend_info().name) continue;
+      if (rec.backend != fleet_->broker().backend_info().name) continue;
       if (!rec.ok || rec.approximate) continue;
       ExploredPoint point{rec.params, EvalMetrics{rec.metrics}};
       if (has_objectives(point.metrics)) exact.push_back(std::move(point));
@@ -952,7 +825,11 @@ std::unique_ptr<CampaignLoop> DseEngine::start_campaign(std::function<bool()> st
     opt_ctx.problem = problem.get();
     opt_ctx.ga = ga;
     opt_ctx.portfolio_members = config_.portfolio_members;
-    if (owns_broker_) {
+    // Only an engine that built its own fleet hooks the NWM into the
+    // surrogate sampler. With the hook set, each surrogate proposal draws
+    // a batch of random candidates to rank instead of one genome, so
+    // hooking a daemon campaign would change what it explores.
+    if (own_fleet_) {
       opt_ctx.surrogate = [this](const opt::Genome& genome) -> std::optional<opt::Objectives> {
         // NWM estimates back the surrogate-guided sampler; without enough
         // samples the model has nothing to say and the sampler degrades to
@@ -965,10 +842,8 @@ std::unique_ptr<CampaignLoop> DseEngine::start_campaign(std::function<bool()> st
   } else {
     searcher = std::make_unique<opt::GenerationalNsga2>(ga, *problem);
   }
-  static const std::vector<InflightMark> kNoInflight;
   return std::unique_ptr<CampaignLoop>(
       new CampaignLoop(*this, std::move(problem), std::move(searcher),
-                       owns_broker_ ? broker_->replayed_inflight() : kNoInflight,
                        std::move(stop_requested)));
 }
 
@@ -1011,7 +886,7 @@ DseResult DseEngine::finish_campaign(const CampaignLoop& loop) {
 
   std::vector<std::size_t> front = build_front();
 
-  if (control_ || screening() || health_) {
+  if (control_ || screening() || fleet_->health() != nullptr) {
     // Estimated points that made the front — NWM estimates, screened-out
     // survivors and hedged (breaker-degraded) members alike — get an exact
     // tool evaluation (growing the dataset), then the front is recomputed.
@@ -1035,8 +910,8 @@ DseResult DseEngine::finish_campaign(const CampaignLoop& loop) {
       // Verification runs even past the deadline: the returned front must
       // be exact (estimated members re-evaluated by the tool, Sec. III-C).
       std::vector<EvalResult> results(to_verify.size());
-      broker_->parallel_for(to_verify.size(), [&](std::size_t i) {
-        results[i] = broker_->tool_evaluate(to_verify[i]);
+      fleet_->broker().parallel_for(to_verify.size(), [&](std::size_t i) {
+        results[i] = fleet_->broker().tool_evaluate(to_verify[i]);
       });
       std::size_t converted = 0;
       for (std::size_t i = 0; i < to_verify.size(); ++i) {

@@ -10,10 +10,11 @@
 //   3. the non-dominated set of explored configurations is returned (with
 //      estimated front members re-evaluated by the tool for exactness).
 //
-// The evaluation machinery — cache, evaluator pool, supervisor, journal,
-// deadline accounting — lives in EvaluationBroker (core/broker.hpp); the
-// engine owns the search logic. A second broker on the analytic tier serves
-// both low-fidelity uses: with multi-fidelity screening enabled
+// The evaluation machinery — store, brokers, breakers and journal replay —
+// is an EvaluationFleet (core/fleet.hpp): the engine builds one from its
+// config, or a serve daemon's engines share the daemon's; the engine owns
+// the search logic. The fleet's analytic-tier broker serves both
+// low-fidelity uses: with multi-fidelity screening enabled
 // (screen_keep_ratio < 1) it pre-ranks each block of proposals (a GA
 // generation, or a population of steady-state asks) and only the most
 // promising fraction pays for a high-fidelity run, the rest being recorded
@@ -29,15 +30,14 @@
 // through start_campaign() and finish_campaign().
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <limits>
 #include <map>
 #include <memory>
-#include <set>
 
 #include "src/core/broker.hpp"
 #include "src/core/evaluator.hpp"
+#include "src/core/fleet.hpp"
 #include "src/core/param_domain.hpp"
 #include "src/core/supervisor.hpp"
 #include "src/edatool/faults.hpp"
@@ -50,9 +50,6 @@
 namespace dovado::core {
 
 class CampaignLoop;
-
-/// The analytic tier: the low-fidelity backend screening and hedging run on.
-inline constexpr const char* kAnalyticBackend = "analytic";
 
 /// One optimization objective: a metric name from EvalMetrics plus the
 /// direction. Internally everything is minimized (maximize => negate).
@@ -306,15 +303,12 @@ class DseEngine {
   /// closest known name).
   DseEngine(ProjectConfig project, DseConfig config);
 
-  /// An engine over a broker someone else owns (the serve daemon's) and
-  /// its breakers (`health`, null = none). Same checks, but no broker,
-  /// store, journal replay or inflight points of its own (the config's
-  /// store and journal paths must be empty), and no NWM hook for the
-  /// surrogate sampler (it samples at random). stats() then reports the
-  /// shared broker's and breakers' counters, which cover all their users.
-  DseEngine(ProjectConfig project, DseConfig config,
-            std::shared_ptr<EvaluationBroker> broker,
-            std::shared_ptr<BackendHealthManager> health);
+  /// An engine over a fleet someone else built and replayed (the serve
+  /// daemon's); null builds one from the config, as above. With a shared
+  /// fleet the config's store and journal paths must be empty, and the
+  /// surrogate sampler gets no NWM hook. stats() reports the shared
+  /// brokers' and breakers' counters, which cover all their users.
+  DseEngine(ProjectConfig project, DseConfig config, std::shared_ptr<EvaluationFleet> fleet);
 
   /// Run the full exploration. `stop_requested`, when set, is polled
   /// before every submission like the tool deadline (e.g. the CLI's
@@ -352,33 +346,8 @@ class DseEngine {
   /// analysis benches. Null when approximation is disabled.
   [[nodiscard]] const model::ControlModel* control_model() const { return control_.get(); }
 
-  /// The high-fidelity broker's retry/quarantine policy (always present).
-  [[nodiscard]] const EvaluationSupervisor& supervisor() const {
-    return broker_->supervisor();
-  }
-
-  /// The fault injector, null unless a fault plan is active.
-  [[nodiscard]] const edatool::FaultInjector* fault_injector() const {
-    return broker_->fault_injector();
-  }
-
-  /// The high-fidelity evaluation broker (tests and benches inspect it).
-  [[nodiscard]] const EvaluationBroker& broker() const { return *broker_; }
-
-  /// The analytic-tier broker when screening is enabled; null otherwise.
-  [[nodiscard]] const EvaluationBroker* screen_broker() const;
-
-  /// The backend health manager; null when the breaker is disabled (or the
-  /// high-fidelity backend is already the analytic tier).
-  [[nodiscard]] const BackendHealthManager* health_manager() const {
-    return health_.get();
-  }
-
-  /// The cross-campaign evaluation store; null when store_path is empty.
-  [[nodiscard]] const store::EvalStore* eval_store() const { return store_.get(); }
-
-  /// Cumulative simulated high-fidelity tool seconds across all workers.
-  [[nodiscard]] double tool_seconds() const { return broker_->tool_seconds(); }
+  /// The store, brokers and breakers this engine evaluates on.
+  [[nodiscard]] const EvaluationFleet& fleet() const { return *fleet_; }
 
   /// Objective vector (minimized) from metrics; +inf on failures.
   [[nodiscard]] opt::Objectives to_objectives(const EvalMetrics& metrics) const;
@@ -389,7 +358,7 @@ class DseEngine {
   /// Raw-parameter-space coordinates of a point (Eq. 4's decision vars).
   [[nodiscard]] model::Point to_model_point(const DesignPoint& point) const;
 
-  /// Screen `unique_points` on the low-fidelity broker: per point, the
+  /// Screen `unique_points` on the analytic tier: per point, the
   /// screening answer that settles it, or std::nullopt to forward it to
   /// high fidelity (screen failures too: the tool has the authoritative
   /// verdict on whether a point is buildable).
@@ -414,8 +383,6 @@ class DseEngine {
   /// lanes meet at a barrier afterwards.
   std::vector<std::optional<EvalResult>> evaluate_points(
       const std::vector<DesignPoint>& points);
-
-  void init();  ///< the constructors' shared body
 
   /// The pre-flight gate: static lint of project + config before the first
   /// broker call (throws on error-severity diagnostics). No-op when
@@ -484,52 +451,28 @@ class DseEngine {
   [[nodiscard]] std::vector<opt::Genome> seed_genomes(
       const std::vector<ExploredPoint>& points) const;
 
-  /// Mirror journal records the broker replayed into the explored set and
-  /// the approximation dataset; called from the constructor on --resume.
-  void absorb_replayed(const std::vector<JournalRecord>& records);
-
   /// Whether multi-fidelity screening is on (screen_keep_ratio < 1).
   [[nodiscard]] bool screening() const { return config_.screen_keep_ratio < 1.0; }
 
-  /// The analytic-tier broker that screens and hedges, built on first use:
-  /// by the constructor when screening is on, otherwise by the first hedge
-  /// of an open breaker. Thread-safe.
-  EvaluationBroker* analytic_broker();
-
-  /// The analytic-tier broker if it has been built, else null.
-  [[nodiscard]] const EvaluationBroker* built_analytic_broker() const;
-
-  /// Remember a fast-failed point as a recovery-probe candidate (bounded,
-  /// deduplicated).
-  void enqueue_probe(const DesignPoint& point);
-
-  /// Drain the probe queue through the breaker's probe budget: each
-  /// admitted probe re-tries a representative fast-failed point against
-  /// the hi-fi backend (successes are recorded exact and grow the
-  /// dataset). Called after each completion and between front-verification
-  /// passes; stops on the first fast-fail.
+  /// Drain the campaign's probe queue: answers are tallied, successes
+  /// recorded exact and grown into the dataset. Called after each
+  /// completion and between front-verification passes.
   void run_probe_queue();
 
   void add_side_tool_seconds(double seconds);
 
   ProjectConfig project_;
   DseConfig config_;
-  std::shared_ptr<store::EvalStore> store_;  ///< null = no store configured
-  std::shared_ptr<EvaluationBroker> broker_;      ///< high fidelity
-  bool owns_broker_ = true;  ///< false: a shared broker (see the constructors)
-  std::shared_ptr<BackendHealthManager> health_;  ///< null = breaker disabled
+  const bool own_fleet_;  ///< the engine built its fleet from config_
+  std::shared_ptr<EvaluationFleet> fleet_;
+  std::unique_ptr<ProbeQueue> probes_;  ///< this campaign's fast-failed points
+  /// Points a crashed campaign journaled as submitted; CampaignLoop
+  /// re-submits them first, exactly once, bypassing the ladder.
+  std::vector<InflightMark> replayed_inflight_;
   std::unique_ptr<model::ControlModel> control_;
 
   // Engine locks are independent leaves: no code path holds two of them at
   // once (see DESIGN.md "Concurrency contracts" for the repo-wide ordering).
-  mutable util::Mutex analytic_mutex_{"DseEngine.analytic"};
-  std::unique_ptr<EvaluationBroker> analytic_broker_
-      DOVADO_GUARDED_BY(analytic_mutex_);  ///< see analytic_broker()
-
-  util::Mutex probe_mutex_{"DseEngine.probe"};
-  std::deque<DesignPoint> probe_queue_ DOVADO_GUARDED_BY(probe_mutex_);
-  std::set<DesignPoint> probe_seen_ DOVADO_GUARDED_BY(probe_mutex_);
-
   util::Mutex record_mutex_{"DseEngine.record"};
   std::map<DesignPoint, std::size_t> explored_index_
       DOVADO_GUARDED_BY(record_mutex_);

@@ -18,15 +18,6 @@ constexpr std::uint64_t kCooldownSalt = 0xc1bcb7ea5c1bcb70ULL;
 
 }  // namespace
 
-const char* breaker_state_name(BreakerState state) {
-  switch (state) {
-    case BreakerState::kClosed: return "closed";
-    case BreakerState::kOpen: return "open";
-    case BreakerState::kHalfOpen: return "half-open";
-  }
-  return "unknown";
-}
-
 CircuitBreaker::CircuitBreaker(std::string backend, BreakerConfig config, EventSink sink)
     : backend_(std::move(backend)), config_(std::move(config)), sink_(std::move(sink)) {}
 

@@ -58,8 +58,6 @@ enum class BreakerState {
   kHalfOpen,  ///< probing: a bounded probe budget is admitted
 };
 
-[[nodiscard]] const char* breaker_state_name(BreakerState state);
-
 /// What the breaker decided for one evaluation request.
 enum class BreakerAdmission {
   kAllow,     ///< run it normally

@@ -35,6 +35,8 @@ class BackendHealthManager {
  public:
   explicit BackendHealthManager(BreakerConfig config);
 
+  [[nodiscard]] const BreakerConfig& config() const { return config_; }
+
   /// Forward every breaker transition (journaling). Must be set before the
   /// first admit(); events fire under the breaker mutex, so the sink must
   /// not call back into the manager.

@@ -64,14 +64,15 @@ void AdmissionController::set_policy(const std::string& tenant,
 
 const TenantPolicy& AdmissionController::policy(const std::string& tenant) const {
   const auto it = tenants_.find(tenant);
-  return it == tenants_.end() ? default_policy_ : it->second.policy;
+  static const TenantPolicy kDefault{};
+  return it == tenants_.end() ? kDefault : it->second.policy;
 }
 
 AdmissionController::TenantState& AdmissionController::state_for(
     const std::string& tenant, double now) {
   const auto it = tenants_.find(tenant);
   if (it != tenants_.end()) return it->second;
-  set_policy(tenant, default_policy_, now);
+  set_policy(tenant, TenantPolicy{}, now);
   return tenants_[tenant];
 }
 

@@ -78,11 +78,8 @@ struct TenantAdmissionStats {
 /// Not thread-safe: the server serializes calls under its own lock.
 class AdmissionController {
  public:
-  explicit AdmissionController(TenantPolicy default_policy)
-      : default_policy_(default_policy) {}
-
-  /// Pin a tenant to an explicit policy (otherwise the default applies on
-  /// first contact).
+  /// Pin a tenant to an explicit policy (otherwise TenantPolicy{} — no
+  /// rate or quota limit, weight 1 — applies on first contact).
   void set_policy(const std::string& tenant, const TenantPolicy& policy, double now);
 
   [[nodiscard]] const TenantPolicy& policy(const std::string& tenant) const;
@@ -105,7 +102,6 @@ class AdmissionController {
 
   TenantState& state_for(const std::string& tenant, double now);
 
-  TenantPolicy default_policy_;
   std::map<std::string, TenantState> tenants_;
 };
 

@@ -15,7 +15,7 @@ namespace {
 
 /// Shed reply for a breaker fast-fail: the breaker's cooldown is measured
 /// in *rejected attempts*, not wall time, so a fixed short retry hint keeps
-/// probes flowing without hammering the daemon.
+/// attempts and the probes run after them flowing without hammering the daemon.
 constexpr std::int64_t kBackendRetryMs = 500;
 
 double steady_now_seconds() {
@@ -39,22 +39,14 @@ bool Server::Connection::send(const Response& response) {
 Server::Server(ServeConfig config)
     : config_(std::move(config)),
       clock_(config_.clock ? config_.clock : steady_now_seconds),
-      admission_(TenantPolicy{}) {
-  broker_ = std::make_shared<core::EvaluationBroker>(config_.project, config_.broker);
-  if (config_.breaker.enabled) {
-    health_ = std::make_shared<core::BackendHealthManager>(config_.breaker);
-    health_->set_event_sink([this](const core::HealthEvent& event) {
-      broker_->append_health_event(event);
-    });
-    broker_->set_health_manager(health_);
-  }
-  if (config_.broker.resume_from_journal && !config_.broker.journal_path.empty()) {
-    // Seed the cache from a previous daemon's journal so a restart serves
-    // already-paid-for answers at zero tool cost.
-    (void)broker_->replay_journal();
-  }
+      fleet_(std::make_shared<core::EvaluationFleet>(config_.project, config_.broker,
+                                                     config_.breaker)),
+      probes_(*fleet_) {
+  // A restart serves a previous daemon's journaled answers at zero tool
+  // cost, and its breakers start as that daemon left them.
+  (void)fleet_->replay_journal();
   max_inflight_ = config_.max_inflight != 0 ? config_.max_inflight
-                                            : broker_->virtual_lane_count();
+                                            : fleet_->broker().virtual_lane_count();
   max_inflight_ = std::max<std::size_t>(1, max_inflight_);
   const double t0 = now();
   for (const auto& tenant : config_.tenants) {
@@ -286,8 +278,8 @@ Response Server::admit_and_enqueue_locked(const Request& request,
     return response;
   }
 
-  // Campaign submission: an engine over the shared broker and breakers,
-  // whose constructor checks the space, objectives and searcher name.
+  // Campaign submission: an engine over the shared fleet, whose constructor
+  // checks the space, objectives and searcher name.
   const CampaignSpec& spec = request.campaign;
   if (spec.budget == 0) {
     response.status = ResponseStatus::kError;
@@ -304,8 +296,8 @@ Response Server::admit_and_enqueue_locked(const Request& request,
   dse.optimizer = spec.optimizer;
   dse.steady_state_evaluations = spec.budget;
   dse.max_inflight = std::max<std::size_t>(1, std::min(spec.population, max_inflight_));
-  dse.breaker = config_.breaker;
-  dse.preflight = false;  // the project was parsed once, by the shared broker
+  dse.preflight = false;          // the project was parsed once, by the shared fleet
+  dse.store_warm_start = false;   // seeded by its searcher, not by other tenants' fronts
 
   auto campaign = std::make_shared<CampaignState>();
   campaign->tenant = request.tenant;
@@ -314,7 +306,7 @@ Response Server::admit_and_enqueue_locked(const Request& request,
   campaign->conn = conn;
   try {
     campaign->engine =
-        std::make_unique<core::DseEngine>(config_.project, std::move(dse), broker_, health_);
+        std::make_unique<core::DseEngine>(config_.project, std::move(dse), fleet_);
     // The loop asks for a stop before every submission: the drain stops
     // the campaign, and what is in flight finishes and is told.
     campaign->loop = campaign->engine->start_campaign([this] {
@@ -364,9 +356,9 @@ void Server::dispatch_loop() {
   }
   dispatch_done_ = true;
   lock.unlock();
-  if (config_.broker.store) {
+  if (store::EvalStore* store = fleet_->store()) {
     std::string flush_error;
-    if (!config_.broker.store->flush(&flush_error)) {
+    if (!store->flush(&flush_error)) {
       util::Log::warn("serve: store flush during drain failed: " + flush_error);
     }
   }
@@ -404,7 +396,7 @@ void Server::pump_locked() {
     if (inline_eval) {
       run_job(std::move(job));
     } else {
-      broker_->async([this, job = std::move(job)]() mutable { run_job(std::move(job)); });
+      fleet_->broker().async([this, job = std::move(job)]() mutable { run_job(std::move(job)); });
     }
   }
   batch.clear();
@@ -418,7 +410,7 @@ void Server::run_job(Job&& job) {
   // compute) is answered as a failed evaluation.
   core::EvalResult result;
   try {
-    result = broker_->tool_evaluate(job.point, false, job.deadline_tool_seconds);
+    result = fleet_->broker().tool_evaluate(job.point, false, job.deadline_tool_seconds);
   } catch (const std::exception& e) {
     result.error = std::string("evaluation raised an exception: ") + e.what();
   } catch (...) {
@@ -460,6 +452,7 @@ void Server::finalize_locked(Completion&& completion) {
     mu_.lock();
     charge_side_locked(*campaign);
     advance_campaign_locked(campaign);
+    run_probes_locked(job.tenant);
     return;
   }
 
@@ -467,6 +460,7 @@ void Server::finalize_locked(Completion&& completion) {
   Response response;
   response.id = job.id;
   if (result.fast_failed) {
+    probes_.push(job.point);
     ++shed_;
     response.status = ResponseStatus::kShed;
     response.reason = "backend_unavailable";
@@ -488,6 +482,19 @@ void Server::finalize_locked(Completion&& completion) {
     if (result.deadline_truncated) response.reason = "deadline";
   }
   deliver_locked(job.conn, std::move(response));
+  run_probes_locked(job.tenant);
+}
+
+void Server::run_probes_locked(const std::string& tenant) {
+  if (probes_.empty()) return;
+  double spent = 0.0;
+  mu_.unlock();
+  // The answers feed only the breaker and the cache.
+  probes_.drain([&spent](const core::DesignPoint&, const core::EvalResult& r) {
+    spent += r.tool_seconds;
+  });
+  mu_.lock();
+  if (spent > 0.0) admission_.charge_tool_seconds(tenant, spent, now());
 }
 
 bool Server::advance_campaigns_locked() {
@@ -684,7 +691,7 @@ ServerStats Server::stats() const {
     out.campaigns_finished = campaigns_finished_;
     out.draining = drain_requested_ || draining_;
   }
-  out.broker = broker_->stats();
+  out.broker = fleet_->broker().stats();
   {
     util::MutexLock lock(conns_mu_);
     for (const auto& worker : conn_workers_) {

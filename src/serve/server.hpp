@@ -1,5 +1,5 @@
 // The `dovado serve` daemon: a multi-tenant evaluation service over one
-// shared EvaluationBroker.
+// shared core::EvaluationFleet (core/fleet.hpp).
 //
 // Many clients connect over a Unix-domain socket (newline-delimited JSON,
 // see protocol.hpp) and submit single-point evaluations or whole campaign
@@ -14,15 +14,20 @@
 //                   backpressure is an explicit reply, never an unbounded
 //                   buffer.
 //   3. dispatch   — a single dispatch thread keeps up to max_inflight
-//                   evaluations on the shared broker, which carries the
-//                   cache, single-flight, supervisor retries, breakers,
+//                   evaluations on the fleet's hi-fi broker, which carries
+//                   the cache, single-flight, supervisor retries, breakers,
 //                   journal and cross-campaign store for *all* tenants.
 //
-// A campaign is a core::DseEngine over the shared broker and breakers,
-// run through the engine's campaign loop (core/campaign.hpp) by the
-// dispatch thread alone: each take() becomes a job that competes in step 2,
-// each answer goes back through complete(), and the client gets the
-// engine's front. Every hi-fi second it causes is charged to its tenant.
+// A campaign is a core::DseEngine over the shared fleet, run through the
+// engine's campaign loop (core/campaign.hpp) by the dispatch thread alone:
+// each take() becomes a job that competes in step 2, each answer goes back
+// through complete(), and the client gets the engine's front. Hedges from
+// every campaign share the fleet's analytic broker (one cache, one
+// single-flight, the store's screen tier). Every hi-fi second a campaign
+// causes is charged to its tenant. A single eval the breaker fast-fails is
+// shed and queued as a recovery probe, which runs after a later completion
+// (so single evals alone recover an open breaker) and is charged to that
+// completion's tenant.
 //
 // Durability contract: a response with status ok/failed is only written
 // after the broker has journaled (fsync) and store-appended the fresh
@@ -41,9 +46,8 @@
 #include <thread>
 #include <vector>
 
-#include "src/core/broker.hpp"
 #include "src/core/campaign.hpp"
-#include "src/core/health/breaker.hpp"
+#include "src/core/fleet.hpp"
 #include "src/serve/admission.hpp"
 #include "src/serve/protocol.hpp"
 #include "src/serve/scheduler.hpp"
@@ -61,7 +65,7 @@ struct ServeTenantConfig {
 struct ServeConfig {
   std::string socket_path;
   core::ProjectConfig project;
-  /// Broker knobs: workers, fault plan, supervisor, journal, store, tiers.
+  /// Hi-fi broker knobs: workers, fault plan, supervisor, journal, store.
   core::BrokerConfig broker;
   /// Circuit breakers on the shared backend (enabled by default).
   core::BreakerConfig breaker;
@@ -100,10 +104,11 @@ struct ServerStats {
 
 class Server {
  public:
-  /// Builds the shared broker (throws like EvaluationBroker on bad
-  /// project/backend/journal) and the admission/scheduling state. No
-  /// threads or sockets yet — start() does that; execute() works without
-  /// ever calling start() (in-process mode for tests and the bench).
+  /// Builds the shared fleet (throws like EvaluationBroker on bad
+  /// project/backend/journal), replays its journal into the cache and the
+  /// breakers, and sets up admission and scheduling. No threads or sockets yet —
+  /// start() does that; execute() works without ever calling start()
+  /// (in-process mode for tests and the bench).
   explicit Server(ServeConfig config);
   ~Server();
 
@@ -134,7 +139,8 @@ class Server {
   /// dispatch thread runs, so the two must not race.
   [[nodiscard]] Response execute(const Request& request);
 
-  [[nodiscard]] core::EvaluationBroker& broker() { return *broker_; }
+  [[nodiscard]] core::EvaluationBroker& broker() { return fleet_->broker(); }
+  [[nodiscard]] core::EvaluationFleet& fleet() { return *fleet_; }
 
  private:
   struct Connection {
@@ -208,8 +214,12 @@ class Server {
   void run_job(Job&& job);
 
   /// Apply one finished evaluation: charges, campaign tell/refill, the
-  /// client response. Caller holds mu_; releases it to write.
+  /// client response, then the single-eval recovery probes. Caller holds
+  /// mu_; releases it to write and to probe.
   void finalize_locked(Completion&& completion) DOVADO_REQUIRES(mu_);
+
+  /// Drain probes_ with mu_ released; charge their seconds to `tenant`.
+  void run_probes_locked(const std::string& tenant) DOVADO_REQUIRES(mu_);
 
   /// Finalize queued completions oldest first until none is left. Caller
   /// holds mu_ (finalize_locked may drop it to write).
@@ -255,8 +265,8 @@ class Server {
 
   ServeConfig config_;
   std::function<double()> clock_;
-  std::shared_ptr<core::EvaluationBroker> broker_;
-  std::shared_ptr<core::BackendHealthManager> health_;
+  std::shared_ptr<core::EvaluationFleet> fleet_;
+  core::ProbeQueue probes_;  ///< single evals the breaker fast-failed
   std::size_t max_inflight_ = 1;
 
   /// The server lock: admission, scheduling and campaign state. Ordered

@@ -389,7 +389,7 @@ TEST(DseParallel, StatsSnapshotSafeDuringRun) {
   done = true;
   monitor.join();
   EXPECT_FALSE(result.pareto.empty());
-  EXPECT_DOUBLE_EQ(result.stats.simulated_tool_seconds, engine.tool_seconds());
+  EXPECT_DOUBLE_EQ(result.stats.simulated_tool_seconds, engine.fleet().broker().tool_seconds());
 }
 
 edatool::FaultPlan plan_of(const std::string& spec) {
@@ -499,7 +499,7 @@ TEST(DseRobustness, PersistentAbortsAreQuarantinedAndNeverRerun) {
   const DseResult result = engine.run();
 
   EXPECT_GT(result.stats.quarantined, 0u);
-  EXPECT_EQ(result.stats.quarantined, engine.supervisor().quarantine_size());
+  EXPECT_EQ(result.stats.quarantined, engine.fleet().broker().supervisor().quarantine_size());
   EXPECT_GT(result.stats.failures, 0u);
   // Every quarantined point burned 1 + max_retries attempts.
   EXPECT_GE(result.stats.transient_failures,
@@ -510,7 +510,7 @@ TEST(DseRobustness, PersistentAbortsAreQuarantinedAndNeverRerun) {
   // answers without another tool attempt.
   const ExploredPoint* quarantined = nullptr;
   for (const auto& p : result.explored) {
-    if (p.failed && engine.supervisor().is_quarantined(p.params)) {
+    if (p.failed && engine.fleet().broker().supervisor().is_quarantined(p.params)) {
       quarantined = &p;
       break;
     }
@@ -571,8 +571,8 @@ TEST(DseAvailability, FiniteOutageTripsHedgesAndRecovers) {
   EXPECT_GT(result.stats.breaker_fast_fails, 0u);
   EXPECT_GT(result.stats.probe_runs, 0u);
   EXPECT_GT(result.stats.degraded_evals, 0u);
-  ASSERT_NE(engine.health_manager(), nullptr);
-  EXPECT_EQ(engine.health_manager()->state("vivado-sim"), BreakerState::kClosed);
+  ASSERT_NE(engine.fleet().health(), nullptr);
+  EXPECT_EQ(engine.fleet().health()->state("vivado-sim"), BreakerState::kClosed);
   // Recovery happened, so no approximate estimate survives on the front.
   ASSERT_FALSE(result.pareto.empty());
   for (const auto& p : result.pareto) {
@@ -649,7 +649,7 @@ TEST(DseAvailability, ResumeRestoresTheOpenBreakerWithoutRepayingTheWindow) {
   EXPECT_EQ(replayed.stats.tool_runs, 0u);
   EXPECT_GT(replayed.stats.breaker_fast_fails, 0u);
   EXPECT_GT(replayed.stats.degraded_evals, 0u);
-  ASSERT_NE(resumed.health_manager(), nullptr);
+  ASSERT_NE(resumed.fleet().health(), nullptr);
   std::remove(path.c_str());
 }
 

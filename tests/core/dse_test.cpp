@@ -262,10 +262,10 @@ TEST(DseEngine, FailuresAreCachedNotRepaid) {
   DseEngine engine(project, config);
   const auto first = engine.evaluate_set({{{"DEPTH", 2048}}});
   ASSERT_TRUE(first[0].failed);
-  const double seconds_after_first = engine.tool_seconds();
+  const double seconds_after_first = engine.fleet().broker().tool_seconds();
   const auto second = engine.evaluate_set({{{"DEPTH", 2048}}});
   EXPECT_TRUE(second[0].failed);
-  EXPECT_DOUBLE_EQ(engine.tool_seconds(), seconds_after_first);
+  EXPECT_DOUBLE_EQ(engine.fleet().broker().tool_seconds(), seconds_after_first);
 }
 
 TEST(DseEngine, PowerOfTwoSpace) {

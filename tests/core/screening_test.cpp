@@ -144,8 +144,8 @@ TEST(Screening, KeepRatioOneIsIdentityPath) {
   DseEngine plain(corundum_project(), config);
   config.screen_keep_ratio = 1.0;
   DseEngine explicit_off(corundum_project(), config);
-  EXPECT_EQ(plain.screen_broker(), nullptr);
-  EXPECT_EQ(explicit_off.screen_broker(), nullptr);
+  EXPECT_EQ(plain.fleet().built_analytic(), nullptr);
+  EXPECT_EQ(explicit_off.fleet().built_analytic(), nullptr);
   const DseResult a = plain.run();
   const DseResult b = explicit_off.run();
   EXPECT_EQ(a.stats.tool_runs, b.stats.tool_runs);

@@ -172,7 +172,7 @@ TEST(SteadyState, BoundedInflightThreadedRunCompletesTheBudget) {
   EXPECT_EQ(result.stats.steady_completions,
             config.ga.population_size * (config.ga.max_generations + 1));
   EXPECT_FALSE(result.pareto.empty());
-  EXPECT_DOUBLE_EQ(result.stats.simulated_tool_seconds, engine.tool_seconds());
+  EXPECT_DOUBLE_EQ(result.stats.simulated_tool_seconds, engine.fleet().broker().tool_seconds());
 }
 
 edatool::FaultPlan plan_of(const std::string& spec) {

@@ -41,7 +41,8 @@ TEST(Admission, RequestRateShedsWithRetryHint) {
   TenantPolicy policy;
   policy.request_rate = 1.0;  // one admission per second, burst 1
   policy.request_burst = 1.0;
-  AdmissionController admission(policy);
+  AdmissionController admission;
+  admission.set_policy("alice", policy, 0.0);
 
   AdmissionDecision first = admission.admit("alice", 0.0);
   EXPECT_TRUE(first.admitted);
@@ -57,7 +58,7 @@ TEST(Admission, RequestRateShedsWithRetryHint) {
 }
 
 TEST(Admission, ZeroRatesMeanUnlimited) {
-  AdmissionController admission(TenantPolicy{});  // all rates 0
+  AdmissionController admission;  // unpinned tenants: all rates 0
   for (int i = 0; i < 100; ++i) {
     EXPECT_TRUE(admission.admit("anyone", 0.0).admitted);
   }
@@ -67,7 +68,8 @@ TEST(Admission, ToolQuotaIsPostPaid) {
   TenantPolicy policy;
   policy.tool_seconds_rate = 10.0;   // 10 tool-seconds/second refill
   policy.tool_seconds_burst = 50.0;  // 50 tool-seconds of headroom
-  AdmissionController admission(policy);
+  AdmissionController admission;
+  admission.set_policy("bob", policy, 0.0);
 
   // Admission only needs a non-negative quota level; the cost lands later.
   EXPECT_TRUE(admission.admit("bob", 0.0).admitted);
@@ -87,7 +89,9 @@ TEST(Admission, TenantsAreIsolated) {
   TenantPolicy policy;
   policy.tool_seconds_rate = 1.0;
   policy.tool_seconds_burst = 1.0;
-  AdmissionController admission(policy);
+  AdmissionController admission;
+  admission.set_policy("hog", policy, 0.0);
+  admission.set_policy("frugal", policy, 0.0);
 
   admission.charge_tool_seconds("hog", 1000.0, 0.0);
   EXPECT_FALSE(admission.admit("hog", 0.0).admitted);
@@ -96,8 +100,7 @@ TEST(Admission, TenantsAreIsolated) {
 }
 
 TEST(Admission, PinnedPolicyOverridesTheDefault) {
-  TenantPolicy open_door;  // unlimited default
-  AdmissionController admission(open_door);
+  AdmissionController admission;  // unlimited default
 
   TenantPolicy strict;
   strict.request_rate = 1.0;
@@ -117,7 +120,8 @@ TEST(Admission, StatsCountEveryDecision) {
   TenantPolicy policy;
   policy.request_rate = 1.0;
   policy.request_burst = 1.0;
-  AdmissionController admission(policy);
+  AdmissionController admission;
+  admission.set_policy("alice", policy, 0.0);
 
   EXPECT_TRUE(admission.admit("alice", 0.0).admitted);
   EXPECT_FALSE(admission.admit("alice", 0.0).admitted);
