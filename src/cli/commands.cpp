@@ -63,9 +63,10 @@ bool write_file(const std::string& path, const std::string& content, std::ostrea
   return true;
 }
 
-/// Resolve the fault plan: --fault-plan wins over the DOVADO_FAULT_PLAN
-/// environment variable. Returns false (with a message) on a bad spec.
-bool apply_fault_plan(const Options& options, core::DseConfig& config, std::ostream& err) {
+/// Resolve the fault plan into `plan`: --fault-plan wins over the
+/// DOVADO_FAULT_PLAN environment variable. Returns false (with a message)
+/// on a bad spec.
+bool apply_fault_plan(const Options& options, edatool::FaultPlan& plan, std::ostream& err) {
   std::string spec = options.fault_plan;
   if (spec.empty()) {
     const char* env = std::getenv("DOVADO_FAULT_PLAN");
@@ -73,13 +74,26 @@ bool apply_fault_plan(const Options& options, core::DseConfig& config, std::ostr
   }
   if (spec.empty()) return true;
   std::string error;
-  const auto plan = edatool::FaultPlan::parse(spec, error);
-  if (!plan) {
+  const auto parsed = edatool::FaultPlan::parse(spec, error);
+  if (!parsed) {
     err << "invalid fault plan '" << spec << "': " << error << "\n";
     return false;
   }
-  config.fault_plan = *plan;
+  plan = *parsed;
   return true;
+}
+
+/// The retry and circuit-breaker settings explore and serve share.
+void apply_supervision(const Options& options, core::SupervisorConfig& supervise,
+                       core::BreakerConfig& breaker) {
+  supervise.max_retries = options.max_retries;
+  supervise.attempt_timeout_tool_seconds = options.attempt_timeout;
+  supervise.seed = options.seed;
+  breaker.enabled = options.breaker;
+  breaker.window = options.breaker_window;
+  breaker.failure_threshold = options.breaker_threshold;
+  breaker.probe_budget = options.probe_budget;
+  breaker.seed = options.seed;
 }
 
 /// Last signal delivered while a ScopedSignalHandlers is installed
@@ -215,21 +229,14 @@ int run_explore(const Options& options, std::ostream& out, std::ostream& err) {
     if (options.deadline_hours > 0.0) {
       config.deadline_tool_seconds = options.deadline_hours * 3600.0;
     }
-    config.supervise.max_retries = options.max_retries;
-    config.supervise.attempt_timeout_tool_seconds = options.attempt_timeout;
-    config.supervise.seed = options.seed;
-    config.breaker.enabled = options.breaker;
-    config.breaker.window = options.breaker_window;
-    config.breaker.failure_threshold = options.breaker_threshold;
-    config.breaker.probe_budget = options.probe_budget;
-    config.breaker.seed = options.seed;
+    apply_supervision(options, config.supervise, config.breaker);
     config.journal_path = options.journal_path;
     config.resume_from_journal = !options.resume_path.empty();
     config.store_path = options.store_path;
     config.campaign_id = options.campaign_id;
     config.store_warm_start = options.store_warm_start;
     config.preflight = options.preflight;
-    if (!apply_fault_plan(options, config, err)) return 1;
+    if (!apply_fault_plan(options, config.fault_plan, err)) return 1;
     if (!options.resume_path.empty()) {
       core::SessionLoad session = core::load_session_ex(options.resume_path);
       switch (session.status) {
@@ -590,25 +597,8 @@ int run_serve(const Options& options, std::ostream& out, std::ostream& err) {
     config.socket_path = options.socket_path;
     config.project = project_from(options);
     config.broker.workers = options.workers;
-    config.broker.supervise.max_retries = options.max_retries;
-    config.broker.supervise.attempt_timeout_tool_seconds = options.attempt_timeout;
-    config.broker.supervise.seed = options.seed;
-    {
-      std::string spec = options.fault_plan;
-      if (spec.empty()) {
-        const char* env = std::getenv("DOVADO_FAULT_PLAN");
-        if (env != nullptr) spec = env;
-      }
-      if (!spec.empty()) {
-        std::string error;
-        const auto plan = edatool::FaultPlan::parse(spec, error);
-        if (!plan) {
-          err << "invalid fault plan '" << spec << "': " << error << "\n";
-          return 1;
-        }
-        config.broker.fault_plan = *plan;
-      }
-    }
+    apply_supervision(options, config.broker.supervise, config.breaker);
+    if (!apply_fault_plan(options, config.broker.fault_plan, err)) return 1;
     config.broker.journal_path = options.journal_path;
     // A daemon restart must replay its own journal: every answer acked
     // before the restart is served from cache afterwards.
@@ -618,11 +608,6 @@ int run_serve(const Options& options, std::ostream& out, std::ostream& err) {
     }
     config.broker.campaign_id =
         options.campaign_id.empty() ? "serve" : options.campaign_id;
-    config.breaker.enabled = options.breaker;
-    config.breaker.window = options.breaker_window;
-    config.breaker.failure_threshold = options.breaker_threshold;
-    config.breaker.probe_budget = options.probe_budget;
-    config.breaker.seed = options.seed;
     config.max_inflight = options.max_inflight;
     config.max_connections = options.max_connections;
     config.default_deadline_tool_seconds = options.deadline_tool_seconds;

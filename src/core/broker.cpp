@@ -26,9 +26,12 @@ EvaluationBroker::EvaluationBroker(ProjectConfig project, BrokerConfig config,
   // workers plus the caller, which participates in parallel_for. Inline
   // mode (workers == 0) gets a single session.
   const std::size_t lane_count = config_.workers == 0 ? 1 : config_.workers + 1;
+  const auto derived =
+      std::make_shared<const std::vector<DerivedMetric>>(config_.derived_metrics);
   for (std::size_t i = 0; i < lane_count; ++i) {
     auto evaluator = std::make_unique<PointEvaluator>(project_, cache_);
     evaluator->set_supervisor(supervisor_);
+    evaluator->set_derived_metrics(derived);
     if (fault_injector_) evaluator->set_fault_injector(fault_injector_);
     if (i == 0) {
       backend_info_ = evaluator->backend().info();
@@ -203,11 +206,6 @@ EvalResult EvaluationBroker::tool_evaluate(const DesignPoint& point, bool probe,
   {
     const EvaluatorPool::Lease lease = evaluators_.acquire();
     result = lease->evaluate(point, deadline_tool_seconds);
-  }
-  if (result.ok) {
-    for (const auto& derived : config_.derived_metrics) {
-      result.metrics.values[derived.name] = derived.compute(point, result.metrics);
-    }
   }
   // Only *fresh* answers feed the breaker's window: a cache hit or a
   // single-flight join replays an old answer and says nothing about the

@@ -29,17 +29,6 @@
 
 namespace dovado::core {
 
-/// A user-supplied static performance model (the paper's future-work item:
-/// "inserting a custom model for static performance that enables an
-/// improved DSE"). The callback derives a new metric from the design point
-/// and the tool-reported metrics (e.g. throughput = fmax * lanes); derived
-/// metrics are first-class — they can be optimization objectives and they
-/// flow through the approximation model like tool metrics.
-struct DerivedMetric {
-  std::string name;
-  std::function<double(const DesignPoint&, const EvalMetrics&)> compute;
-};
-
 struct BrokerConfig {
   /// Worker threads for parallel tool runs (0 = evaluate inline).
   std::size_t workers = 0;
@@ -58,7 +47,8 @@ struct BrokerConfig {
   /// Fault injection for the simulated tool. Inactive by default.
   edatool::FaultPlan fault_plan;
 
-  /// Applied after every successful tool evaluation.
+  /// Applied by the evaluator that runs a point, to its successful answer,
+  /// before the answer is cached (see PointEvaluator::set_derived_metrics).
   std::vector<DerivedMetric> derived_metrics;
 
   /// Soft deadline on this broker's cumulative *simulated* tool seconds.
@@ -134,9 +124,9 @@ class EvaluationBroker {
   EvaluationBroker(ProjectConfig project, BrokerConfig config,
                    std::shared_ptr<BackendHealthManager> health = nullptr);
 
-  /// Evaluate with the tool on an exclusively leased session, then apply
-  /// the configured derived metrics, journal fresh answers and charge the
-  /// guarded tool-seconds accumulator. Safe to call from any number of
+  /// Evaluate with the tool on an exclusively leased session (derived
+  /// metrics included), journal fresh answers and charge the guarded
+  /// tool-seconds accumulator. Safe to call from any number of
   /// pool tasks.
   ///
   /// With circuit breakers, uncached points first pass the

@@ -9,10 +9,8 @@
 
 #include "src/analysis/analyzer.hpp"
 #include "src/analysis/render.hpp"
-#include "src/core/campaign.hpp"
 #include "src/opt/nds.hpp"
 #include "src/opt/optimizer.hpp"
-#include "src/util/logging.hpp"
 #include "src/util/strings.hpp"
 
 namespace dovado::core {
@@ -25,29 +23,6 @@ constexpr double kFailurePenalty = 1e18;
 constexpr std::size_t kApproxFallbackMinSamples = 5;
 
 }  // namespace
-
-/// Adapts the design space to the optimizer's Problem interface. The
-/// searchers only sample and mate in index space; the engine scores their
-/// asks through the campaign loop, never through evaluate().
-class DovadoProblem final : public opt::Problem {
- public:
-  DovadoProblem(const DesignSpace& space, std::size_t n_obj)
-      : space_(space), n_obj_(n_obj) {}
-
-  [[nodiscard]] std::size_t n_vars() const override { return space_.size(); }
-  [[nodiscard]] std::size_t n_objectives() const override { return n_obj_; }
-  [[nodiscard]] std::int64_t cardinality(std::size_t var) const override {
-    return space_.params[var].domain.size();
-  }
-
-  [[nodiscard]] opt::Objectives evaluate(const opt::Genome& /*genome*/) override {
-    throw std::logic_error("DseEngine scores genomes through its campaign loop");
-  }
-
- private:
-  const DesignSpace& space_;
-  std::size_t n_obj_;
-};
 
 DseEngine::DseEngine(ProjectConfig project, DseConfig config)
     : DseEngine(std::move(project), std::move(config), nullptr) {}
@@ -660,211 +635,18 @@ void DseEngine::run_preflight() {
   }
 }
 
-void DseEngine::run_campaign(CampaignLoop& loop) {
-  // One dispatched point: the loop's ticket, and the broker answer a lane
-  // wrote before publishing it into Lanes::ready.
-  struct Run {
-    std::size_t ticket = 0;
-    DesignPoint point;
-    EvalResult result{};
-    std::exception_ptr error{};
-  };
-  // Shared with the pool's runners, which may outlive this call.
-  struct Lanes {
-    util::Mutex mu{"DseEngine.campaign"};
-    util::CondVar cv;
-    std::deque<Run> unstarted DOVADO_GUARDED_BY(mu);
-    std::vector<Run> ready DOVADO_GUARDED_BY(mu);
-    std::size_t runners DOVADO_GUARDED_BY(mu) = 0;  ///< pool tasks draining `unstarted`
-  };
-  const auto lanes = std::make_shared<Lanes>();
-  // One runner per pool worker drains `unstarted` oldest first; inline
-  // (no workers) the one runner runs each point at dispatch.
-  const std::size_t max_runners = std::max<std::size_t>(1, config_.workers);
-
-  // Run one point on the calling lane and publish its answer.
-  const auto run_point = [this, lanes](Run run) {
-    try {
-      run.result = fleet_->broker().tool_evaluate(run.point);
-    } catch (...) {
-      run.error = std::current_exception();
-    }
-    util::MutexLock lock(lanes->mu);
-    lanes->ready.push_back(std::move(run));
-    lanes->cv.notify_one();
-  };
-  const auto runner = [lanes, run_point] {
-    while (true) {
-      Run run;
-      {
-        util::MutexLock lock(lanes->mu);
-        if (lanes->unstarted.empty()) {
-          if (--lanes->runners == 0) lanes->cv.notify_all();
-          return;
-        }
-        run = std::move(lanes->unstarted.front());
-        lanes->unstarted.pop_front();
-      }
-      run_point(std::move(run));
-    }
-  };
-
-  // On every exit, a rethrown evaluation error included, no runner may
-  // still reach into the broker once this call returns: the points not yet
-  // started are dropped and the running ones finish first.
-  struct Quiesce {
-    Lanes& lanes;
-    ~Quiesce() {
-      util::MutexLock lock(lanes.mu);
-      lanes.unstarted.clear();
-      while (lanes.runners != 0) lanes.cv.wait(lanes.mu);
-    }
-  } const quiesce{*lanes};
-
-  // Dispatch what the loop hands out, then hand one answer back, until the
-  // loop is done.
-  const bool in_order = loop.in_order();
-  while (true) {
-    while (std::optional<CampaignLoop::Dispatch> dispatch = loop.take()) {
-      bool start_runner = false;
-      {
-        util::MutexLock lock(lanes->mu);
-        lanes->unstarted.push_back(Run{dispatch->ticket, std::move(dispatch->point)});
-        if (lanes->runners < max_runners) {
-          ++lanes->runners;
-          start_runner = true;
-        }
-      }
-      if (start_runner) fleet_->broker().async(runner);
-    }
-    if (loop.done()) break;
-    Run next;
-    {
-      util::MutexLock lock(lanes->mu);
-      while (true) {
-        // In order: the oldest ticket. Otherwise the earliest virtual
-        // finish, then ticket. Inline, every dispatch runs at once, so this
-        // replays the virtual fleet's completion schedule exactly; under
-        // real threads it is the closest deterministic-given-completion-
-        // order approximation.
-        auto& ready = lanes->ready;
-        const auto best = std::min_element(
-            ready.begin(), ready.end(), [in_order](const Run& a, const Run& b) {
-              if (!in_order && a.result.virtual_finish != b.result.virtual_finish) {
-                return a.result.virtual_finish < b.result.virtual_finish;
-              }
-              return a.ticket < b.ticket;
-            });
-        if (best != ready.end()) {
-          next = std::move(*best);
-          ready.erase(best);
-          break;
-        }
-        if (!lanes->unstarted.empty()) {
-          // Nothing to hand back yet: the calling thread is a lane too.
-          Run run = std::move(lanes->unstarted.front());
-          lanes->unstarted.pop_front();
-          lock.unlock();
-          run_point(std::move(run));
-          lock.lock();
-          continue;
-        }
-        lanes->cv.wait(lanes->mu);
-      }
-    }
-    if (next.error) std::rethrow_exception(next.error);
-    loop.complete(next.ticket, std::move(next.result));
-  }
-}
-
-std::unique_ptr<CampaignLoop> DseEngine::start_campaign(std::function<bool()> stop_requested) {
-  run_preflight();
-  pretrain();
-
-  auto problem = std::make_unique<DovadoProblem>(config_.space, config_.objectives.size());
-
-  opt::Nsga2Config ga = config_.ga;
-  if (!config_.warm_start.empty() && ga.initial_genomes.empty()) {
-    // Continue from the previous session: seed the initial population with
-    // the front of the warm-started points.
-    ga.initial_genomes = seed_genomes(config_.warm_start);
-  }
-  if (const store::EvalStore* store = fleet_->store();
-      store != nullptr && config_.store_warm_start && ga.initial_genomes.empty()) {
-    // No explicit warm-start file: seed from the cross-campaign store
-    // instead. Only exact hi-fi answers for *this* backend count — screen
-    // estimates and approximate scores never steer the initial population.
-    std::vector<ExploredPoint> exact;
-    for (const auto& rec : store->live_records()) {
-      if (rec.tier != store::EvalStore::kTierHifi) continue;
-      if (rec.backend != fleet_->broker().backend_info().name) continue;
-      if (!rec.ok || rec.approximate) continue;
-      ExploredPoint point{rec.params, EvalMetrics{rec.metrics}};
-      if (has_objectives(point.metrics)) exact.push_back(std::move(point));
-    }
-    ga.initial_genomes = seed_genomes(exact);
-    if (!ga.initial_genomes.empty()) {
-      {
-        util::MutexLock lock(stats_mutex_);
-        stats_.store_seeded_points = ga.initial_genomes.size();
-      }
-      util::Log::info("seeded initial population with " +
-                      std::to_string(ga.initial_genomes.size()) +
-                      " non-dominated point(s) from the evaluation store");
-    }
-  }
-
-  // The engine drives every searcher through the ask/tell Optimizer
-  // interface only. A steady-state campaign resolves its searcher by name
-  // through the registry (nsga2, random, local, surrogate, exhaustive, or
-  // the bandit portfolio), so new searchers plug in without touching the
-  // loop; the generational campaign runs the paper's generational NSGA-II.
-  std::unique_ptr<opt::Optimizer> searcher;
-  if (config_.steady_state) {
-    opt::OptimizerContext opt_ctx;
-    opt_ctx.problem = problem.get();
-    opt_ctx.ga = ga;
-    opt_ctx.portfolio_members = config_.portfolio_members;
-    // Only an engine that built its own fleet hooks the NWM into the
-    // surrogate sampler. With the hook set, each surrogate proposal draws
-    // a batch of random candidates to rank instead of one genome, so
-    // hooking a daemon campaign would change what it explores.
-    if (own_fleet_) {
-      opt_ctx.surrogate = [this](const opt::Genome& genome) -> std::optional<opt::Objectives> {
-        // NWM estimates back the surrogate-guided sampler; without enough
-        // samples the model has nothing to say and the sampler degrades to
-        // random search.
-        if (!control_ || control_->dataset().size() < 2) return std::nullopt;
-        return to_objectives(estimate_metrics(config_.space.decode(genome)));
-      };
-    }
-    searcher = opt::OptimizerRegistry::create(config_.optimizer, opt_ctx);
-  } else {
-    searcher = std::make_unique<opt::GenerationalNsga2>(ga, *problem);
-  }
-  return std::unique_ptr<CampaignLoop>(
-      new CampaignLoop(*this, std::move(problem), std::move(searcher),
-                       std::move(stop_requested)));
-}
-
-DseResult DseEngine::run(const std::function<bool()>& stop_requested) {
-  const std::unique_ptr<CampaignLoop> loop = start_campaign(stop_requested);
-  run_campaign(*loop);
-  return finish_campaign(*loop);
-}
-
-DseResult DseEngine::finish_campaign(const CampaignLoop& loop) {
+DseResult DseEngine::finish_campaign() {
   {
     util::MutexLock lock(stats_mutex_);
     // Generational: survivals, as the paper counts generations. Steady:
     // completions per population.
-    const auto* generational = dynamic_cast<const opt::GenerationalNsga2*>(&loop.searcher());
+    const auto* generational = dynamic_cast<const opt::GenerationalNsga2*>(searcher_.get());
     stats_.generations = generational != nullptr ? generational->generations()
                          : config_.ga.population_size != 0
                              ? stats_.steady_completions / config_.ga.population_size
                              : 0;
     stats_.optimizer_name = config_.optimizer;
-    stats_.optimizer_members = loop.searcher().member_stats();
+    stats_.optimizer_members = searcher_->member_stats();
   }
 
   // Assemble the non-dominated set over everything explored (tool results

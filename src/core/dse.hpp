@@ -23,17 +23,21 @@
 //
 // Tool time is *simulated* (the SimVivado runtime model), so the paper's
 // four-hour soft deadline semantics are reproduced without wall-clock cost.
-// Every campaign runs through one ask/tell loop, core::CampaignLoop
-// (core/campaign.hpp). run() drives it on the thread pool's lanes, up to
-// max_inflight evaluations at once, one tool session per lane — the same
-// shape as running parallel Vivado processes; the serve daemon drives it
-// through start_campaign() and finish_campaign().
+// An engine runs one campaign, through one ask/tell loop: take() hands out
+// the next point to dispatch, complete() tells its answer, done() says when
+// the campaign is over (core/campaign.cpp). run() drives the loop on the
+// thread pool's lanes, up to max_inflight evaluations at once, one tool
+// session per lane — the same shape as running parallel Vivado processes;
+// the serve daemon drives it between start_campaign() and
+// finish_campaign().
 #pragma once
 
+#include <deque>
 #include <functional>
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 
 #include "src/core/broker.hpp"
 #include "src/core/evaluator.hpp"
@@ -48,8 +52,6 @@
 #include "src/util/sync.hpp"
 
 namespace dovado::core {
-
-class CampaignLoop;
 
 /// One optimization objective: a metric name from EvalMetrics plus the
 /// direction. Internally everything is minimized (maximize => negate).
@@ -74,8 +76,9 @@ struct DseConfig {
   /// Genetic-algorithm settings (population, generations, operators, seed).
   opt::Nsga2Config ga;
 
-  /// Custom static performance models, applied after every successful tool
-  /// evaluation (see DerivedMetric in core/broker.hpp).
+  /// Custom static performance models, computed once per successful tool
+  /// run, before its answer is cached (see DerivedMetric in
+  /// core/evaluator.hpp).
   std::vector<DerivedMetric> derived_metrics;
 
   /// Evaluation backend override; empty uses the project's backend.
@@ -316,16 +319,42 @@ class DseEngine {
   /// drains what is in flight and returns the front found so far.
   [[nodiscard]] DseResult run(const std::function<bool()>& stop_requested = {});
 
+  /// A point to evaluate on the high-fidelity tier; its answer comes back
+  /// through complete(ticket, ...). Tickets count submissions.
+  struct Dispatch {
+    std::size_t ticket = 0;
+    DesignPoint point;
+  };
+
   /// run() in steps for an outside driver: the pre-flight gate,
-  /// pre-training and the searcher's loop (dispatch what take() hands out,
-  /// complete() each answer, stop once done()), then finish_campaign().
-  /// One campaign per engine.
-  [[nodiscard]] std::unique_ptr<CampaignLoop> start_campaign(
-      std::function<bool()> stop_requested = {});
+  /// pre-training and the searcher, then the loop (dispatch what take()
+  /// hands out, complete() each answer, stop once done()), then
+  /// finish_campaign(). One campaign per engine: a second start_campaign()
+  /// or run() throws std::logic_error. The loop calls are the driver's
+  /// alone, one at a time.
+  void start_campaign(std::function<bool()> stop_requested = {});
+
+  /// The next point to dispatch, or std::nullopt when none can go now (the
+  /// in-flight bound, a waiting searcher, a spent budget or a stop). Asks
+  /// a block through the ladder when the queue is empty, and tells the
+  /// answers the ladder gave. Checks the stop request, and the tool
+  /// deadline when there is one, before every submission.
+  [[nodiscard]] std::optional<Dispatch> take();
+
+  /// The answer for a dispatched point, or std::nullopt when it was
+  /// dropped without running (nothing is told). Scored through settle(),
+  /// hedged on the analytic tier when it fast-failed, then told, then the
+  /// breaker's recovery probes run. In order, an early answer waits for
+  /// the ones before it (take() tells those that fall due).
+  void complete(std::size_t ticket, std::optional<EvalResult> result);
+
+  /// True when nothing is outstanding and the budget is spent, the
+  /// searcher waits with nothing in flight, or submission stopped.
+  [[nodiscard]] bool done() const;
 
   /// The non-dominated set of everything explored, estimated and hedged
   /// members re-verified on the tool (even past the deadline), and stats.
-  [[nodiscard]] DseResult finish_campaign(const CampaignLoop& loop);
+  [[nodiscard]] DseResult finish_campaign();
 
   /// Hi-fi tool seconds the engine spent itself, besides the dispatched
   /// points: recovery probes and front verification.
@@ -353,8 +382,6 @@ class DseEngine {
   [[nodiscard]] opt::Objectives to_objectives(const EvalMetrics& metrics) const;
 
  private:
-  friend class CampaignLoop;
-
   /// Raw-parameter-space coordinates of a point (Eq. 4's decision vars).
   [[nodiscard]] model::Point to_model_point(const DesignPoint& point) const;
 
@@ -391,11 +418,34 @@ class DseEngine {
 
   void pretrain();
 
-  /// run()'s driver: pool runners and the calling thread evaluate what the
-  /// loop hands out; answers go back oldest first (in order) or earliest
+  /// run()'s driver: pool runners and the calling thread evaluate what
+  /// take() hands out; answers go back oldest first (in order) or earliest
   /// virtual finish first. An evaluation's exception is rethrown once no
   /// runner is left.
-  void run_campaign(CampaignLoop& loop);
+  void run_campaign();
+
+  /// One asked point of the campaign, from its ask until it is told.
+  struct Slot {
+    opt::Genome genome;
+    DesignPoint point;
+    Rung rung{};
+    std::optional<EvalResult> result{};  ///< the broker answer, once delivered
+    bool answered = false;  ///< ready to tell: a ladder answer, a broker answer or a drop
+  };
+
+  /// Ask up to `n` proposals (fewer when the searcher starts waiting) and
+  /// run them through the ladder.
+  void ask_block(std::size_t n);
+
+  /// Stop submitting: queued forwarded points never reach the tool.
+  void stop(bool deadline);
+
+  /// Tell a pending slot and release its in-flight place.
+  void resolve(std::map<std::size_t, Slot>::iterator it);
+
+  /// Tell one slot's answer: its estimate or screen-out, or its broker
+  /// answer through settle(), hedging a fast-fail on the analytic tier.
+  void tell(Slot& slot);
 
   /// Add `point` to the explored set, or let an exact answer supersede an
   /// estimate (and an NWM fallback a bare failure). Returns true when the
@@ -466,10 +516,30 @@ class DseEngine {
   const bool own_fleet_;  ///< the engine built its fleet from config_
   std::shared_ptr<EvaluationFleet> fleet_;
   std::unique_ptr<ProbeQueue> probes_;  ///< this campaign's fast-failed points
-  /// Points a crashed campaign journaled as submitted; CampaignLoop
-  /// re-submits them first, exactly once, bypassing the ladder.
+  /// Points a crashed campaign journaled as submitted; start_campaign()
+  /// queues them first, to be submitted exactly once, bypassing the ladder.
   std::vector<InflightMark> replayed_inflight_;
   std::unique_ptr<model::ControlModel> control_;
+
+  // The campaign, from start_campaign() on. Only its driver touches it, one
+  // call at a time, so it needs no lock.
+  bool campaign_started_ = false;
+  std::unique_ptr<opt::Problem> problem_;
+  std::unique_ptr<opt::Optimizer> searcher_;
+  std::function<bool()> stop_requested_;
+  /// Answers are told in submission order (the generational searcher)
+  /// rather than as they arrive.
+  bool in_order_ = false;
+  std::size_t budget_ = 0;        ///< asks plus replayed points
+  std::size_t max_inflight_ = 1;  ///< forwarded points outstanding at once
+  std::size_t block_size_ = 1;    ///< asks per ladder block
+  std::deque<Slot> queue_;               ///< asked, awaiting submission
+  std::map<std::size_t, Slot> pending_;  ///< submitted, not yet told, by ticket
+  std::size_t submitted_ = 0;            ///< against the budget
+  std::size_t inflight_ = 0;             ///< forwarded and not yet told
+  std::size_t next_ticket_ = 0;
+  bool barrier_due_ = false;  ///< the searcher waited since the last block
+  bool stopped_ = false;      ///< submission stopped (deadline or stop request)
 
   // Engine locks are independent leaves: no code path holds two of them at
   // once (see DESIGN.md "Concurrency contracts" for the repo-wide ordering).

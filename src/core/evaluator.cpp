@@ -168,11 +168,16 @@ EvalResult PointEvaluator::evaluate(const DesignPoint& point,
   // *requester's* budget, not the point, so the claim is abandoned instead
   // (joiners wake and re-claim; the next leader gets a fresh run).
   try {
-    const EvalResult result =
+    EvalResult result =
         supervisor_ ? supervisor_->supervise(
                           point, [&](int attempt) { return run_pipeline(point, attempt); },
                           deadline_tool_seconds)
                     : run_pipeline(point, 0);
+    if (result.ok && derived_metrics_) {
+      for (const DerivedMetric& derived : *derived_metrics_) {
+        result.metrics.values[derived.name] = derived.compute(point, result.metrics);
+      }
+    }
     if (result.deadline_truncated) {
       cache_->abandon(point);
     } else {

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -169,6 +170,17 @@ class EvaluationCache {
       DOVADO_GUARDED_BY(mutex_);
 };
 
+/// A user-supplied static performance model (the paper's future-work item:
+/// "inserting a custom model for static performance that enables an
+/// improved DSE"). The callback derives a new metric from the design point
+/// and the tool-reported metrics (e.g. throughput = fmax * lanes); derived
+/// metrics are first-class — they can be optimization objectives and they
+/// flow through the approximation model like tool metrics.
+struct DerivedMetric {
+  std::string name;
+  std::function<double(const DesignPoint&, const EvalMetrics&)> compute;
+};
+
 class EvaluationSupervisor;
 
 class PointEvaluator {
@@ -199,6 +211,14 @@ class PointEvaluator {
   /// Attach a shared retry/quarantine policy (nullptr = single attempt).
   void set_supervisor(std::shared_ptr<EvaluationSupervisor> supervisor) {
     supervisor_ = std::move(supervisor);
+  }
+
+  /// Derived metrics to apply to every successful answer this evaluator
+  /// leads, before it is cached: cache hits and single-flight joins carry
+  /// the values computed once (nullptr = none). A throwing compute
+  /// abandons the claim and propagates.
+  void set_derived_metrics(std::shared_ptr<const std::vector<DerivedMetric>> derived) {
+    derived_metrics_ = std::move(derived);
   }
 
   /// Forward a fault injector to the underlying tool session.
@@ -233,6 +253,7 @@ class PointEvaluator {
   ProjectConfig config_;
   std::shared_ptr<EvaluationCache> cache_;
   std::shared_ptr<EvaluationSupervisor> supervisor_;
+  std::shared_ptr<const std::vector<DerivedMetric>> derived_metrics_;
   hdl::Module module_;
   /// The project's box, built once by the constructor; each run renders
   /// its point into it.

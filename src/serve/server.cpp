@@ -307,9 +307,9 @@ Response Server::admit_and_enqueue_locked(const Request& request,
   try {
     campaign->engine =
         std::make_unique<core::DseEngine>(config_.project, std::move(dse), fleet_);
-    // The loop asks for a stop before every submission: the drain stops
+    // The engine asks for a stop before every submission: the drain stops
     // the campaign, and what is in flight finishes and is told.
-    campaign->loop = campaign->engine->start_campaign([this] {
+    campaign->engine->start_campaign([this] {
       mu_.assert_held();
       return draining_;
     });
@@ -443,12 +443,12 @@ void Server::finalize_locked(Completion&& completion) {
   scheduler_.charge(job.tenant, charged);
 
   if (job.campaign) {
-    // The loop scores the answer like an engine campaign (hedge and probes
+    // The engine scores the answer like its own campaign (hedge and probes
     // included), outside mu_: those are broker calls.
     const std::shared_ptr<CampaignState> campaign = std::move(job.campaign);
     campaign->tool_seconds += charged;
     mu_.unlock();
-    campaign->loop->complete(job.ticket, std::move(result));
+    campaign->engine->complete(job.ticket, std::move(result));
     mu_.lock();
     charge_side_locked(*campaign);
     advance_campaign_locked(campaign);
@@ -508,10 +508,10 @@ bool Server::advance_campaigns_locked() {
 
 bool Server::advance_campaign_locked(const std::shared_ptr<CampaignState>& campaign) {
   bool queued = false;
-  // Take only what the tenant's queue can hold: an ask stays in the loop
+  // Take only what the tenant's queue can hold: an ask stays in the engine
   // until it can be queued, so none is lost to a full queue.
   while (!campaign->finished && !scheduler_.full(campaign->tenant)) {
-    std::optional<core::CampaignLoop::Dispatch> next = campaign->loop->take();
+    std::optional<core::DseEngine::Dispatch> next = campaign->engine->take();
     if (!next) break;
     Job job;
     job.tenant = campaign->tenant;
@@ -524,7 +524,7 @@ bool Server::advance_campaign_locked(const std::shared_ptr<CampaignState>& campa
     (void)scheduler_.push(campaign->tenant, std::move(job));  // room checked above
     queued = true;
   }
-  if (!campaign->finished && campaign->loop->done()) finish_campaign_locked(campaign);
+  if (!campaign->finished && campaign->engine->done()) finish_campaign_locked(campaign);
   return queued;
 }
 
@@ -542,7 +542,7 @@ void Server::finish_campaign_locked(const std::shared_ptr<CampaignState>& campai
                    campaigns_.end());
   // The front re-verifies hedged members on the tool: broker calls.
   mu_.unlock();
-  const core::DseResult result = campaign->engine->finish_campaign(*campaign->loop);
+  const core::DseResult result = campaign->engine->finish_campaign();
   mu_.lock();
   charge_side_locked(*campaign);
   ++campaigns_finished_;
@@ -572,8 +572,8 @@ void Server::shed_queue_locked() {
     // expectation and is not charged: charging it would pop the
     // expectation of a job still running and pay it back twice.
     if (job.campaign) {
-      // Never ran: dropped from its loop untold (no broker call).
-      job.campaign->loop->complete(job.ticket, std::nullopt);
+      // Never ran: dropped from its campaign untold (no broker call).
+      job.campaign->engine->complete(job.ticket, std::nullopt);
       continue;
     }
     Response response;

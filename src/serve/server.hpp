@@ -18,10 +18,10 @@
 //                   the cache, single-flight, supervisor retries, breakers,
 //                   journal and cross-campaign store for *all* tenants.
 //
-// A campaign is a core::DseEngine over the shared fleet, run through the
-// engine's campaign loop (core/campaign.hpp) by the dispatch thread alone:
-// each take() becomes a job that competes in step 2, each answer goes back
-// through complete(), and the client gets the engine's front. Hedges from
+// A campaign is a core::DseEngine over the shared fleet, whose ask/tell
+// loop the dispatch thread alone drives: each DseEngine::take() becomes a
+// job that competes in step 2, each answer goes back through complete(),
+// and the client gets the engine's front. Hedges from
 // every campaign share the fleet's analytic broker (one cache, one
 // single-flight, the store's screen tier). Every hi-fi second a campaign
 // causes is charged to its tenant. A single eval the breaker fast-fails is
@@ -46,7 +46,7 @@
 #include <thread>
 #include <vector>
 
-#include "src/core/campaign.hpp"
+#include "src/core/dse.hpp"
 #include "src/core/fleet.hpp"
 #include "src/serve/admission.hpp"
 #include "src/serve/protocol.hpp"
@@ -159,7 +159,7 @@ class Server {
   struct CampaignState;
 
   /// One schedulable unit: either a client's single eval or one point a
-  /// campaign's loop handed out.
+  /// campaign's engine handed out.
   struct Job {
     std::string tenant;
     std::string id;                       ///< request id (campaign: its id)
@@ -167,7 +167,7 @@ class Server {
     double deadline_tool_seconds = 0.0;
     ConnPtr conn;                         ///< null in execute() mode
     std::shared_ptr<CampaignState> campaign;  ///< null for single evals
-    std::size_t ticket = 0;               ///< campaign points: the loop's ticket
+    std::size_t ticket = 0;               ///< campaign points: the engine's ticket
   };
 
   struct Completion {
@@ -175,16 +175,15 @@ class Server {
     core::EvalResult result;
   };
 
-  /// An admitted campaign. The engine and its loop are advanced by the
-  /// dispatch thread only (execute()'s caller in in-process mode); the
-  /// other fields are guarded by mu_.
+  /// An admitted campaign. The engine is advanced by the dispatch thread
+  /// only (execute()'s caller in in-process mode); the other fields are
+  /// guarded by mu_.
   struct CampaignState {
     std::string tenant;
     std::string id;
     std::vector<core::Objective> objectives;
     ConnPtr conn;
     std::unique_ptr<core::DseEngine> engine;
-    std::unique_ptr<core::CampaignLoop> loop;  ///< destroyed before the engine
     double tool_seconds = 0.0;   ///< hi-fi seconds charged to the tenant
     double side_charged = 0.0;   ///< the engine's side_tool_seconds() charged so far
     bool finished = false;
@@ -225,8 +224,8 @@ class Server {
   /// holds mu_ (finalize_locked may drop it to write).
   void finalize_completions_locked() DOVADO_REQUIRES(mu_);
 
-  /// Queue what the campaign's loop hands out while its tenant's queue
-  /// has room, and finish the campaign once the loop is done. Returns true
+  /// Queue what the campaign's engine hands out while its tenant's queue
+  /// has room, and finish the campaign once the engine is done. Returns true
   /// when a job was queued. Caller holds mu_ (take() makes no broker call
   /// for a serve campaign: no screening, NWM, journal marks or deadline);
   /// finishing releases it meanwhile.

@@ -304,6 +304,21 @@ TEST(CliStore, CsvExportKeepsTheApproximateFlag) {
   std::remove((store_path + ".lock").c_str());
 }
 
+TEST(CliServe, BadFaultPlanFailsLikeExplore) {
+  const std::string source = rtl("cv32e40p_fifo.sv");
+  const std::string socket = ::testing::TempDir() + "/cli_bad_fault_plan.sock";
+  const auto explore = run_cli({"explore", "--source", source.c_str(), "--top", "cv32e40p_fifo",
+                                "--part", "xc7k70t", "--param", "DEPTH=8:64:8", "--objective",
+                                "lut:min", "--fault-plan", "bogus"});
+  const auto serve = run_cli({"serve", "--source", source.c_str(), "--top", "cv32e40p_fifo",
+                              "--part", "xc7k70t", "--socket", socket.c_str(), "--fault-plan",
+                              "bogus"});
+  EXPECT_EQ(explore.code, 1);
+  EXPECT_EQ(serve.code, 1);
+  EXPECT_NE(explore.err.find("invalid fault plan 'bogus'"), std::string::npos) << explore.err;
+  EXPECT_EQ(serve.err, explore.err);
+}
+
 TEST(CliStore, DbOnAMissingStoreFails) {
   const std::string store = ::testing::TempDir() + "/cli_store_missing.dvstor";
   std::remove(store.c_str());

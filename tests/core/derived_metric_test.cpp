@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
+
 #include "src/core/dse.hpp"
 
 namespace dovado::core {
@@ -109,6 +112,49 @@ TEST(DerivedMetric, FlowsThroughApproximationModel) {
   for (const auto& p : result.pareto) {
     EXPECT_TRUE(p.metrics.values.count("throughput_mcps") == 1);
   }
+}
+
+/// A stateful derived metric: each value is the number of calls so far.
+/// Lanes compute derived metrics concurrently, so the count is atomic.
+DerivedMetric call_counter(const std::shared_ptr<std::atomic<int>>& calls) {
+  return {"call", [calls](const DesignPoint&, const EvalMetrics&) {
+            return static_cast<double>(++*calls);
+          }};
+}
+
+TEST(DerivedMetric, ComputedOncePerFreshAnswer) {
+  // Derived metrics run where the leader builds a fresh answer, before it
+  // is cached: a cache hit carries the value stored with that answer and
+  // computes nothing.
+  auto calls = std::make_shared<std::atomic<int>>(0);
+  DseConfig config = base_config();
+  config.derived_metrics.push_back(call_counter(calls));
+  config.objectives = {{"lut", false}, {"call", false}};
+  DseEngine engine(tirex_project(), config);
+  const DesignPoint a{{"NCLUSTER", 1}, {"STACK_SIZE", 4}};
+  const DesignPoint b{{"NCLUSTER", 2}, {"STACK_SIZE", 8}};
+  const auto answers = engine.evaluate_set({a, a, b, a});
+  ASSERT_EQ(answers.size(), 4u);
+  EXPECT_EQ(calls->load(), 2);
+  EXPECT_EQ(answers[0].metrics.get("call"), 1.0);
+  EXPECT_EQ(answers[1].metrics.get("call"), 1.0);
+  EXPECT_EQ(answers[2].metrics.get("call"), 2.0);
+  EXPECT_EQ(answers[3].metrics.get("call"), 1.0);
+}
+
+TEST(DerivedMetric, CampaignComputesOncePerToolRun) {
+  // A 15-point space under 70 asks: most asks are cache hits or
+  // single-flight joins, and none of them computes the metric again.
+  auto calls = std::make_shared<std::atomic<int>>(0);
+  DseConfig config = base_config();
+  config.workers = 2;
+  config.derived_metrics.push_back(call_counter(calls));
+  config.objectives = {{"lut", false}, {"call", false}};
+  DseEngine engine(tirex_project(), config);
+  const DseStats stats = engine.run().stats;
+  ASSERT_EQ(stats.failures, 0u);
+  EXPECT_GT(stats.cache_hits + stats.single_flight_joins, 0u);
+  EXPECT_EQ(static_cast<std::size_t>(calls->load()), stats.tool_runs);
 }
 
 }  // namespace

@@ -392,6 +392,29 @@ TEST(DseParallel, StatsSnapshotSafeDuringRun) {
   EXPECT_DOUBLE_EQ(result.stats.simulated_tool_seconds, engine.fleet().broker().tool_seconds());
 }
 
+TEST(DseParallel, OneCampaignPerEngine) {
+  // A second campaign would explore over the first one's records, dataset
+  // and counters: run() and start_campaign() refuse it before evaluating
+  // anything. evaluate_set() stays open.
+  DseEngine engine(fifo_project(), fifo_dse(2));
+  const DseResult result = engine.run();
+  EXPECT_THROW((void)engine.run(), std::logic_error);
+  EXPECT_THROW(engine.start_campaign(), std::logic_error);
+  const DseStats after = engine.stats();
+  EXPECT_EQ(after.ga_evaluations, result.stats.ga_evaluations);
+  EXPECT_EQ(after.tool_runs, result.stats.tool_runs);
+  EXPECT_EQ(after.steady_completions, result.stats.steady_completions);
+  const auto more = engine.evaluate_set({{{"DEPTH", 9}}});
+  ASSERT_EQ(more.size(), 1u);
+  EXPECT_FALSE(more[0].failed);
+
+  // The same for a campaign an outside driver started.
+  DseEngine driven(fifo_project(), fifo_dse(0));
+  driven.start_campaign();
+  EXPECT_THROW(driven.start_campaign(), std::logic_error);
+  EXPECT_THROW((void)driven.run(), std::logic_error);
+}
+
 edatool::FaultPlan plan_of(const std::string& spec) {
   std::string error;
   const auto plan = edatool::FaultPlan::parse(spec, error);
